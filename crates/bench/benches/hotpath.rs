@@ -1,7 +1,7 @@
 //! Hot-path baseline benchmark: `figures --quick`-scale sweeps through
 //! the sweep executor, timed by the vendored criterion harness, plus a
-//! raw simulator events/second measurement and a shard-balance
-//! experiment — written out as machine-readable `BENCH_hotpath.json` so
+//! raw simulator events/second measurement — written out as
+//! machine-readable `BENCH_hotpath.json` so
 //! CI can archive the repo's perf trajectory run over run (and fail on
 //! events/sec regressions against the committed baseline).
 //!
@@ -15,28 +15,18 @@
 //! block with the batched-dispatch ceiling (pop_run_into + arena
 //! handles, no DBMS model), a `saturation_grid` block streaming a
 //! 120-cell open-load grid through `run_fold` with its peak-RSS
-//! high-water mark, a `queue` array with heap-only push/pop rates at 1M
-//! and 10M pending events, a `cells` array with per-cell wall-clock over
-//! the heterogeneous fig2 + rt_open grid (capacity seconds split into
-//! `ref/` buckets), and a `shard_balance` block comparing static
-//! striding against cost-balanced (LPT) slicing on that grid: per-shard
-//! wall-clock and the max/min imbalance ratio for both modes. Figures
-//! run through the same `SweepOpts`/`SweepExecutor` path the `figures`
-//! binary uses, so these numbers track exactly what an operator waits
-//! on.
+//! high-water mark, and a `queue` array with heap-only push/pop rates at
+//! 1M and 10M pending events. Figures run through the same
+//! `SweepOpts`/`SweepExecutor` path the `figures` binary uses, so these
+//! numbers track exactly what an operator waits on.
 
 use criterion::{black_box, Criterion};
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
-use xsched_bench::{
-    fig2_report, fig2_scenarios, quick_rc, quick_rc_heavy, rt_open_report, rt_open_scenarios,
-    SweepOpts,
-};
-use xsched_core::cost::encode_timing_cell;
+use xsched_bench::{fig2_report, quick_rc, quick_rc_heavy, rt_open_report, SweepOpts};
 use xsched_core::{
-    ArrivalSpec, BalanceMode, CellTiming, CostModel, ExecSpec, MeasurementCache, MplSpec,
-    PolicyKind, RunConfig, Scenario, ScenarioOutcome, SweepExecutor, SweepPlan, TaskOutcome,
+    ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario,
+    ScenarioOutcome, SweepExecutor, SweepPlan, TaskOutcome,
 };
 use xsched_dbms::{CountingSink, DbmsSim, NoopTrace, StepOutcome, TraceSink};
 use xsched_sim::{EventQueue, SimTime};
@@ -257,69 +247,12 @@ fn figure_benches(c: &mut Criterion) {
     });
 }
 
-/// Per-shard wall-clock of one slicing mode over `plan`, each shard run
-/// serially in turn — the single-process stand-in for "one host per
-/// shard". Returns `(wall seconds per shard, per-cell timings)`.
-fn measure_shards(
-    plan: &SweepPlan,
-    of: usize,
-    balance: BalanceMode,
-    model: &Arc<CostModel>,
-) -> (Vec<f64>, Vec<CellTiming>) {
-    let tasks = plan.tasks();
-    let mut walls = Vec::with_capacity(of);
-    let mut cells = Vec::new();
-    for index in 0..of {
-        let executor = SweepExecutor::serial()
-            .with_balance(balance)
-            .with_cost_model(Arc::clone(model));
-        let t0 = Instant::now();
-        let shard = executor.run_shard(plan, index, of);
-        walls.push(t0.elapsed().as_secs_f64());
-        // Reference (capacity) seconds split into their own `ref/` cells
-        // — open-load cells that paid for a capacity run would otherwise
-        // pollute the per-bucket averages the calibrated model fits.
-        let refs: std::collections::HashMap<usize, f64> =
-            shard.ref_timings.iter().copied().collect();
-        let events: std::collections::HashMap<usize, u64> = shard.events.iter().copied().collect();
-        let ref_events: std::collections::HashMap<usize, u64> =
-            shard.ref_events.iter().copied().collect();
-        for &(t, secs) in &shard.timings {
-            let scenario = &plan.scenarios[tasks[t].0];
-            let ref_secs = refs.get(&t).copied().unwrap_or(0.0);
-            let ref_ev = ref_events.get(&t).copied().unwrap_or(0);
-            let ev = events.get(&t).copied().unwrap_or(0).saturating_add(ref_ev);
-            cells.extend(CostModel::timing_cells(
-                scenario, secs, ref_secs, ev, ref_ev,
-            ));
-        }
-    }
-    (walls, cells)
-}
-
-/// Max/min shard wall-clock — 1.0 is perfect balance; the slowest shard
-/// gates a multi-host run, so this is the number balancing must shrink.
-fn imbalance(walls: &[f64]) -> f64 {
-    let max = walls.iter().cloned().fold(f64::MIN, f64::max);
-    let min = walls.iter().cloned().fold(f64::MAX, f64::min);
-    max / min.max(1e-9)
-}
-
 fn json_escape_free(name: &str) -> String {
     // Bench labels are ASCII identifiers; strip anything that would need
     // JSON escaping rather than implementing an escaper for no caller.
     name.chars()
         .filter(|c| c.is_ascii() && *c != '"' && *c != '\\')
         .collect()
-}
-
-fn json_shard_mode(walls: &[f64]) -> String {
-    let list: Vec<String> = walls.iter().map(|w| format!("{w:.4}")).collect();
-    format!(
-        "{{\"imbalance\": {:.4}, \"wall_secs\": [{}]}}",
-        imbalance(walls),
-        list.join(", ")
-    )
 }
 
 fn main() {
@@ -364,28 +297,6 @@ fn main() {
         grid.wall_secs,
         grid.peak_parked,
         grid_rss.map_or(0, |b| b >> 20),
-    );
-
-    // Shard-balance experiment on the heterogeneous fig2 + rt_open quick
-    // grid (browsing cells run 5× the transactions of inventory cells;
-    // open-load cells pay a capacity run): static striding vs
-    // cost-balanced LPT slices, the latter calibrated from the stride
-    // pass's own per-cell timings — exactly the `--timings`/`--calibrate`
-    // feedback loop.
-    const SHARDS: usize = 6;
-    let mut scenarios = fig2_scenarios(&quick_rc());
-    scenarios.extend(rt_open_scenarios(&quick_rc_heavy()));
-    let plan = SweepPlan::new(scenarios);
-    let structural = Arc::new(CostModel::structural());
-    let (stride_walls, cells) = measure_shards(&plan, SHARDS, BalanceMode::Stride, &structural);
-    let calibrated = Arc::new(CostModel::calibrated(&cells));
-    let (cost_walls, _) = measure_shards(&plan, SHARDS, BalanceMode::Cost, &calibrated);
-    println!(
-        "{:<40} stride {:.2}x  cost-balanced {:.2}x  ({} cells over {SHARDS} shards)",
-        "shard_balance/imbalance",
-        imbalance(&stride_walls),
-        imbalance(&cost_walls),
-        plan.task_count(),
     );
 
     // Heap-only push/pop rates, last: the 10M-pending resident set
@@ -441,22 +352,6 @@ fn main() {
         json.push_str(&format!(
             "    {{\"pending\": {n}, \"push_per_sec\": {push:.1}, \"pop_per_sec\": {pop:.1}}}{}\n",
             if i + 1 < queue_rates.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"shard_balance\": {{\n    \"shards\": {SHARDS},\n    \"tasks\": {},\n    \"stride\": {},\n    \"cost\": {},\n    \"improvement\": {:.4}\n  }},\n",
-        plan.task_count(),
-        json_shard_mode(&stride_walls),
-        json_shard_mode(&cost_walls),
-        imbalance(&stride_walls) / imbalance(&cost_walls),
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {}{}\n",
-            encode_timing_cell(cell),
-            if i + 1 < cells.len() { "," } else { "" },
         ));
     }
     json.push_str("  ]\n}\n");

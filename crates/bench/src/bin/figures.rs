@@ -40,11 +40,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xsched_bench::cli::{parse_args, USAGE};
 use xsched_bench::*;
-use xsched_core::cost::{decode_timings, encode_timings};
 use xsched_core::shard::decode_payloads;
 use xsched_core::{
-    CheckpointJournal, CoordServer, CostModel, FaultInjector, FaultPolicy, FaultyTransport,
-    JournalReplay, SweepObs, TcpTransport, Transport, WireFaultInjector, WorkerConfig,
+    CheckpointJournal, CoordServer, FaultInjector, FaultPolicy, FaultyTransport, JournalReplay,
+    SweepObs, TcpTransport, Transport, WireFaultInjector, WorkerConfig,
 };
 
 const EXPERIMENTS: &[&str] = &[
@@ -159,35 +158,14 @@ fn main() {
     } else {
         SweepMode::Run
     };
-    // Calibrate the cost model from a previous run's `--timings` dump;
-    // without one, the structural model predicts from scenario shape
-    // alone. Every shard of one sweep must use the same file (or none) —
-    // balanced slicing is deterministic in (plan, model).
-    let cost_model = args.calibrate.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read timings file `{path}`: {e}");
-            std::process::exit(2);
-        });
-        let cells = decode_timings(&text).unwrap_or_else(|e| {
-            eprintln!("error: bad timings file `{path}`: {e}");
-            std::process::exit(2);
-        });
-        let model = CostModel::calibrated(&cells);
-        eprintln!(
-            "[calibrated {} cost buckets from {} cells in {path}]",
-            model.calibrated_buckets(),
-            cells.len()
-        );
-        Arc::new(model)
-    });
-    // The metrics snapshot embeds the timings section, so --metrics
-    // forces cell-timing collection even without --timings.
-    let timings_sink = (args.timings_out.is_some() || args.metrics_out.is_some())
+    // The metrics snapshot carries the per-cell timings section.
+    let timings_sink = args
+        .metrics_out
+        .is_some()
         .then(|| Arc::new(Mutex::new(Vec::new())));
     let obs = args.metrics_out.as_ref().map(|_| Arc::new(SweepObs::new()));
-    // Fault tolerance: any of these flags switches the executor onto the
-    // guarded path (`FaultPolicy::active`); with all of them at their
-    // defaults sweeps run the legacy unguarded code byte-for-byte.
+    // Fault tolerance: every attempt runs panic-isolated; these flags add
+    // keep-going degradation, retries, a watchdog and fault injection.
     let faults = FaultPolicy {
         keep_going: args.keep_going,
         retries: args.retry,
@@ -233,8 +211,6 @@ fn main() {
         seeds: args.seeds.clone(),
         threads: args.threads,
         mode,
-        balance: args.balance,
-        cost_model,
         timings: timings_sink.clone(),
         obs: obs.clone(),
         progress: args.progress,
@@ -348,19 +324,8 @@ fn main() {
         eprintln!("[{name} took {elapsed:.1}s]\n");
     }
 
-    // Dump the run's per-cell timing telemetry; `--calibrate <file>` on
-    // the next run fits the cost model from it.
-    if let (Some(path), Some(sink)) = (&args.timings_out, &timings_sink) {
-        let cells = sink.lock().unwrap();
-        if let Err(e) = std::fs::write(path, encode_timings(&cells)) {
-            eprintln!("error: cannot write timings file `{path}`: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("[wrote {} cell timings to {path}]", cells.len());
-    }
-
-    // The full observability snapshot: metrics registry + the timings
-    // section (same schema --calibrate reads) + controller series.
+    // The full observability snapshot: metrics registry + per-cell
+    // timings + controller series.
     if let (Some(path), Some(obs)) = (&args.metrics_out, &obs) {
         let cells = timings_sink
             .as_ref()

@@ -3,15 +3,15 @@
 //! A small hand-rolled parser (the build environment has no crates.io
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
-//! `--shard`, `--balance`, `--timings`, `--calibrate`, `--merge`,
-//! `--serve`, `--worker`, `--lease`, `--wire-faults`, `--list`,
-//! `--help`, and positional experiment names. Parsing is pure
+//! `--shard`, `--merge`, `--metrics`, `--progress`, `--subruns`, the
+//! fault-tolerance and checkpoint flags, `--serve`, `--worker`,
+//! `--lease`, `--wire-faults`, `--list`, `--help`, and positional
+//! experiment names. Parsing is pure
 //! and errors are **typed** ([`ArgError`]) so the binary can render a
 //! clean one-liner and the unit tests can assert on the exact failure,
 //! not a string.
 
 use std::fmt;
-use xsched_core::BalanceMode;
 
 /// A user-input problem with the argument vector. Every variant renders a
 /// one-line message through `Display`; the binary prints it with usage and
@@ -77,10 +77,6 @@ pub struct FiguresArgs {
     /// Run only shard `i` of `n` of every sweep (1-based `i`), printing
     /// encoded shard payloads instead of tables.
     pub shard: Option<(usize, usize)>,
-    /// How sweep task grids are sliced into shards.
-    pub balance: BalanceMode,
-    /// Write per-cell timing telemetry to this JSON file after the run.
-    pub timings_out: Option<String>,
     /// Write the full observability snapshot (metrics registry, timings,
     /// controller telemetry series) to this JSON file after the run.
     pub metrics_out: Option<String>,
@@ -95,10 +91,6 @@ pub struct FiguresArgs {
     /// Degrade failed sweep tasks to marked `FAILED` cells and keep
     /// sweeping instead of aborting on the first failure.
     pub keep_going: bool,
-    /// Abort the whole run on the first task failure (the default;
-    /// provided as an explicit escape hatch conflicting with
-    /// `--keep-going`).
-    pub fail_fast: bool,
     /// Retries per task after a failed attempt (deterministic backoff
     /// between attempts).
     pub retry: u32,
@@ -114,8 +106,6 @@ pub struct FiguresArgs {
     pub inject_panics: f64,
     /// Fault injection: probability an attempt stalls at task start.
     pub inject_stalls: f64,
-    /// Calibrate the cost model from a previously dumped timings file.
-    pub calibrate: Option<String>,
     /// Shard payload files to merge instead of simulating.
     pub merge: Vec<String>,
     /// Serve every sweep as a task-queue coordinator on this TCP address
@@ -163,24 +153,12 @@ OPTIONS:
                              1-based) and print encoded shard payloads to
                              stdout instead of tables; redirect each
                              shard's stdout to a file
-        --balance MODE       how --shard slices the task grid: `stride`
-                             (static striding, the default) or `cost`
-                             (greedy LPT over predicted per-cell cost, so
-                             heterogeneous grids balance across hosts);
-                             every shard of one sweep must use the same
-                             mode and --calibrate file. Also orders
-                             in-process task claiming longest-first.
-        --timings FILE       after the run, dump per-cell wall-clock
-                             telemetry as JSON; feed it back with
-                             --calibrate on the next run (alias for the
-                             timings section of --metrics)
         --metrics FILE       after the run, write the full observability
                              snapshot as JSON: metrics registry (worker/
                              shard progress, cache hits/misses, task-time
-                             histogram), the --timings cell telemetry,
-                             and every controller session's MPL/queue/
-                             latency time series. The file embeds the
-                             timings schema, so --calibrate accepts it
+                             histogram), per-cell wall-clock and event
+                             timings, and every controller session's MPL/
+                             queue/latency time series
         --progress           print a per-task completion ticker to stderr
                              while sweeps run (stdout stays table-only)
         --subruns K          split each fixed-MPL cell's measurement into
@@ -191,17 +169,13 @@ OPTIONS:
                              differ from an unsplit run (CIs shrink);
                              every shard of one sweep and its merge must
                              use the same K [default: off]
-        --no-subruns         force unsplit cells (the default; provided as
-                             an explicit escape hatch and conflicting
-                             with --subruns)
         --keep-going         degrade failed sweep tasks (panics, watchdog
                              timeouts) to marked FAILED cells and keep
                              sweeping; failed cells render as FAILED in
                              the tables and carry typed failure records
-                             through shard payloads and merges
-        --fail-fast          abort the whole run on the first task
-                             failure (the default; conflicts with
-                             --keep-going)
+                             through shard payloads and merges;
+                             without it the first failed task aborts the
+                             run
         --retry N            retry each failed task up to N times with
                              deterministic exponential backoff; a retried
                              success is bit-identical to a first-try
@@ -228,10 +202,6 @@ OPTIONS:
                              (0.2s) with probability P; with a shorter
                              --task-timeout, a deterministic timeout
                              [default: 0]
-        --calibrate FILE     calibrate the cost model from a --timings
-                             or --metrics dump of a previous run
-                             (otherwise a structural model predicts from
-                             scenario shape alone)
         --merge FILES        comma-separated shard payload files; merge
                              them (running no sweep tasks) and print the
                              tables, byte-identical to an unsharded run
@@ -268,14 +238,9 @@ OPTIONS:
 Sharded sweeps: run each `--shard i/N` (same flags otherwise) on any
 mix of processes or hosts, collect the outputs, then `--merge` them:
 
-    figures --quick --shard 1/2 --balance cost fig3 > s1.txt
-    figures --quick --shard 2/2 --balance cost fig3 > s2.txt
+    figures --quick --shard 1/2 fig3 > s1.txt
+    figures --quick --shard 2/2 fig3 > s2.txt
     figures --quick --merge s1.txt,s2.txt fig3
-
-Cost calibration feedback loop (timings from any run improve the next):
-
-    figures --quick --timings t.json fig3
-    figures --quick --shard 1/2 --balance cost --calibrate t.json fig3
 
 Coordinated sweeps (work-stealing across hosts; kill a worker mid-run
 and its leased tasks are reassigned — the tables do not change a byte):
@@ -299,18 +264,6 @@ fn parse_shard(v: &str) -> Result<(usize, usize), ArgError> {
     Ok((i, n))
 }
 
-fn parse_balance(v: &str) -> Result<BalanceMode, ArgError> {
-    match v {
-        "stride" => Ok(BalanceMode::Stride),
-        "cost" => Ok(BalanceMode::Cost),
-        other => Err(ArgError::InvalidValue {
-            flag: "--balance".into(),
-            value: other.to_string(),
-            want: "`stride` or `cost`",
-        }),
-    }
-}
-
 fn parse_u64_list(flag: &str, v: &str) -> Result<Vec<u64>, ArgError> {
     let seeds: Result<Vec<u64>, _> = v.split(',').map(|s| s.trim().parse::<u64>()).collect();
     match seeds {
@@ -328,7 +281,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
     let mut out = FiguresArgs::default();
     let mut replications: Option<usize> = None;
     let mut subruns: Option<u32> = None;
-    let mut no_subruns = false;
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_for = |flag: &str| {
@@ -366,8 +318,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                 })?;
             }
             "--shard" => out.shard = Some(parse_shard(&value_for(arg)?)?),
-            "--balance" => out.balance = parse_balance(&value_for(arg)?)?,
-            "--timings" => out.timings_out = Some(value_for(arg)?),
             "--metrics" => out.metrics_out = Some(value_for(arg)?),
             "--progress" => out.progress = true,
             "--subruns" => {
@@ -386,9 +336,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                 }
                 subruns = Some(n);
             }
-            "--no-subruns" => no_subruns = true,
             "--keep-going" => out.keep_going = true,
-            "--fail-fast" => out.fail_fast = true,
             "--retry" => {
                 let v = value_for(arg)?;
                 out.retry = v.parse().map_err(|_| ArgError::InvalidValue {
@@ -427,7 +375,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                     out.inject_stalls = p;
                 }
             }
-            "--calibrate" => out.calibrate = Some(value_for(arg)?),
             "--merge" => out
                 .merge
                 .extend(value_for(arg)?.split(',').map(|p| p.trim().to_string())),
@@ -466,16 +413,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
     if out.shard.is_some() && !out.merge.is_empty() {
         return Err(ArgError::Conflict(
             "--shard and --merge are mutually exclusive",
-        ));
-    }
-    if subruns.is_some() && no_subruns {
-        return Err(ArgError::Conflict(
-            "--subruns and --no-subruns are mutually exclusive",
-        ));
-    }
-    if out.keep_going && out.fail_fast {
-        return Err(ArgError::Conflict(
-            "--keep-going and --fail-fast are mutually exclusive",
         ));
     }
     if out.resume && out.checkpoint.is_none() {
@@ -525,7 +462,6 @@ mod tests {
     fn defaults() {
         let a = parse_args::<&str>(&[]).unwrap();
         assert_eq!(a, FiguresArgs::default());
-        assert_eq!(a.balance, BalanceMode::Stride);
     }
 
     #[test]
@@ -620,28 +556,23 @@ mod tests {
         }
     }
 
+    /// Shard balancing, cost calibration, timing dumps and explicit
+    /// defaults are not options: each is a typed unknown-option error.
     #[test]
-    fn balance_timings_and_calibrate_parse() {
-        let a = parse_args(&[
-            "--balance",
-            "cost",
-            "--timings",
-            "t.json",
-            "--calibrate",
-            "prev.json",
-        ])
-        .unwrap();
-        assert_eq!(a.balance, BalanceMode::Cost);
-        assert_eq!(a.timings_out.as_deref(), Some("t.json"));
-        assert_eq!(a.calibrate.as_deref(), Some("prev.json"));
-        assert_eq!(
-            parse_args(&["--balance", "stride"]).unwrap().balance,
-            BalanceMode::Stride
-        );
-        assert!(matches!(
-            parse_args(&["--balance", "random"]).unwrap_err(),
-            ArgError::InvalidValue { .. }
-        ));
+    fn removed_flags_are_unknown_options() {
+        for args in [
+            vec!["--balance", "cost"],
+            vec!["--calibrate", "x"],
+            vec!["--timings", "x"],
+            vec!["--no-subruns"],
+            vec!["--fail-fast"],
+        ] {
+            assert_eq!(
+                parse_args(&args).unwrap_err(),
+                ArgError::UnknownOption(args[0].into()),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]
@@ -660,10 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn subruns_parse_and_conflict() {
-        // Off by default, and --no-subruns keeps it off explicitly.
+    fn subruns_parse() {
+        // Off by default.
         assert_eq!(parse_args::<&str>(&[]).unwrap().subruns, 0);
-        assert_eq!(parse_args(&["--no-subruns"]).unwrap().subruns, 0);
         assert_eq!(parse_args(&["--subruns", "4"]).unwrap().subruns, 4);
         for bad in ["0", "1", "x", "-2"] {
             assert!(
@@ -674,10 +604,6 @@ mod tests {
                 "`{bad}`"
             );
         }
-        assert_eq!(
-            parse_args(&["--subruns", "4", "--no-subruns"]).unwrap_err(),
-            ArgError::Conflict("--subruns and --no-subruns are mutually exclusive")
-        );
     }
 
     #[test]
@@ -709,18 +635,16 @@ mod tests {
             "fig2",
         ])
         .unwrap();
-        assert!(a.keep_going && !a.fail_fast);
+        assert!(a.keep_going);
         assert_eq!(a.retry, 2);
         assert_eq!(a.task_timeout, Some(1.5));
         assert_eq!(a.inject_panics, 0.3);
         assert_eq!(a.inject_stalls, 0.1);
         // Defaults: everything off, exactly today's behavior.
         let d = parse_args::<&str>(&[]).unwrap();
-        assert!(!d.keep_going && !d.fail_fast && !d.resume);
+        assert!(!d.keep_going && !d.resume);
         assert_eq!((d.retry, d.task_timeout, d.checkpoint), (0, None, None));
         assert_eq!((d.inject_panics, d.inject_stalls), (0.0, 0.0));
-        // Explicit fail-fast parses alone.
-        assert!(parse_args(&["--fail-fast"]).unwrap().fail_fast);
         // Bad values are typed.
         for bad in [
             vec!["--retry", "x"],
@@ -737,14 +661,9 @@ mod tests {
         }
     }
 
-    /// The satellite contract: `--resume` without `--checkpoint` and
-    /// `--keep-going` with `--fail-fast` are typed conflicts.
+    /// `--resume` without `--checkpoint` is a typed conflict.
     #[test]
     fn fault_tolerance_conflicts_are_typed() {
-        assert_eq!(
-            parse_args(&["--keep-going", "--fail-fast"]).unwrap_err(),
-            ArgError::Conflict("--keep-going and --fail-fast are mutually exclusive")
-        );
         assert_eq!(
             parse_args(&["--resume"]).unwrap_err(),
             ArgError::Conflict("--resume requires --checkpoint (the journal to resume from)")

@@ -13,10 +13,10 @@ use crate::table::{pivot_table, Col};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xsched_core::{
-    run_worker, ArrivalSpec, BalanceMode, CellTiming, CheckpointJournal, CoordConfig, CoordServer,
-    Coordinator, CostModel, ExecSpec, FaultPolicy, JournalReplay, MeasurementCache, MplSpec,
-    PolicyKind, RunConfig, Scenario, ScenarioResult, ShardResult, SweepExecutor, SweepObs,
-    SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
+    run_worker, ArrivalSpec, CellTiming, CheckpointJournal, CoordConfig, CoordServer, Coordinator,
+    ExecSpec, FaultPolicy, JournalReplay, MeasurementCache, MplSpec, PolicyKind, RunConfig,
+    Scenario, ScenarioResult, ShardResult, SweepExecutor, SweepObs, SweepPlan, Targets, Transport,
+    WorkerConfig, WorkerError,
 };
 use xsched_dbms::{CpuPolicy, FaultSpec, LockPriorityPolicy, SpikeSpec, StallSpec};
 use xsched_queueing::{flex::FlexServer, mg1, recommend, ClosedNetwork, ThroughputModel, H2};
@@ -167,7 +167,7 @@ impl std::fmt::Debug for SweepMode {
 }
 
 /// How a report executes its sweep: replication seeds, worker threads,
-/// the execution mode (full, sharded, or merge), shard balancing, and
+/// the execution mode (full, sharded, merge, or coordinated), and
 /// optional per-cell timing telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOpts {
@@ -180,16 +180,9 @@ pub struct SweepOpts {
     pub threads: usize,
     /// Full, sharded, or merge execution.
     pub mode: SweepMode,
-    /// How `Shard` mode slices task grids (striding or cost-balanced
-    /// LPT). Every shard of one sweep must use the same mode and model.
-    pub balance: BalanceMode,
-    /// Cost model for balancing and longest-first task claiming; `None`
-    /// uses the structural model.
-    pub cost_model: Option<Arc<CostModel>>,
-    /// When set, per-cell wall-clock telemetry from every executed sweep
-    /// is appended here ([`CellTiming`]: bucket, structural units,
-    /// seconds) — the feed for `figures --timings` and the next run's
-    /// calibration.
+    /// When set, per-cell telemetry from every executed sweep is appended
+    /// here ([`CellTiming`]: bucket, seconds, simulator events) — the
+    /// `timings` section of `figures --metrics`.
     pub timings: Option<Arc<Mutex<Vec<CellTiming>>>>,
     /// When set, every executed sweep records execution telemetry
     /// (worker/shard progress, cache hits/misses, task-time histogram,
@@ -206,8 +199,7 @@ pub struct SweepOpts {
     pub subruns: u32,
     /// Fault tolerance for every executed sweep: panic isolation, retry,
     /// watchdog, keep-going degradation, fault injection. The default
-    /// policy is inactive — exactly today's fail-fast behavior on the
-    /// executor's unguarded hot path.
+    /// policy makes one attempt per task and fails fast.
     pub faults: FaultPolicy,
     /// Checkpoint journal every executed sweep appends completed task
     /// outcomes to (kill-safe; see `figures --checkpoint`).
@@ -227,12 +219,8 @@ impl SweepOpts {
         }
         let plan = SweepPlan::new(scenarios).with_seeds(self.seeds.clone());
         let mut executor = SweepExecutor::parallel(self.threads)
-            .with_balance(self.balance)
             .with_progress(self.progress)
             .with_faults(self.faults.clone());
-        if let Some(model) = &self.cost_model {
-            executor = executor.with_cost_model(Arc::clone(model));
-        }
         if let Some(obs) = &self.obs {
             executor = executor.with_obs(Arc::clone(obs));
         }
@@ -360,9 +348,8 @@ impl SweepOpts {
         }
     }
 
-    /// Append this shard's per-task wall-clock telemetry to the timing
-    /// sink, tagged with each cell's cost bucket and structural units so
-    /// [`CostModel::calibrated`] can fit seconds-per-unit from it.
+    /// Append this shard's per-task telemetry to the timing sink, tagged
+    /// with each cell's bucket.
     fn record_timings(&self, plan: &SweepPlan, shard: &ShardResult) {
         let Some(sink) = &self.timings else { return };
         let tasks = plan.tasks();
@@ -375,15 +362,14 @@ impl SweepOpts {
         for &(t, secs) in &shard.timings {
             let scenario = &plan.scenarios[tasks[t].0];
             let ref_secs = refs.get(&t).copied().unwrap_or(0.0);
-            // Cells that paid for a capacity run split into a `run/` cell
-            // (their own cost) and a `ref/` cell (the reference seconds),
-            // so `--calibrate` never averages the unlike costs. Shard
-            // events are already net of the reference run, so re-add it
-            // here: `timing_cells` subtracts it back out per cell.
-            let ref_ev = ref_events.get(&t).copied().unwrap_or(0);
-            let ev = events.get(&t).copied().unwrap_or(0).saturating_add(ref_ev);
-            sink.extend(CostModel::timing_cells(
-                scenario, secs, ref_secs, ev, ref_ev,
+            // Cells that paid for a capacity run split into their own cost
+            // and a `ref/` cell carrying the reference run.
+            sink.extend(CellTiming::split(
+                scenario,
+                secs,
+                ref_secs,
+                events.get(&t).copied().unwrap_or(0),
+                ref_events.get(&t).copied().unwrap_or(0),
             ));
         }
     }
@@ -512,11 +498,6 @@ pub const FIG2_LABELS: [(&str, u32); 4] = [
     ("W_CPU-browsing 1 CPU", 3),
     ("W_CPU-browsing 2 CPUs", 4),
 ];
-
-/// The scenario grid behind [`fig2_report`] (labels × [`MPL_GRID`]).
-pub fn fig2_scenarios(rc: &RunConfig) -> Vec<Scenario> {
-    tput_scenarios(&FIG2_LABELS, &MPL_GRID, rc)
-}
 
 /// Scenario grid of a throughput-vs-MPL figure: labeled setups × MPL
 /// grid, with per-setup run-length scaling ([`rc_for`]).

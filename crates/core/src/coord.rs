@@ -46,7 +46,7 @@
 //! `(seed, frame counter)`, under which a coordinated sweep must still
 //! converge byte-identical (pinned by tests and CI).
 
-use crate::fault::{relock, TaskFailure, TaskOutcome};
+use crate::fault::{relock, TaskOutcome};
 use crate::journal::{CheckpointJournal, JournalReplay};
 use crate::observe::SweepObs;
 use crate::shard::{
@@ -1103,9 +1103,9 @@ pub struct WorkerSummary {
 
 /// Run one worker against one sweep: hello, then claim → execute →
 /// record until the coordinator says `done`. Tasks execute through
-/// [`SweepExecutor::run_task_list`], the exact code path of a sharded
-/// run, so a coordinated sweep's outcomes are bit-identical to a direct
-/// one whatever the claim interleaving.
+/// `SweepExecutor::run_task`, the execution core a sharded run uses,
+/// so a coordinated sweep's outcomes are bit-identical to a direct one
+/// whatever the claim interleaving.
 ///
 /// `executor` should carry the worker's thread/fault/cache/obs
 /// configuration but **not** a journal or resume replay — durability is
@@ -1268,10 +1268,7 @@ fn execute_task(
     task: usize,
     lease_secs: f64,
 ) -> TaskOutcome {
-    let run = || {
-        let shard = executor.run_task_list(plan, vec![task], 0, 1);
-        shard_outcome(shard, task)
-    };
+    let run = || executor.run_task(plan, task);
     if !config.heartbeat || lease_secs <= 0.0 {
         return run();
     }
@@ -1303,26 +1300,11 @@ fn execute_task(
     })
 }
 
-/// Extract the single task's outcome from its one-task [`ShardResult`].
-fn shard_outcome(shard: ShardResult, task: usize) -> TaskOutcome {
-    if let Some((_, o)) = shard.entries.into_iter().find(|&(t, _)| t == task) {
-        return TaskOutcome::Ok(o);
-    }
-    if let Some((_, f)) = shard.failures.into_iter().find(|(t, _)| *t == task) {
-        return TaskOutcome::Failed(f);
-    }
-    // Unreachable for a well-formed executor; degrade to a typed failure
-    // rather than panicking the worker loop.
-    TaskOutcome::Failed(TaskFailure {
-        error: crate::fault::TaskError::Panic(format!("executor produced no outcome for {task}")),
-        attempts: 1,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::RunConfig;
+    use crate::fault::TaskFailure;
     use crate::scenario::Scenario;
     use crate::shard::encode_outcome;
     use xsched_workload::setup;

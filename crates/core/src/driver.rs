@@ -193,8 +193,8 @@ impl RunResult {
 ///   busy-seconds, `elapsed`) are summed, so utilization ratios remain
 ///   busy/elapsed over the union of the sub-runs.
 ///
-/// Panics on an empty slice; a single part is returned unchanged (the
-/// `--no-subruns` path never even calls this).
+/// Panics on an empty slice; a single part is returned unchanged (an
+/// unsplit cell never even calls this).
 pub fn combine_subruns(parts: &[RunResult]) -> RunResult {
     assert!(!parts.is_empty(), "combine_subruns needs at least one part");
     if parts.len() == 1 {
@@ -465,8 +465,8 @@ pub struct Driver {
     ref_secs: std::cell::Cell<f64>,
     /// Simulator events processed across every run this driver executed —
     /// a deterministic cost signal (pure in the inputs, unlike wall
-    /// clock). Observational: feeds the host-independent calibration
-    /// telemetry, never a result.
+    /// clock). Observational: feeds the per-cell timing telemetry, never
+    /// a result.
     events: std::cell::Cell<u64>,
     /// The share of `events` spent computing reference runs (cache hits
     /// cost nothing), split out for the same reason as `ref_secs`.
@@ -585,7 +585,7 @@ impl Driver {
 
     /// Simulator events processed by every run this driver executed so
     /// far. Deterministic in the runs performed — the host-independent
-    /// analogue of wall-clock seconds for cost calibration.
+    /// analogue of wall-clock seconds.
     pub fn events_processed(&self) -> u64 {
         self.events.get()
     }

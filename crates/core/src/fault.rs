@@ -147,10 +147,10 @@ impl FaultInjector {
     }
 }
 
-/// How the sweep executor treats task failures. The default is exactly
-/// today's behavior: no isolation, no retry, no watchdog — a panic
-/// unwinds and aborts the sweep, and the executor's hot path is
-/// untouched (the bench band gates this).
+/// How the sweep executor treats task failures. Every attempt runs
+/// panic-isolated whatever the policy; the default makes one attempt per
+/// unit with no watchdog and fails fast — the first failed task aborts
+/// the sweep with a typed panic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPolicy {
     /// Degrade failed tasks to marked failed cells and keep sweeping.
@@ -171,15 +171,6 @@ pub struct FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// True when any fault-tolerance machinery is engaged — the executor
-    /// only leaves its legacy unguarded path in that case.
-    pub fn active(&self) -> bool {
-        self.keep_going
-            || self.retries > 0
-            || self.task_timeout_secs.is_some()
-            || self.injector.is_some()
-    }
-
     /// Backoff before retry attempt `attempt` (1-based), in seconds.
     pub fn backoff_secs(&self, attempt: u32) -> f64 {
         if self.backoff_base_secs <= 0.0 || attempt == 0 {
@@ -230,39 +221,10 @@ mod tests {
     #[test]
     fn default_policy_is_inactive_and_preserves_fail_fast() {
         let p = FaultPolicy::default();
-        assert!(!p.active());
         assert!(!p.keep_going);
         assert_eq!(p.retries, 0);
         assert_eq!(p.task_timeout_secs, None);
         assert!(p.injector.is_none());
-    }
-
-    #[test]
-    fn any_engaged_knob_activates_the_policy() {
-        for p in [
-            FaultPolicy {
-                keep_going: true,
-                ..Default::default()
-            },
-            FaultPolicy {
-                retries: 1,
-                ..Default::default()
-            },
-            FaultPolicy {
-                task_timeout_secs: Some(1.0),
-                ..Default::default()
-            },
-            FaultPolicy {
-                injector: Some(FaultInjector {
-                    p_panic: 0.0,
-                    p_stall: 0.0,
-                    stall_secs: 0.0,
-                }),
-                ..Default::default()
-            },
-        ] {
-            assert!(p.active(), "{p:?}");
-        }
     }
 
     #[test]

@@ -24,23 +24,23 @@
 //!   a [`Scenario`] is one cell of a figure (setup × execution shape ×
 //!   run configuration), pure in `(scenario, seed)`;
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the
-//!   multi-threaded [`SweepExecutor`], bit-identical to serial execution
-//!   and feeding Student-t confidence intervals from replications;
+//!   [`SweepExecutor`]: one execution core that expands tasks into work
+//!   units (sub-runs included), claims them in task order across worker
+//!   threads, runs each panic-isolated under the fault policy, and hands
+//!   finished cells in task order to a sink — batch assembly, the
+//!   streaming fold, and the coordinator worker's per-lease call are
+//!   each just a sink. Bit-identical to serial execution, feeding
+//!   Student-t confidence intervals from replications;
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
 //!   capacity exactly once;
-//! * [`cost`] — the [`CostModel`] predicting per-task wall-clock cost
-//!   from scenario structure (calibratable from recorded per-cell
-//!   timings), which drives cost-balanced shard slicing
-//!   ([`SweepPlan::shard_balanced`]) and longest-cell-first task claiming
-//!   inside the executor;
 //! * [`shard`] — [`ShardResult`] and its bit-exact merge/codec, so a
 //!   sweep's flat task grid can be split across processes or hosts and
 //!   reassembled identically to an unsharded run;
 //! * [`observe`] — [`SweepObs`], the shared observability sink (metrics
-//!   registry, controller telemetry series, embedded timings) behind
-//!   `figures --metrics`; strictly observational, never changes a result
-//!   byte;
+//!   registry, controller telemetry series, per-cell [`CellTiming`]s)
+//!   behind `figures --metrics`; strictly observational, never changes a
+//!   result byte;
 //! * [`fault`] — the sweep's fault-tolerance layer: typed
 //!   [`TaskError`]/[`TaskOutcome`], the [`FaultPolicy`] (panic isolation,
 //!   deterministic retry, watchdog deadlines, keep-going degradation) and
@@ -60,7 +60,6 @@
 pub mod cache;
 pub mod controller;
 pub mod coord;
-pub mod cost;
 pub mod driver;
 pub mod fault;
 pub mod gate;
@@ -79,7 +78,6 @@ pub use coord::{
     LocalTransport, Request, Response, TcpTransport, Transport, WireFault, WireFaultInjector,
     WorkerConfig, WorkerError, WorkerSummary,
 };
-pub use cost::{CellTiming, CostModel};
 pub use driver::{
     combine_subruns, ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome,
     RunConfig, RunResult,
@@ -89,11 +87,11 @@ pub use fault::{
 };
 pub use gate::MplGate;
 pub use journal::{CheckpointJournal, JournalReplay};
-pub use observe::SweepObs;
+pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
 pub use scenario::{
     ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost, UnitOutcome,
 };
 pub use scheduler::ExternalScheduler;
 pub use shard::{DecodeError, ShardResult};
-pub use sweep::{BalanceMode, FoldStats, ScenarioResult, SweepExecutor, SweepPlan};
+pub use sweep::{FoldStats, ScenarioResult, SweepExecutor, SweepPlan};

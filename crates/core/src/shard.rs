@@ -97,15 +97,14 @@ pub struct ShardResult {
     /// for the tasks whose execution paid for a capacity measurement —
     /// sparse: cells served from the measurement cache contribute
     /// nothing. Like [`ShardResult::timings`], purely observational
-    /// (cost-model calibration bills these to a `ref/` bucket) and an
-    /// optional trailing wire section older payloads lack.
+    /// (timing telemetry bills these to a `ref/` bucket) and an optional
+    /// trailing wire section older payloads lack.
     pub ref_timings: Vec<(usize, f64)>,
     /// `(global task index, simulation events processed)` for the tasks
     /// this shard executed, *net of* any reference-run events (those are
     /// reported separately below). Unlike wall-clock [`ShardResult::timings`]
-    /// this signal is deterministic in `(scenario, seed)`, so calibration
-    /// files built from it are host-independent. Observational only;
-    /// an optional trailing wire section older payloads lack.
+    /// this signal is deterministic in `(scenario, seed)`. Observational
+    /// only; an optional trailing wire section older payloads lack.
     pub events: Vec<(usize, u64)>,
     /// `(global task index, simulation events spent computing reference
     /// runs)` — the event-currency counterpart of

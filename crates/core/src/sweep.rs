@@ -3,16 +3,23 @@
 //! A [`SweepPlan`] is a list of [`Scenario`]s crossed with replication
 //! seeds; the [`SweepExecutor`] fans the resulting `(scenario, seed)`
 //! tasks across OS threads. Because every task is a pure function of its
-//! inputs (see [`Scenario::run`]) and results land in slots indexed by
-//! task id, the output is **bit-identical** regardless of thread count or
+//! inputs (see [`Scenario::run`]) and results are delivered by task
+//! index, the output is **bit-identical** regardless of thread count or
 //! scheduling order — parallelism buys wall-clock time, never changes a
 //! number. Replications of one scenario are aggregated into a
 //! [`Replications`] accumulator so reports can print Student-t confidence
 //! intervals next to every mean.
+//!
+//! Every entry point — batch [`SweepExecutor::run`] /
+//! [`SweepExecutor::run_shard`], streaming [`SweepExecutor::run_fold`],
+//! and the coordinator worker's per-lease `SweepExecutor::run_task` —
+//! is a thin caller of one private core. The core expands tasks into work
+//! units (sub-runs included), claims units in task order from one atomic
+//! counter, runs each under the guarded attempt path, and hands every
+//! finished cell to a sink on the calling thread, in task order.
 
 use crate::cache::MeasurementCache;
-use crate::cost::CostModel;
-use crate::driver::{combine_subruns, RunResult};
+use crate::driver::combine_subruns;
 use crate::fault::{
     classify_panic, relock, FaultPolicy, InjectedFault, InjectedPanic, TaskError, TaskFailure,
     TaskOutcome,
@@ -29,18 +36,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use xsched_obs::TraceEvent;
 use xsched_sim::{ConfidenceInterval, Replications};
-
-/// How a sweep's task grid is sliced into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BalanceMode {
-    /// Static striding: shard `i` of `n` takes tasks `i, i+n, i+2n, …`.
-    /// Balanced only when neighbouring cells cost about the same.
-    #[default]
-    Stride,
-    /// Cost-balanced LPT slices from [`SweepPlan::shard_balanced`], using
-    /// the executor's [`CostModel`].
-    Cost,
-}
 
 /// Scenarios × replication seeds: the unit of execution.
 #[derive(Debug, Clone, Serialize)]
@@ -115,78 +110,6 @@ impl SweepPlan {
         (index..self.task_count()).step_by(of).collect()
     }
 
-    /// The task indices shard `index` of `of` executes under
-    /// **cost-balanced** slicing: greedy LPT assignment — tasks in
-    /// predicted-cost-descending order, each to the shard whose load
-    /// after taking it is lowest. The assignment is *capacity-aware*:
-    /// tasks sharing a [`CostModel::capacity_group`] amortize one
-    /// reference run per shard through the plan cache, so the group's
-    /// [`CostModel::capacity_cost`] is charged only for the first member
-    /// a shard receives — which both predicts real cost correctly and
-    /// nudges cache-mates onto the same shard.
-    ///
-    /// Deterministic in `(plan, model)`: ties in cost break by task index
-    /// and ties in load by shard task count then shard index, so every
-    /// process slicing the same plan with the same model computes the
-    /// same partition. For *any* model (zero, huge, or degenerate costs)
-    /// the `of` slices exactly partition [`SweepPlan::tasks`] — the
-    /// property tests pin this.
-    pub fn shard_balanced(&self, index: usize, of: usize, model: &CostModel) -> Vec<usize> {
-        assert!(of > 0, "a sweep splits into at least one shard");
-        assert!(index < of, "shard index {index} out of range for {of}");
-        let tasks = self.tasks();
-        let costs: Vec<f64> = tasks
-            .iter()
-            .map(|&(si, _)| model.predict(&self.scenarios[si]))
-            .collect();
-        let capacity: Vec<Option<(String, f64)>> = tasks
-            .iter()
-            .map(|&(si, seed)| {
-                let scenario = &self.scenarios[si];
-                CostModel::capacity_group(scenario, seed)
-                    .map(|group| (group, model.capacity_cost(scenario)))
-            })
-            .collect();
-        // Order by the cost of running the task on a shard that has
-        // nothing yet (run + its reference), descending.
-        let full = |t: usize| costs[t] + capacity[t].as_ref().map_or(0.0, |(_, c)| *c);
-        let mut order: Vec<usize> = (0..tasks.len()).collect();
-        order.sort_by(|&a, &b| full(b).total_cmp(&full(a)).then(a.cmp(&b)));
-
-        let mut load = vec![0.0f64; of];
-        let mut groups: Vec<std::collections::BTreeSet<&str>> = vec![Default::default(); of];
-        let mut slices: Vec<Vec<usize>> = vec![Vec::new(); of];
-        for t in order {
-            // Marginal cost on shard s: the reference is free if s
-            // already holds a group-mate.
-            let marginal = |s: usize| {
-                costs[t]
-                    + match &capacity[t] {
-                        Some((group, c)) if !groups[s].contains(group.as_str()) => *c,
-                        _ => 0.0,
-                    }
-            };
-            let s = (0..of)
-                .min_by(|&a, &b| {
-                    (load[a] + marginal(a))
-                        .total_cmp(&(load[b] + marginal(b)))
-                        .then(slices[a].len().cmp(&slices[b].len()))
-                        .then(a.cmp(&b))
-                })
-                .expect("at least one shard");
-            // `predict`/`capacity_cost` are finite and non-negative, so
-            // loads stay sane for comparison whatever the model.
-            load[s] += marginal(s);
-            if let Some((group, _)) = &capacity[t] {
-                groups[s].insert(group.as_str());
-            }
-            slices[s].push(t);
-        }
-        let mut mine = std::mem::take(&mut slices[index]);
-        mine.sort_unstable();
-        mine
-    }
-
     /// Order-sensitive fingerprint of everything execution depends on
     /// (scenarios and seed list). Shard payloads carry it so a merge can
     /// refuse results produced from a different plan.
@@ -252,8 +175,6 @@ impl ScenarioResult {
 pub struct SweepExecutor {
     threads: usize,
     cache: Option<Arc<MeasurementCache>>,
-    cost_model: Arc<CostModel>,
-    balance: BalanceMode,
     obs: Option<Arc<SweepObs>>,
     progress: bool,
     faults: FaultPolicy,
@@ -267,8 +188,6 @@ impl SweepExecutor {
         SweepExecutor {
             threads: 1,
             cache: None,
-            cost_model: Arc::new(CostModel::structural()),
-            balance: BalanceMode::Stride,
             obs: None,
             progress: false,
             faults: FaultPolicy::default(),
@@ -299,26 +218,10 @@ impl SweepExecutor {
         self
     }
 
-    /// Replace the cost model (default: [`CostModel::structural`]). The
-    /// model orders in-process task claiming (longest cells start first)
-    /// and defines the slices under [`BalanceMode::Cost`]; it never
-    /// affects result bytes.
-    pub fn with_cost_model(mut self, model: Arc<CostModel>) -> SweepExecutor {
-        self.cost_model = model;
-        self
-    }
-
-    /// Choose how [`SweepExecutor::run_shard`] slices the task grid
-    /// (default: static striding).
-    pub fn with_balance(mut self, balance: BalanceMode) -> SweepExecutor {
-        self.balance = balance;
-        self
-    }
-
     /// Record execution telemetry (task counts per worker, cache
-    /// hits/misses, predicted-vs-actual shard cost, per-task seconds,
-    /// controller series) into a shared [`SweepObs`]. Observational
-    /// only: result bytes never change.
+    /// hits/misses, per-shard seconds, per-task seconds, controller
+    /// series) into a shared [`SweepObs`]. Observational only: result
+    /// bytes never change.
     pub fn with_obs(mut self, obs: Arc<SweepObs>) -> SweepExecutor {
         self.obs = Some(obs);
         self
@@ -331,13 +234,11 @@ impl SweepExecutor {
         self
     }
 
-    /// Engage fault tolerance: per-unit panic isolation, deterministic
-    /// retry with backoff, an optional watchdog deadline, keep-going
-    /// degradation and/or deterministic fault injection (see
-    /// [`FaultPolicy`]). The default policy is inactive and the executor
-    /// then runs its exact legacy path — no `catch_unwind`, no monitor
-    /// thread — so the fault-tolerance-disabled hot path stays inside
-    /// the bench regression band.
+    /// Set the fault policy: retries with deterministic backoff, an
+    /// optional watchdog deadline, keep-going degradation and/or
+    /// deterministic fault injection (see [`FaultPolicy`]). Every attempt
+    /// runs panic-isolated whatever the policy; the default policy makes
+    /// one attempt per unit and fails fast.
     ///
     /// Determinism: tasks re-run under their unchanged scenario seed, so
     /// any outcome that eventually succeeds is bit-identical to a
@@ -374,112 +275,49 @@ impl SweepExecutor {
 
     /// Execute the plan and aggregate replications per scenario.
     ///
-    /// Tasks are claimed from a shared counter and their outcomes stored
-    /// by task index, so the assembled results — and every float in them —
-    /// are identical whether `threads` is 1 or 64. Implemented as the
-    /// degenerate sharded run (one shard covering everything) aggregated
-    /// through the same `assemble` path a merge uses, so sharded and
-    /// unsharded execution cannot drift apart (the property tests in
-    /// `tests/props.rs` additionally pin `merge(shards) ≡ run` bitwise).
+    /// Implemented as the degenerate sharded run (one shard covering
+    /// everything) aggregated through the same `assemble` path a merge
+    /// uses, so sharded and unsharded execution cannot drift apart (the
+    /// property tests in `tests/props.rs` additionally pin
+    /// `merge(shards) ≡ run` bitwise).
     pub fn run(&self, plan: &SweepPlan) -> Vec<ScenarioResult> {
         let full = self.run_shard(plan, 0, 1);
         assemble(plan, full.entries, full.failures)
     }
 
     /// Execute shard `index` of `of` — the strided slice
-    /// [`SweepPlan::shard`] or, under [`BalanceMode::Cost`], the
-    /// LPT-balanced slice [`SweepPlan::shard_balanced`] — and return its
-    /// slot-indexed outcomes plus per-task wall-clock timings.
+    /// [`SweepPlan::shard`] — and return its task-indexed outcomes plus
+    /// per-task wall-clock timings.
     ///
     /// Shards are independent: split a plan across processes or hosts,
     /// ship each [`ShardResult`] back (see [`ShardResult::encode`]), and
     /// [`ShardResult::merge`] reassembles the full sweep bit-identically
-    /// to an unsharded run. Within the process, workers claim tasks in
-    /// predicted-cost-descending order so the longest cells start first —
-    /// outcomes land in slots indexed by task id, so claim order (like
-    /// thread count) never changes a result byte.
+    /// to an unsharded run.
+    ///
+    /// Resume splices journaled outcomes (successes *and* failures —
+    /// delete the journal to retry failed cells) in place of running
+    /// their tasks; resumed cells cost no wall-clock here, so they
+    /// contribute no timing telemetry. Every executed cell is journaled
+    /// as it is delivered.
     pub fn run_shard(&self, plan: &SweepPlan, index: usize, of: usize) -> ShardResult {
-        let mine = match self.balance {
-            BalanceMode::Stride => plan.shard(index, of),
-            BalanceMode::Cost => plan.shard_balanced(index, of, &self.cost_model),
-        };
-        self.run_task_list(plan, mine, index, of)
-    }
-
-    /// Execute an explicit list of global task indices — the entry point
-    /// for coordinated execution, where a lease server hands out task ids
-    /// one at a time instead of a worker owning a static shard slice.
-    /// This is the exact code path of [`SweepExecutor::run_shard`] (which
-    /// delegates here), so outcomes are bit-identical however the indices
-    /// were chosen. `index`/`of` only label the returned [`ShardResult`]
-    /// and progress lines; they never affect a result byte.
-    pub fn run_task_list(
-        &self,
-        plan: &SweepPlan,
-        mine: Vec<usize>,
-        index: usize,
-        of: usize,
-    ) -> ShardResult {
-        let tasks = plan.tasks();
         let fp = plan.fingerprint();
-        let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
-
-        // `claim[k]` is the position in `mine` the k-th claim executes:
-        // predicted-cost-descending, ties by task index. Capacity costs
-        // count toward the ordering so the cell that will trigger a
-        // shared reference run starts early.
-        let cost: Vec<f64> = mine
-            .iter()
-            .map(|&t| {
-                let (si, seed) = tasks[t];
-                let scenario = &plan.scenarios[si];
-                self.cost_model.predict(scenario)
-                    + CostModel::capacity_group(scenario, seed)
-                        .map_or(0.0, |_| self.cost_model.capacity_cost(scenario))
-            })
-            .collect();
-        let mut claim: Vec<usize> = (0..mine.len()).collect();
-        claim.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(mine[a].cmp(&mine[b])));
-
-        // Sub-run expansion: a cell whose scenario splits
-        // ([`Scenario::subrun_count`] > 1) becomes that many
-        // independently-seeded work units so one long steady-state
-        // measurement can occupy several workers at once. Units inherit
-        // the cell's claim rank (an expensive cell's sub-runs all start
-        // early); the cell's slot fills when its *last* unit lands and
-        // [`combine_subruns`] folds the parts in k order — so worker
-        // scheduling cannot change a result byte.
-        let subs: Vec<u32> = mine
-            .iter()
-            .map(|&t| plan.scenarios[tasks[t].0].subrun_count())
-            .collect();
-
-        let slots: Vec<Mutex<Option<(TaskOutcome, f64, UnitCost)>>> =
-            mine.iter().map(|_| Mutex::new(None)).collect();
-
-        let obs = self.obs.as_deref();
-
-        // Resume: splice journaled outcomes (successes *and* failures —
-        // delete the journal to retry failed cells) into their slots and
-        // skip their units entirely. Journaled outcomes travel the same
-        // bit-exact codec as shard payloads, so a resumed merge is
-        // byte-identical to an uninterrupted run; resumed cells cost no
-        // wall-clock here, so they contribute no timing telemetry.
-        let mut resumed = vec![false; mine.len()];
+        let mut outcomes: BTreeMap<usize, TaskOutcome> = BTreeMap::new();
+        let mut pending = plan.shard(index, of);
         if let Some(replay) = &self.resume {
-            for (pos, &t) in mine.iter().enumerate() {
-                if let Some(outcome) = replay.outcome(fp, t) {
-                    *relock(&slots[pos]) = Some((outcome.clone(), 0.0, UnitCost::default()));
-                    resumed[pos] = true;
+            pending.retain(|&t| match replay.outcome(fp, t) {
+                Some(outcome) => {
+                    outcomes.insert(t, outcome.clone());
+                    false
                 }
-            }
-            let skipped = resumed.iter().filter(|&&r| r).count();
+                None => true,
+            });
+            let skipped = outcomes.len();
             if skipped > 0 {
                 eprintln!(
                     "[sweep] resume: skipped {skipped}/{} journaled tasks (shard {index}/{of})",
-                    mine.len()
+                    skipped + pending.len()
                 );
-                if let Some(obs) = obs {
+                if let Some(obs) = &self.obs {
                     obs.registry()
                         .counter_add("sweep.tasks_resumed", skipped as u64);
                 }
@@ -487,244 +325,276 @@ impl SweepExecutor {
         }
         if let Some(journal) = &self.journal {
             journal
-                .begin_sweep(fp, tasks.len())
+                .begin_sweep(fp, plan.task_count())
                 .expect("checkpoint journal write failed");
         }
+        let mut shard = ShardResult {
+            shard: index,
+            of,
+            plan_fingerprint: fp,
+            task_count: plan.task_count(),
+            entries: Vec::new(),
+            failures: Vec::new(),
+            timings: Vec::new(),
+            ref_timings: Vec::new(),
+            events: Vec::new(),
+            ref_events: Vec::new(),
+        };
+        self.execute(plan, &pending, (index, of), |t, cell| {
+            if let Some(journal) = &self.journal {
+                journal
+                    .record(t, &cell.outcome)
+                    .expect("checkpoint journal write failed");
+            }
+            let cost = cell.cost;
+            shard.timings.push((t, cell.secs));
+            if cost.ref_secs > 0.0 {
+                shard.ref_timings.push((t, cost.ref_secs));
+            }
+            // Per-cell events are charged net of the shared reference
+            // run so the signal is stable under cache claim order.
+            if cost.events > 0 {
+                shard
+                    .events
+                    .push((t, cost.events.saturating_sub(cost.ref_events)));
+            }
+            if cost.ref_events > 0 {
+                shard.ref_events.push((t, cost.ref_events));
+            }
+            outcomes.insert(t, cell.outcome);
+        });
+        for (t, outcome) in outcomes {
+            match outcome {
+                TaskOutcome::Ok(outcome) => shard.entries.push((t, outcome)),
+                TaskOutcome::Failed(failure) => shard.failures.push((t, failure)),
+            }
+        }
+        shard
+    }
 
-        let units: Vec<(usize, u32)> = claim
-            .iter()
-            .filter(|&&pos| !resumed[pos])
-            .flat_map(|&pos| (0..subs[pos]).map(move |k| (pos, k)))
-            .collect();
-        let accs: Vec<Mutex<SubAcc>> = subs
-            .iter()
-            .map(|&n| Mutex::new(SubAcc::new(n as usize)))
-            .collect();
+    /// Execute the single task `task` of `plan` — the coordinator
+    /// worker's per-lease call. Same core, same guarded path and same
+    /// telemetry as a one-task shard, so a coordinated sweep's outcomes
+    /// are bit-identical to a direct one. Under fail-fast a failed task
+    /// re-raises here; under keep-going it comes back as
+    /// [`TaskOutcome::Failed`].
+    pub(crate) fn run_task(&self, plan: &SweepPlan, task: usize) -> TaskOutcome {
+        let mut outcome = None;
+        self.execute(plan, &[task], (0, 1), |_, cell| {
+            outcome = Some(cell.outcome)
+        });
+        outcome.expect("the execution core delivers every task it is given")
+    }
 
+    /// Execute the plan **streamingly**: fold every task's outcome into an
+    /// accumulator instead of materializing the whole result grid. Memory
+    /// stays O(cells in flight) — finished cells that arrive ahead of the
+    /// in-order cursor are parked briefly and folded as the cursor
+    /// reaches them, so the fold sees task indices `0, 1, 2, …` **always
+    /// in task order**, whatever the thread count. With the same plan the
+    /// folded values are bit-identical to pulling outcomes out of
+    /// [`SweepExecutor::run`] (sub-run cells included); only the
+    /// peak-memory profile differs. Returns the final accumulator plus
+    /// [`FoldStats`] recording the parked-cell high-water mark.
+    ///
+    /// Fault tolerance applies per task exactly as in
+    /// [`SweepExecutor::run_shard`] (the fold sees [`TaskOutcome::Failed`]
+    /// cells under keep-going mode; fail-fast re-raises on the calling
+    /// thread). The checkpoint journal is *not* consulted or written
+    /// here — folds are streaming by nature; use the batch executor for
+    /// resumable sweeps.
+    pub fn run_fold<A>(
+        &self,
+        plan: &SweepPlan,
+        init: A,
+        mut fold: impl FnMut(A, usize, TaskOutcome) -> A,
+    ) -> (A, FoldStats) {
+        let tasks: Vec<usize> = (0..plan.task_count()).collect();
+        // `Option` dance: the sink threads the accumulator through `fold`
+        // by value.
+        let mut acc = Some(init);
+        let peak_parked = self.execute(plan, &tasks, (0, 1), |t, cell| {
+            let a = acc.take().expect("accumulator present");
+            acc = Some(fold(a, t, cell.outcome));
+        });
+        (
+            acc.expect("the sink leaves the accumulator in place"),
+            FoldStats {
+                tasks: tasks.len(),
+                peak_parked,
+            },
+        )
+    }
+
+    /// The execution core behind every entry point. Runs the global task
+    /// indices `mine` (in order) and hands each finished cell to `sink`
+    /// on the calling thread, strictly in the order of `mine`. Returns the
+    /// largest number of finished cells ever parked ahead of the cursor.
+    ///
+    /// Each task expands into [`Scenario::subrun_count`] units — one long
+    /// steady-state measurement can occupy several workers at once — and
+    /// units are claimed in task order from one atomic counter by
+    /// `threads` workers: the calling thread plus `threads − 1` scoped
+    /// helpers. A cell is finished when its last unit lands;
+    /// [`combine_subruns`] folds sub-run parts in k order, so worker
+    /// scheduling cannot change a result byte.
+    ///
+    /// A fail-fast failure stops further claims and re-raises as a typed
+    /// `sweep task {t} failed: …` panic on the calling thread once the
+    /// cursor reaches it; every earlier cell is still delivered first.
+    /// `(index, of)` only labels progress lines and the per-shard gauge.
+    fn execute(
+        &self,
+        plan: &SweepPlan,
+        mine: &[usize],
+        (index, of): (usize, usize),
+        mut sink: impl FnMut(usize, Cell),
+    ) -> usize {
+        let tasks = plan.tasks();
+        let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
+        let obs = self.obs.as_deref();
+        let subs: Vec<u32> = mine
+            .iter()
+            .map(|&t| plan.scenarios[tasks[t].0].subrun_count())
+            .collect();
+        let units: Vec<(usize, u32)> = subs
+            .iter()
+            .enumerate()
+            .flat_map(|(pos, &n)| (0..n).map(move |k| (pos, k)))
+            .collect();
+        let accs: Vec<Mutex<SubAcc>> = subs.iter().map(|&n| Mutex::new(SubAcc::new(n))).collect();
+        let parked: Mutex<BTreeMap<usize, Cell>> = Mutex::new(BTreeMap::new());
+        let ready = Condvar::new();
+        let next = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
         let hits_before = cache.hits();
         let misses_before = cache.misses();
-        let total = mine.len() - resumed.iter().filter(|&&r| r).count();
-        let done = AtomicUsize::new(0);
-        // Fail-fast abort latch for the guarded path: once a task has
-        // exhausted its attempts, other workers stop claiming new units
-        // so the failure propagates promptly.
-        let abort = AtomicBool::new(false);
-        // Cell-completion bookkeeping, shared by both unit shapes. The
-        // telemetry counts *cells* (the plan's task unit), credited to
-        // the worker that finished the cell, so `sweep.tasks_done` and
-        // the per-worker counters still sum to the task count whatever
-        // the sub-run fan-out.
-        let finish_cell =
-            |pos: usize, outcome: TaskOutcome, secs: f64, cost: UnitCost, worker: usize| {
-                if let Some(journal) = &self.journal {
-                    journal
-                        .record(mine[pos], &outcome)
-                        .expect("checkpoint journal write failed");
-                }
-                if let TaskOutcome::Failed(failure) = &outcome {
-                    if let Some(obs) = obs {
-                        obs.registry().counter_add("sweep.task_failures", 1);
-                        obs.record_task_event(TraceEvent::TaskFailed {
-                            task: mine[pos] as u64,
-                            attempts: failure.attempts,
-                        });
-                    }
-                }
-                *relock(&slots[pos]) = Some((outcome, secs, cost));
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(obs) = obs {
-                    let r = obs.registry();
-                    r.counter_add("sweep.tasks_done", 1);
-                    r.counter_add(&format!("sweep.worker{worker}.tasks"), 1);
-                    r.hist_record("sweep.task_secs", secs);
-                    r.gauge_max("sweep.task_max_secs", secs);
-                }
-                if self.progress {
-                    eprintln!(
-                        "[sweep] shard {index}/{of}: {finished}/{total} tasks done \
-                     (last {secs:.2}s on worker {worker})"
-                    );
-                }
+
+        // Claim and run the next unit as `worker`, parking its cell if the
+        // unit finished it. False once nothing is left to claim.
+        let work = |worker: usize| -> bool {
+            if abort.load(Ordering::Relaxed) {
+                return false;
+            }
+            let Some(&(pos, k)) = units.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                return false;
             };
-        // One unit of work. With the fault policy inactive this is the
-        // exact legacy path — `Scenario::run_unit` called inline, no
-        // `catch_unwind`, no monitor thread — so the disabled hot path
-        // stays inside the bench regression band. With it active every
-        // attempt runs guarded (panic isolation, watchdog, retry); a
-        // fail-fast failure latches `abort` and re-raises, a keep-going
-        // failure degrades the cell to [`TaskOutcome::Failed`].
-        let run_unit = |pos: usize, k: u32, worker: usize| {
             let t = mine[pos];
             let (si, seed) = tasks[t];
-            let scenario = &plan.scenarios[si];
             let started = Instant::now();
-            let result: Result<(UnitOutcome, UnitCost), TaskFailure> = if self.faults.active() {
-                self.run_unit_guarded(scenario, t, seed, k, subs[pos], &cache)
-            } else {
-                Ok(scenario.run_unit(seed, k, subs[pos], Some(&cache), obs))
-            };
+            let result = self.run_unit_guarded(&plan.scenarios[si], t, seed, k, subs[pos], &cache);
             let secs = started.elapsed().as_secs_f64();
-            if let Err(failure) = &result {
-                if !self.faults.keep_going {
+            let finished = match result {
+                // Fail fast: park the failure at once and stop claiming —
+                // the cell's remaining units may never run.
+                Err(failure) if !self.faults.keep_going => {
+                    abort.store(true, Ordering::Relaxed);
+                    Some((TaskOutcome::Failed(failure), secs, UnitCost::default()))
+                }
+                result => relock(&accs[pos]).land(k, result, secs),
+            };
+            if let Some((outcome, secs, cost)) = finished {
+                relock(&parked).entry(pos).or_insert(Cell {
+                    outcome,
+                    secs,
+                    cost,
+                    worker,
+                });
+                ready.notify_all();
+            }
+            true
+        };
+
+        let helpers = self.threads.min(units.len()).saturating_sub(1);
+        let live = AtomicUsize::new(helpers);
+        let mut peak = 0usize;
+        let mut actual_secs = 0.0;
+        std::thread::scope(|scope| {
+            for worker in 1..=helpers {
+                let (work, exit) = (&work, WorkerExit(&live, &parked, &ready));
+                scope.spawn(move || {
+                    let _exit = exit;
+                    while work(worker) {}
+                });
+            }
+            // The calling thread is worker 0 and the in-order consumer:
+            // deliver the cursor's cell when it is parked, otherwise run
+            // the next unit, otherwise wait for a helper to finish one.
+            for (pos, &t) in mine.iter().enumerate() {
+                let cell = loop {
+                    {
+                        let mut guard = relock(&parked);
+                        if let Some(cell) = guard.remove(&pos) {
+                            peak = peak.max(guard.len() + 1);
+                            break cell;
+                        }
+                    }
+                    if work(0) {
+                        continue;
+                    }
+                    let mut guard = relock(&parked);
+                    while !guard.contains_key(&pos) && live.load(Ordering::SeqCst) > 0 {
+                        guard = ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    if !guard.contains_key(&pos) {
+                        // Every helper is gone and the cell never landed:
+                        // one died outside the guarded attempt, and the
+                        // scope re-raises its panic on return.
+                        return;
+                    }
+                };
+                if let (false, Some(failure)) = (self.faults.keep_going, cell.outcome.as_failed()) {
                     abort.store(true, Ordering::Relaxed);
                     panic!("sweep task {t} failed: {failure}");
                 }
-            }
-            if subs[pos] <= 1 {
-                match result {
-                    Ok((unit, cost)) => {
-                        let UnitOutcome::Whole(outcome) = unit else {
-                            unreachable!("an unsplit cell always yields a whole outcome");
-                        };
-                        finish_cell(pos, TaskOutcome::Ok(outcome), secs, cost, worker);
+                if let Some(obs) = obs {
+                    let r = obs.registry();
+                    if let Some(failure) = cell.outcome.as_failed() {
+                        r.counter_add("sweep.task_failures", 1);
+                        obs.record_task_event(TraceEvent::TaskFailed {
+                            task: t as u64,
+                            attempts: failure.attempts,
+                        });
                     }
-                    Err(failure) => {
-                        finish_cell(
-                            pos,
-                            TaskOutcome::Failed(failure),
-                            secs,
-                            UnitCost::default(),
-                            worker,
-                        );
-                    }
+                    // Telemetry counts *cells* (the plan's task unit),
+                    // credited to the worker that finished the cell, so
+                    // the counters sum to the task count whatever the
+                    // sub-run fan-out.
+                    r.counter_add("sweep.tasks_done", 1);
+                    r.counter_add(&format!("sweep.worker{}.tasks", cell.worker), 1);
+                    r.hist_record("sweep.task_secs", cell.secs);
+                    r.gauge_max("sweep.task_max_secs", cell.secs);
                 }
-            } else {
-                let (part, unit_cost) = match result {
-                    Ok((UnitOutcome::Part(part), cost)) => (Ok(part), cost),
-                    Ok((UnitOutcome::Whole(_), _)) => {
-                        unreachable!("a split cell always yields sub-run parts")
-                    }
-                    Err(failure) => (Err(failure), UnitCost::default()),
-                };
-                let completed = {
-                    let mut acc = relock(&accs[pos]);
-                    acc.parts[k as usize] = Some(part);
-                    acc.secs += secs;
-                    acc.cost.ref_secs += unit_cost.ref_secs;
-                    acc.cost.events += unit_cost.events;
-                    acc.cost.ref_events += unit_cost.ref_events;
-                    acc.done += 1;
-                    (acc.done == subs[pos])
-                        .then(|| (std::mem::take(&mut acc.parts), acc.secs, acc.cost))
-                };
-                if let Some((parts, secs, cost)) = completed {
-                    // Every unit has landed. If any failed, the cell
-                    // fails with the lowest-k failure — deterministic in
-                    // the unit grid, not in worker scheduling.
-                    let mut results = Vec::with_capacity(parts.len());
-                    let mut failure = None;
-                    for part in parts {
-                        match part.expect("every sub-run lands before the combine") {
-                            Ok(r) => results.push(r),
-                            Err(f) => {
-                                failure.get_or_insert(f);
-                            }
-                        }
-                    }
-                    let outcome = match failure {
-                        None => TaskOutcome::Ok(ScenarioOutcome::Run(combine_subruns(&results))),
-                        Some(f) => TaskOutcome::Failed(f),
-                    };
-                    finish_cell(pos, outcome, secs, cost, worker);
+                if self.progress {
+                    eprintln!(
+                        "[sweep] shard {index}/{of}: {}/{} tasks done \
+                         (last {:.2}s on worker {})",
+                        pos + 1,
+                        mine.len(),
+                        cell.secs,
+                        cell.worker
+                    );
                 }
+                actual_secs += cell.secs;
+                sink(t, cell);
             }
-        };
-
-        if self.threads <= 1 || units.len() <= 1 {
-            for &(pos, k) in &units {
-                run_unit(pos, k, 0);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let workers = self.threads.min(units.len());
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let next = &next;
-                    let units = &units;
-                    let run_unit = &run_unit;
-                    let abort = &abort;
-                    scope.spawn(move || loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(pos, k)) = units.get(i) else {
-                            break;
-                        };
-                        run_unit(pos, k, w);
-                    });
-                }
-            });
-        }
+        });
 
         if let Some(obs) = obs {
             let r = obs.registry();
             r.counter_add("sweep.cache_hits", cache.hits() - hits_before);
             r.counter_add("sweep.cache_misses", cache.misses() - misses_before);
-            // Predicted structural cost vs measured seconds, cumulative
-            // per shard index across the invocation's sweeps — the
-            // calibration drift signal at a glance.
-            r.gauge_add(
-                &format!("sweep.shard{index}.predicted_units"),
-                cost.iter().sum(),
-            );
-            let actual: f64 = slots
-                .iter()
-                .map(|s| relock(s).as_ref().map_or(0.0, |(_, secs, _)| *secs))
-                .sum();
-            r.gauge_add(&format!("sweep.shard{index}.actual_secs"), actual);
+            // Measured seconds, cumulative per shard index across the
+            // invocation's sweeps.
+            r.gauge_add(&format!("sweep.shard{index}.actual_secs"), actual_secs);
         }
-
-        let mut entries = Vec::with_capacity(mine.len());
-        let mut failures = Vec::new();
-        let mut timings = Vec::with_capacity(mine.len());
-        let mut ref_timings = Vec::new();
-        let mut events = Vec::with_capacity(mine.len());
-        let mut ref_events = Vec::new();
-        for (i, (t, slot)) in mine.into_iter().zip(slots).enumerate() {
-            let (outcome, secs, cost) = slot
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every sweep task produces an outcome");
-            match outcome {
-                TaskOutcome::Ok(outcome) => entries.push((t, outcome)),
-                TaskOutcome::Failed(failure) => failures.push((t, failure)),
-            }
-            // Resumed cells cost no wall-clock this run: no timing lines.
-            if resumed[i] {
-                continue;
-            }
-            timings.push((t, secs));
-            if cost.ref_secs > 0.0 {
-                ref_timings.push((t, cost.ref_secs));
-            }
-            // Per-cell cost is charged net of the shared reference run so
-            // the signal is stable under cache claim order.
-            if cost.events > 0 {
-                events.push((t, cost.events.saturating_sub(cost.ref_events)));
-            }
-            if cost.ref_events > 0 {
-                ref_events.push((t, cost.ref_events));
-            }
-        }
-        ShardResult {
-            shard: index,
-            of,
-            plan_fingerprint: plan.fingerprint(),
-            task_count: tasks.len(),
-            entries,
-            failures,
-            timings,
-            ref_timings,
-            events,
-            ref_events,
-        }
+        peak
     }
 
-    /// Run one task unit under the engaged fault policy: up to
-    /// `1 + retries` guarded attempts with deterministic backoff between
-    /// them. Returns the unit's outcome plus its [`UnitCost`],
-    /// or the final attempt's failure once the budget is exhausted.
+    /// Run one task unit under the fault policy: up to `1 + retries`
+    /// guarded attempts with deterministic backoff between them. Returns
+    /// the unit's outcome plus its [`UnitCost`], or the final attempt's
+    /// failure once the budget is exhausted.
     ///
     /// Determinism: the scenario re-runs under its unchanged `seed` every
     /// attempt — only the injector's decision stream folds the attempt
@@ -824,150 +694,6 @@ impl SweepExecutor {
             }
         }
     }
-
-    /// Execute the plan **streamingly**: fold every task's outcome into an
-    /// accumulator instead of materializing the whole result grid. Memory
-    /// stays O(cells in flight) — finished outcomes that arrive ahead of
-    /// the in-order fold cursor are parked briefly and folded as the
-    /// cursor reaches them, so the fold sees task indices `0, 1, 2, …`
-    /// **always in task order**, whatever the thread count. With the same
-    /// plan the folded values are bit-identical to pulling outcomes out of
-    /// [`SweepExecutor::run`]; only the peak-memory profile differs.
-    ///
-    /// Workers claim tasks in task order (not predicted-cost order — that
-    /// would maximize the out-of-order window this executor exists to
-    /// keep small). Returns the final accumulator plus [`FoldStats`]
-    /// recording the parked-outcome high-water mark.
-    ///
-    /// Fault tolerance applies per task exactly as in
-    /// [`SweepExecutor::run_shard`] (the fold sees
-    /// [`TaskOutcome::Failed`] cells under keep-going mode; fail-fast
-    /// re-raises at the in-order cursor). The checkpoint journal is
-    /// *not* consulted or written here — folds are streaming by nature;
-    /// use the batch executor for resumable sweeps.
-    pub fn run_fold<A>(
-        &self,
-        plan: &SweepPlan,
-        init: A,
-        mut fold: impl FnMut(A, usize, TaskOutcome) -> A,
-    ) -> (A, FoldStats) {
-        let tasks = plan.tasks();
-        let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
-        let obs = self.obs.as_deref();
-        let n = tasks.len();
-        // One task under the fault policy: inactive → the exact legacy
-        // inline path (no catch_unwind, no monitor thread); active →
-        // guarded attempts, exhausted budgets degraded to `Failed`.
-        let run_task = |t: usize| -> TaskOutcome {
-            let (si, seed) = tasks[t];
-            let scenario = &plan.scenarios[si];
-            if !self.faults.active() {
-                return TaskOutcome::Ok(scenario.run_observed(seed, Some(&cache), obs));
-            }
-            match self.run_unit_guarded(scenario, t, seed, 0, 1, &cache) {
-                Ok((UnitOutcome::Whole(outcome), _)) => TaskOutcome::Ok(outcome),
-                Ok((UnitOutcome::Part(_), _)) => {
-                    unreachable!("an unsplit unit always yields a whole outcome")
-                }
-                Err(failure) => {
-                    if let Some(obs) = obs {
-                        obs.registry().counter_add("sweep.task_failures", 1);
-                        obs.record_task_event(TraceEvent::TaskFailed {
-                            task: t as u64,
-                            attempts: failure.attempts,
-                        });
-                    }
-                    TaskOutcome::Failed(failure)
-                }
-            }
-        };
-        let mut acc = init;
-        let mut peak = 0usize;
-        if self.threads <= 1 || n <= 1 {
-            for t in 0..n {
-                let outcome = run_task(t);
-                if let (false, Some(f)) = (self.faults.keep_going, outcome.as_failed()) {
-                    panic!("sweep task {t} failed: {f}");
-                }
-                peak = peak.max(1);
-                acc = fold(acc, t, outcome);
-            }
-            return (
-                acc,
-                FoldStats {
-                    tasks: n,
-                    peak_parked: peak,
-                },
-            );
-        }
-        let parked: Mutex<BTreeMap<usize, TaskOutcome>> = Mutex::new(BTreeMap::new());
-        let ready = Condvar::new();
-        let next = AtomicUsize::new(0);
-        // Fail-fast latch: workers must not panic (the consumer below
-        // waits on the condvar, so an unwound worker would strand it) —
-        // they park the failure and stop claiming; the in-order consumer
-        // re-raises when the fold cursor reaches the failed task.
-        let abort = AtomicBool::new(false);
-        let workers = self.threads.min(n);
-        // `Option` dance: the consumer loop below runs inside the scope
-        // closure, and threading the accumulator through `fold` must not
-        // move it out of the capture.
-        let mut acc = Some(acc);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let parked = &parked;
-                let ready = &ready;
-                let next = &next;
-                let abort = &abort;
-                let run_task = &run_task;
-                scope.spawn(move || loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n {
-                        break;
-                    }
-                    let outcome = run_task(t);
-                    if !self.faults.keep_going && outcome.as_failed().is_some() {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    relock(parked).insert(t, outcome);
-                    ready.notify_all();
-                });
-            }
-            // The calling thread is the consumer: wait for the cursor's
-            // outcome, note the high-water mark, fold outside the lock.
-            let mut cursor = 0usize;
-            let mut guard = relock(&parked);
-            while cursor < n {
-                while !guard.contains_key(&cursor) {
-                    guard = ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                }
-                peak = peak.max(guard.len());
-                while let Some(outcome) = guard.remove(&cursor) {
-                    drop(guard);
-                    if let (false, Some(f)) = (self.faults.keep_going, outcome.as_failed()) {
-                        panic!("sweep task {cursor} failed: {f}");
-                    }
-                    acc = Some(fold(
-                        acc.take().expect("accumulator present"),
-                        cursor,
-                        outcome,
-                    ));
-                    cursor += 1;
-                    guard = relock(&parked);
-                }
-            }
-        });
-        (
-            acc.expect("fold loop leaves the accumulator in place"),
-            FoldStats {
-                tasks: n,
-                peak_parked: peak,
-            },
-        )
-    }
 }
 
 /// Execution statistics from [`SweepExecutor::run_fold`].
@@ -980,6 +706,36 @@ pub struct FoldStats {
     /// high-water mark, bounded by the out-of-order window rather than
     /// the grid size.
     pub peak_parked: usize,
+}
+
+/// One finished cell, as the execution core hands it to a sink.
+struct Cell {
+    outcome: TaskOutcome,
+    /// Wall-clock seconds of the cell's units, summed.
+    secs: f64,
+    cost: UnitCost,
+    /// The worker that finished the cell's last unit (0 = calling thread).
+    worker: usize,
+}
+
+/// Held by each helper worker: however the worker exits — normally or by
+/// unwinding — it leaves the live count and wakes the consumer, so a
+/// consumer waiting on a cell that will never land cannot hang.
+struct WorkerExit<'a>(
+    &'a AtomicUsize,
+    &'a Mutex<BTreeMap<usize, Cell>>,
+    &'a Condvar,
+);
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        // Decrement under the lock the consumer checks before waiting, so
+        // the wake-up cannot slip between its check and its wait.
+        let guard = relock(self.1);
+        self.0.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+        self.2.notify_all();
+    }
 }
 
 /// Act out an injected fault decision at the top of a guarded attempt.
@@ -995,24 +751,63 @@ fn apply_injected(inject: Option<InjectedFault>) {
     }
 }
 
-/// Accumulates a split cell's sub-run parts (or their per-unit failures,
-/// under keep-going mode) until the last one lands.
+/// Accumulates a cell's unit results until the last one lands.
 #[derive(Debug)]
 struct SubAcc {
-    parts: Vec<Option<Result<RunResult, TaskFailure>>>,
+    parts: Vec<Option<Result<UnitOutcome, TaskFailure>>>,
     secs: f64,
     cost: UnitCost,
-    done: u32,
+    done: usize,
 }
 
 impl SubAcc {
-    fn new(n: usize) -> SubAcc {
+    fn new(units: u32) -> SubAcc {
         SubAcc {
-            parts: vec![None; n],
+            parts: vec![None; units as usize],
             secs: 0.0,
             cost: UnitCost::default(),
             done: 0,
         }
+    }
+
+    /// Record unit `k`'s result. Once every unit has landed, returns the
+    /// cell's outcome with its summed seconds and cost: the whole outcome
+    /// of an unsplit cell, the k-ordered [`combine_subruns`] of a split
+    /// one, or — if any unit failed — the lowest-k failure, which is
+    /// deterministic in the unit grid rather than in worker scheduling.
+    fn land(
+        &mut self,
+        k: u32,
+        result: Result<(UnitOutcome, UnitCost), TaskFailure>,
+        secs: f64,
+    ) -> Option<(TaskOutcome, f64, UnitCost)> {
+        self.secs += secs;
+        let part = result.map(|(unit, cost)| {
+            self.cost.ref_secs += cost.ref_secs;
+            self.cost.events += cost.events;
+            self.cost.ref_events += cost.ref_events;
+            unit
+        });
+        self.parts[k as usize] = Some(part);
+        self.done += 1;
+        if self.done < self.parts.len() {
+            return None;
+        }
+        let mut runs = Vec::with_capacity(self.parts.len());
+        let mut outcome = None;
+        for part in std::mem::take(&mut self.parts) {
+            match part.expect("every unit lands before the cell completes") {
+                Err(failure) => {
+                    outcome = Some(TaskOutcome::Failed(failure));
+                    break;
+                }
+                Ok(UnitOutcome::Whole(whole)) => outcome = Some(TaskOutcome::Ok(whole)),
+                Ok(UnitOutcome::Part(run)) => runs.push(run),
+            }
+        }
+        let outcome = outcome
+            .unwrap_or_else(|| TaskOutcome::Ok(ScenarioOutcome::Run(combine_subruns(&runs))));
+        Some((outcome, self.secs, self.cost))
     }
 }
 
@@ -1180,92 +975,6 @@ mod tests {
         assert!(plan.shard(3, 4).iter().all(|t| t % 4 == 3));
     }
 
-    /// A plan whose cells differ in predicted cost by ~5× (short vs long
-    /// runs), laid out in the blocky row-major order real figures use.
-    fn lopsided_plan() -> SweepPlan {
-        let mut scenarios = Vec::new();
-        for (txns, n) in [(250u64, 8usize), (1_250, 4)] {
-            let rc = RunConfig {
-                warmup_txns: 50,
-                measured_txns: txns,
-                ..Default::default()
-            };
-            for i in 0..n {
-                scenarios.push(Scenario::tput(
-                    format!("{txns}t{i}"),
-                    setup(1),
-                    5,
-                    rc.clone(),
-                ));
-            }
-        }
-        SweepPlan::new(scenarios)
-    }
-
-    #[test]
-    fn balanced_shards_partition_and_beat_striding_on_predicted_load() {
-        let plan = lopsided_plan();
-        let model = crate::cost::CostModel::structural();
-        let predicted: Vec<f64> = plan
-            .tasks()
-            .iter()
-            .map(|&(si, _)| model.predict(&plan.scenarios[si]))
-            .collect();
-        let imbalance = |slices: &[Vec<usize>]| -> f64 {
-            let loads: Vec<f64> = slices
-                .iter()
-                .map(|s| s.iter().map(|&t| predicted[t]).sum())
-                .collect();
-            loads.iter().cloned().fold(f64::MIN, f64::max)
-                / loads.iter().cloned().fold(f64::MAX, f64::min)
-        };
-        for n in [2usize, 3, 4] {
-            let balanced: Vec<Vec<usize>> =
-                (0..n).map(|i| plan.shard_balanced(i, n, &model)).collect();
-            let mut all: Vec<usize> = balanced.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..plan.task_count()).collect::<Vec<_>>(), "n={n}");
-
-            let strided: Vec<Vec<usize>> = (0..n).map(|i| plan.shard(i, n)).collect();
-            assert!(
-                imbalance(&balanced) <= imbalance(&strided) + 1e-9,
-                "n={n}: balanced {} vs strided {}",
-                imbalance(&balanced),
-                imbalance(&strided)
-            );
-        }
-        // The 4-expensive/8-cheap split at n=4: LPT gives every shard one
-        // expensive cell; striding (period 4 over a blocky layout) gives
-        // two shards two expensive cells and two shards none.
-        let balanced: Vec<Vec<usize>> = (0..4).map(|i| plan.shard_balanced(i, 4, &model)).collect();
-        assert!(imbalance(&balanced) < 1.5);
-    }
-
-    #[test]
-    fn cost_balanced_execution_is_bit_identical_and_times_every_task() {
-        let plan = quick_plan();
-        let direct = SweepExecutor::serial().run(&plan);
-        let model = Arc::new(crate::cost::CostModel::structural());
-        let shards: Vec<ShardResult> = (0..3)
-            .map(|i| {
-                SweepExecutor::parallel(2)
-                    .with_cost_model(Arc::clone(&model))
-                    .with_balance(BalanceMode::Cost)
-                    .run_shard(&plan, i, 3)
-            })
-            .collect();
-        for s in &shards {
-            assert_eq!(s.timings.len(), s.entries.len());
-            assert!(s.timings.iter().all(|&(_, secs)| secs >= 0.0));
-        }
-        let merged = ShardResult::merge(&plan, &shards).unwrap();
-        for (d, m) in direct.iter().zip(&merged) {
-            for (a, b) in d.outcomes.iter().zip(&m.outcomes) {
-                assert_eq!(encode_outcome(a), encode_outcome(b));
-            }
-        }
-    }
-
     /// Attaching a [`SweepObs`] must not change a result byte, and the
     /// execution telemetry it records must add up: every task counted
     /// and timed, cache traffic attributed, controller cells leaving a
@@ -1401,22 +1110,28 @@ mod tests {
     /// out-of-order window: at least 1, never more than the plan.
     #[test]
     fn run_fold_streams_in_task_order_and_matches_the_batch_run() {
-        let plan = quick_plan();
-        let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
-        let expected: Vec<String> = reference
-            .entries
-            .iter()
-            .map(|(_, o)| encode_outcome(o))
-            .collect();
-        for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
-            let (folded, stats) = exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
-                assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
-                acc.push(encode_outcome(o.as_ok().expect("no faults engaged")));
-                acc
-            });
-            assert_eq!(stats.tasks, plan.task_count());
-            assert!(stats.peak_parked >= 1 && stats.peak_parked <= plan.task_count());
-            assert_eq!(folded, expected);
+        let mut split = quick_plan();
+        for s in &mut split.scenarios {
+            s.rc.subruns = 3;
+        }
+        for plan in [quick_plan(), split] {
+            let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
+            let expected: Vec<String> = reference
+                .entries
+                .iter()
+                .map(|(_, o)| encode_outcome(o))
+                .collect();
+            for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
+                let (folded, stats) =
+                    exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
+                        assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
+                        acc.push(encode_outcome(o.as_ok().expect("no faults engaged")));
+                        acc
+                    });
+                assert_eq!(stats.tasks, plan.task_count());
+                assert!(stats.peak_parked >= 1 && stats.peak_parked <= plan.task_count());
+                assert_eq!(folded, expected);
+            }
         }
     }
 
@@ -1566,12 +1281,49 @@ mod tests {
             .unwrap();
         assert!(msg.contains("sweep task"), "{msg}");
         assert!(msg.contains("injected fault"), "{msg}");
-        // Parallel: the abort latch still fails the sweep (thread::scope
-        // re-raises with its own payload, so only the abort is asserted).
+        // Parallel: the calling thread re-raises the same typed message.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             SweepExecutor::parallel(4).with_faults(policy).run(&plan)
         }));
-        assert!(result.is_err(), "parallel fail-fast aborts too");
+        let msg = *result
+            .expect_err("parallel fail-fast aborts too")
+            .downcast::<String>()
+            .unwrap();
+        assert!(msg.contains("sweep task"), "{msg}");
+        assert!(msg.contains("injected fault"), "{msg}");
+    }
+
+    /// A fold whose first cell panics (MPL 0 trips the gate's assert)
+    /// under the default fail-fast policy must re-raise the typed failure
+    /// on the calling thread, not leave the in-order consumer waiting
+    /// for a cell that never lands. Run on a helper thread so a
+    /// regression fails the test instead of hanging it.
+    #[test]
+    fn run_fold_reraises_a_failed_first_cell_instead_of_hanging() {
+        let rc = RunConfig {
+            warmup_txns: 10,
+            measured_txns: 30,
+            ..Default::default()
+        };
+        let plan = SweepPlan::new(vec![
+            Scenario::tput("s1", setup(1), 0, rc.clone()),
+            Scenario::tput("s1", setup(1), 2, rc),
+        ]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SweepExecutor::parallel(2).run_fold(&plan, 0usize, |n, _, _| n + 1)
+            }));
+            let _ = tx.send(result.map_err(|e| e.downcast::<String>().map(|m| *m)));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run_fold returns within 60 s");
+        let msg = result
+            .expect_err("the failed first cell aborts the fold")
+            .expect("the panic carries a message");
+        assert!(msg.contains("sweep task 0 failed: "), "{msg}");
+        assert!(msg.contains("MPL must be at least 1"), "{msg}");
     }
 
     /// Checkpoint/resume round trip: journal a full run, then resume from
@@ -1583,6 +1335,9 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("xsched-sweep-journal-{}.log", std::process::id()));
         let direct = SweepExecutor::serial().run_shard(&plan, 0, 1);
+        // An executed shard times every task it ran.
+        assert_eq!(direct.timings.len(), direct.entries.len());
+        assert!(direct.timings.iter().all(|&(_, secs)| secs >= 0.0));
         let journal = Arc::new(crate::journal::CheckpointJournal::create(&path).unwrap());
         let journaled = SweepExecutor::parallel(2)
             .with_journal(Arc::clone(&journal))

@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use xsched_core::shard::encode_outcome;
 use xsched_core::{
-    combine_subruns, ArrivalSpec, BalanceMode, CheckpointJournal, CostModel, ExecSpec,
-    FaultInjector, FaultPolicy, JournalReplay, MeasurementCache, MplSpec, PolicyKind, RunConfig,
-    RunResult, Scenario, ScenarioOutcome, ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
+    combine_subruns, ArrivalSpec, CheckpointJournal, ExecSpec, FaultInjector, FaultPolicy,
+    JournalReplay, MeasurementCache, MplSpec, PolicyKind, RunConfig, RunResult, Scenario,
+    ScenarioOutcome, ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -223,74 +223,6 @@ proptest! {
         let direct = SweepExecutor::parallel(threads).run(&plan);
         let shards: Vec<ShardResult> = (0..nshards)
             .map(|i| SweepExecutor::parallel(threads).run_shard(&plan, i, nshards))
-            .collect();
-        let merged = ShardResult::merge(&plan, &shards).unwrap();
-        prop_assert_eq!(bits(&direct), bits(&merged));
-    }
-
-    /// Cost-balanced slicing exactly partitions the task list for *any*
-    /// cost model — including adversarial per-bucket scales of zero,
-    /// astronomically large, negative, and non-finite values — at any
-    /// shard count, and is deterministic in (plan, model).
-    #[test]
-    fn balanced_shards_partition_tasks_under_any_cost_model(
-        setups in collection::vec(any::<u8>(), 1..3),
-        mpls in collection::vec(any::<u8>(), 3..5),
-        arrivals in collection::vec(any::<u8>(), 3..5),
-        reps in any::<u8>(),
-        seed_base in 0u64..1_000_000,
-        nshards in 1usize..7,
-        scale_picks in collection::vec(0usize..6, 0..8),
-        default_pick in 0usize..6,
-    ) {
-        let plan = plan_from(&setups, &mpls, &arrivals, reps, seed_base);
-        // Adversarial scales keyed to the buckets the plan actually uses.
-        const SCALES: [f64; 6] =
-            [0.0, 1.0, 1e300, -5.0, f64::INFINITY, f64::NAN];
-        let buckets: Vec<String> =
-            plan.scenarios.iter().map(CostModel::bucket).collect();
-        let scales: BTreeMap<String, f64> = buckets
-            .iter()
-            .zip(&scale_picks)
-            .map(|(b, &p)| (b.clone(), SCALES[p]))
-            .collect();
-        let model = CostModel::with_scales(scales, SCALES[default_pick]);
-
-        let slices: Vec<Vec<usize>> = (0..nshards)
-            .map(|i| plan.shard_balanced(i, nshards, &model))
-            .collect();
-        let mut all: Vec<usize> = slices.iter().flatten().copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..plan.task_count()).collect::<Vec<_>>());
-        // Deterministic: re-slicing yields the same partition.
-        for (i, s) in slices.iter().enumerate() {
-            prop_assert_eq!(s, &plan.shard_balanced(i, nshards, &model));
-        }
-    }
-
-    /// Cost-balanced shards executed independently and merged are
-    /// bit-identical to the unsharded run — balancing moves work between
-    /// shards, never numbers.
-    #[test]
-    fn cost_balanced_shards_merge_to_the_unsharded_run(
-        setups in collection::vec(any::<u8>(), 1..3),
-        mpls in collection::vec(any::<u8>(), 3..4),
-        arrivals in collection::vec(any::<u8>(), 3..4),
-        reps in any::<u8>(),
-        seed_base in 0u64..1_000_000,
-        nshards in 1usize..5,
-        threads in 1usize..4,
-    ) {
-        let plan = plan_from(&setups, &mpls, &arrivals, reps, seed_base);
-        let direct = SweepExecutor::parallel(threads).run(&plan);
-        let model = Arc::new(CostModel::structural());
-        let shards: Vec<ShardResult> = (0..nshards)
-            .map(|i| {
-                SweepExecutor::parallel(threads)
-                    .with_cost_model(Arc::clone(&model))
-                    .with_balance(BalanceMode::Cost)
-                    .run_shard(&plan, i, nshards)
-            })
             .collect();
         let merged = ShardResult::merge(&plan, &shards).unwrap();
         prop_assert_eq!(bits(&direct), bits(&merged));
