@@ -1,10 +1,10 @@
 //! Golden determinism tests for the `figures` pivot tables.
 //!
-//! fig2 (simulation-backed, `--quick` scale) and fig7 (analytic) are
-//! rendered to strings and compared byte-for-byte against checked-in
-//! snapshots. Anything that moves these tables — simulator behaviour,
-//! CI/table formatting, column layout — now fails loudly and must be a
-//! deliberate snapshot update:
+//! fig2 and fig12 (simulation-backed, `--quick` scale) and fig7
+//! (analytic) are rendered to strings and compared byte-for-byte against
+//! checked-in snapshots. Anything that moves these tables — simulator
+//! behaviour, CI/table formatting, column layout — now fails loudly and
+//! must be a deliberate snapshot update:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p xsched-bench --test golden
@@ -14,7 +14,8 @@
 //! commit must print the same bytes on every host and thread count.
 
 use xsched_bench::{
-    chaos_report, chaos_specs, fig2_report, fig7_report, quick_rc, quick_rc_heavy, SweepOpts,
+    chaos_report, chaos_specs, fig12_report, fig2_report, fig7_report, quick_rc, quick_rc_heavy,
+    SweepOpts,
 };
 use xsched_core::{Driver, Targets};
 
@@ -52,6 +53,25 @@ fn fig2_quick_table_matches_golden_snapshot() {
         ..Default::default()
     };
     assert_eq!(report, fig2_report(&quick_rc(), &serial));
+}
+
+/// fig12 in `--quick` mode is the one golden on the priority-lock path
+/// (`LockPriorityPolicy::PreemptOnWait` on setup 1): it pins lock-queue
+/// reordering, deadlock victims under priority, and the `max_restarts`
+/// lock-free guard, which fires in this figure.
+#[test]
+fn fig12_quick_table_matches_golden_snapshot() {
+    let opts = SweepOpts {
+        threads: 0,
+        ..Default::default()
+    };
+    let report = fig12_report(&quick_rc_heavy(), &opts);
+    check("fig12_quick.txt", &report);
+    let serial = SweepOpts {
+        threads: 1,
+        ..Default::default()
+    };
+    assert_eq!(report, fig12_report(&quick_rc_heavy(), &serial));
 }
 
 /// fig7 is analytic (MVA): the snapshot pins number formatting and the

@@ -10,7 +10,8 @@
 //! * [`collection::vec`],
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`.
 //!
-//! Differences from the real crate: a fixed number of cases per property
+//! Differences from the real crate: the case count is [`CASES`] unless a
+//! block opens with `#![proptest_config(ProptestConfig::with_cases(n))]`
 //! (no `PROPTEST_CASES`), no shrinking (failures report the case seed so a
 //! failing case replays deterministically), and strategies are sampled
 //! uniformly. Case generation is fully deterministic: the RNG is seeded
@@ -18,8 +19,30 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// Number of random cases each `proptest!` property runs.
+/// Number of random cases each `proptest!` property runs by default.
 pub const CASES: u32 = 48;
+
+/// Per-block configuration: `#![proptest_config(ProptestConfig::with_cases(n))]`
+/// as the first line of a `proptest!` block runs each of its properties
+/// `n` times instead of [`CASES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProptestConfig {
+    /// Number of random cases per property.
+    pub cases: u32,
+}
+
+impl ProptestConfig {
+    /// A configuration running `cases` cases per property.
+    pub fn with_cases(cases: u32) -> ProptestConfig {
+        ProptestConfig { cases }
+    }
+}
+
+impl Default for ProptestConfig {
+    fn default() -> ProptestConfig {
+        ProptestConfig { cases: CASES }
+    }
+}
 
 /// Deterministic SplitMix64 generator used to drive strategies.
 #[derive(Debug, Clone)]
@@ -213,7 +236,7 @@ pub mod collection {
 
 /// The usual glob-import surface: `use proptest::prelude::*;`.
 pub mod prelude {
-    pub use crate::{collection, Any, ArbitraryValue, Strategy, TestRng};
+    pub use crate::{collection, Any, ArbitraryValue, ProptestConfig, Strategy, TestRng};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 
     /// Whole-domain strategy for `T`: `any::<u64>()`.
@@ -241,28 +264,36 @@ macro_rules! prop_assert_ne {
 }
 
 /// Define property tests: each `fn name(x in strategy, ...) { body }`
-/// becomes a `#[test]` running [`CASES`] deterministic random cases.
+/// becomes a `#[test]` running [`CASES`] deterministic random cases (or
+/// the count of a leading `#![proptest_config(..)]`).
 #[macro_export]
 macro_rules! proptest {
+    (#![proptest_config($config:expr)] $($(#[$attr:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)+) => {$(
+        $crate::proptest!(@case ($config) $(#[$attr])* fn $name($($arg in $strat),+) $body);
+    )+};
     ($($(#[$attr:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)+) => {$(
+        $crate::proptest!(@case ($crate::ProptestConfig::default()) $(#[$attr])* fn $name($($arg in $strat),+) $body);
+    )+};
+    (@case ($config:expr) $(#[$attr:meta])* fn $name:ident($($arg:ident in $strat:expr),+) $body:block) => {
         $(#[$attr])*
         fn $name() {
-            for case in 0..$crate::CASES {
+            let config: $crate::ProptestConfig = $config;
+            let cases = config.cases;
+            for case in 0..cases {
                 let mut rng = $crate::TestRng::for_case(stringify!($name), case);
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)+
                 // A panicking case reports which deterministic case failed.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body));
                 if let Err(e) = result {
                     eprintln!(
-                        "proptest case {case} of {} failed for {}",
-                        $crate::CASES,
+                        "proptest case {case} of {cases} failed for {}",
                         stringify!($name),
                     );
                     std::panic::resume_unwind(e);
                 }
             }
         }
-    )+};
+    };
 }
 
 #[cfg(test)]
@@ -282,6 +313,20 @@ mod tests {
             prop_assert!(!v.is_empty() && v.len() < 20);
             prop_assert!(v.iter().all(|&b| b < 3));
         }
+    }
+
+    #[test]
+    fn config_sets_the_case_count() {
+        thread_local!(static RUNS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(5))]
+            fn five_cases(x in 0u32..10) {
+                prop_assert!(x < 10);
+                RUNS.with(|r| r.set(r.get() + 1));
+            }
+        }
+        five_cases();
+        assert_eq!(RUNS.with(|r| r.get()), 5);
     }
 
     #[test]

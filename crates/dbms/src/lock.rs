@@ -13,9 +13,21 @@
 //! The manager provides mechanisms only (request / release / abort /
 //! victim selection); `crate::sim` sequences them, so the same machinery
 //! serves plain 2PL and both internal prioritization modes.
+//!
+//! Under [`DeadlockStrategy::Detection`] the detector is the only
+//! deadlock-resolution path; no stall sweep backs it up. The simulator
+//! searches from every transaction that blocks, and every new waits-for
+//! edge touches such a transaction: a fresh waiter's or upgrader's edges
+//! start at it, the edges from low-priority waiters a priority insert
+//! overtakes end at it, and a queue-bypass grant's edges end at a running
+//! transaction, which waits for nothing until it blocks in turn. So every
+//! cycle closes through a transaction the detector starts from.
+//!
+//! [`DeadlockStrategy::Detection`]: crate::config::DeadlockStrategy::Detection
 
 use crate::config::LockPriorityPolicy;
 use crate::txn::{ItemId, LockMode, Priority, TxnId};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use xsched_sim::FxHashMap;
 
@@ -350,49 +362,44 @@ impl LockManager {
         self.held.get(&txn).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Transactions blocking `txn`: the holders of the item it waits for,
-    /// plus waiters queued ahead of it (they will hold the lock before
-    /// `txn` can).
-    pub fn blockers_of(&self, txn: TxnId) -> Vec<TxnId> {
-        let Some(item) = self.waiting.get(&txn) else {
-            return Vec::new();
+    /// The waits-for edges out of `txn`: the holders of the item it waits
+    /// for (other than itself, which an upgrader is), then the waiters
+    /// queued ahead of it (they will hold the lock before `txn` can).
+    /// Empty when `txn` is not blocked. This membership and order decide
+    /// which deadlock victim the detector picks.
+    fn blockers(&self, txn: TxnId) -> impl Iterator<Item = TxnId> + '_ {
+        let (holders, queue) = match self.waiting.get(&txn).and_then(|i| self.table.get(i)) {
+            Some(state) => (&state.holders[..], state.queue.iter()),
+            None => (&[][..], Default::default()),
         };
-        let Some(state) = self.table.get(item) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TxnId> = state
-            .holders
-            .iter()
-            .map(|(t, _)| *t)
-            .filter(|t| *t != txn)
-            .collect();
-        for w in &state.queue {
-            if w.txn == txn {
-                break;
-            }
-            out.push(w.txn);
-        }
-        out
+        let holders = holders.iter().map(|&(t, _)| t).filter(move |&t| t != txn);
+        holders.chain(queue.map(|w| w.txn).take_while(move |&t| t != txn))
     }
 
     /// Detect a deadlock cycle reachable from `txn` (which must be
     /// blocked) and pick the youngest member (largest [`TxnId`]) as victim.
     pub fn find_deadlock_victim(&self, txn: TxnId) -> Option<TxnId> {
-        // Iterative DFS over the waits-for graph; a cycle exists iff `txn`
-        // is reachable from one of its blockers.
-        let mut stack: Vec<(TxnId, Vec<TxnId>)> = vec![(txn, vec![txn])];
-        let mut visited: Vec<TxnId> = Vec::new();
-        while let Some((node, path)) = stack.pop() {
-            for b in self.blockers_of(node) {
+        // LIFO DFS over the waits-for graph; a cycle exists iff `txn` is
+        // reachable from one of its blockers. `parent` maps each reached
+        // transaction to the node it was first reached from, and doubles
+        // as the visited set.
+        let mut parent: FxHashMap<TxnId, TxnId> = FxHashMap::default();
+        let mut stack = vec![txn];
+        while let Some(node) = stack.pop() {
+            for b in self.blockers(node) {
                 if b == txn {
-                    // `path` plus the closing edge is the cycle.
-                    return path.iter().max().copied();
+                    // The parent chain node → … → txn plus the closing
+                    // edge is the cycle.
+                    let (mut victim, mut cur) = (node, node);
+                    while cur != txn {
+                        cur = parent[&cur];
+                        victim = victim.max(cur);
+                    }
+                    return Some(victim);
                 }
-                if !visited.contains(&b) {
-                    visited.push(b);
-                    let mut p = path.clone();
-                    p.push(b);
-                    stack.push((b, p));
+                if let Entry::Vacant(e) = parent.entry(b) {
+                    e.insert(node);
+                    stack.push(b);
                 }
             }
         }
@@ -448,8 +455,9 @@ impl LockManager {
         self.waiting.len()
     }
 
-    /// Consistency check used by tests and debug assertions: at most one
-    /// exclusive holder per item, and no shared/exclusive mixing.
+    /// Consistency check used by tests: at most one exclusive holder per
+    /// item, no shared/exclusive mixing, and every queued waiter recorded
+    /// as waiting for that item.
     pub fn check_invariants(&self) {
         for (item, state) in &self.table {
             let x_holders = state
@@ -473,11 +481,54 @@ impl LockManager {
             }
         }
     }
+
+    /// Test oracle for [`DeadlockStrategy::Detection`]: walk the whole
+    /// waits-for graph given by [`LockManager::blockers`] from every
+    /// blocked transaction and assert it has no cycle (a three-colour DFS:
+    /// reaching a transaction still on the walk's own path closes a
+    /// cycle). Kept out of [`LockManager::check_invariants`] because the
+    /// lock manager alone resolves nothing: bare request/abort traffic
+    /// may leave cycles for the caller to break.
+    ///
+    /// [`DeadlockStrategy::Detection`]: crate::config::DeadlockStrategy::Detection
+    #[cfg(test)]
+    pub(crate) fn check_acyclic(&self) {
+        const NEW: u8 = 0;
+        const ON_WALK: u8 = 1;
+        const DONE: u8 = 2;
+        // Colours indexed by transaction id: test ids are small and dense.
+        let ids = self.waiting.keys().chain(self.held.keys());
+        let mut colour = vec![NEW; ids.map(|t| t.0 as usize + 1).max().unwrap_or(0)];
+        let mut stack = Vec::new();
+        for &root in self.waiting.keys() {
+            if colour[root.0 as usize] != NEW {
+                continue;
+            }
+            colour[root.0 as usize] = ON_WALK;
+            stack.push((root, self.blockers(root)));
+            while let Some((node, edges)) = stack.last_mut() {
+                if let Some(b) = edges.next() {
+                    match colour[b.0 as usize] {
+                        ON_WALK => panic!("waits-for cycle through {b:?} and {node:?}"),
+                        DONE => {}
+                        _ => {
+                            colour[b.0 as usize] = ON_WALK;
+                            stack.push((b, self.blockers(b)));
+                        }
+                    }
+                } else {
+                    colour[node.0 as usize] = DONE;
+                    stack.pop();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(n: u64) -> TxnId {
         TxnId(n)
@@ -759,5 +810,156 @@ mod tests {
         assert_eq!(lm.block_count(), 1);
         let _ = lm.release_all(t(1));
         assert_eq!(lm.grant_count(), 2);
+    }
+
+    /// The original edge definition, kept verbatim as an oracle: holders
+    /// of the awaited item, then the waiters queued ahead.
+    fn reference_blockers(lm: &LockManager, txn: TxnId) -> Vec<TxnId> {
+        let Some(item) = lm.waiting.get(&txn) else {
+            return Vec::new();
+        };
+        let Some(state) = lm.table.get(item) else {
+            return Vec::new();
+        };
+        let mut out: Vec<TxnId> = state
+            .holders
+            .iter()
+            .map(|(t, _)| *t)
+            .filter(|t| *t != txn)
+            .collect();
+        for w in &state.queue {
+            if w.txn == txn {
+                break;
+            }
+            out.push(w.txn);
+        }
+        out
+    }
+
+    /// The original path-cloning DFS, kept verbatim as the victim oracle
+    /// for [`LockManager::find_deadlock_victim`].
+    fn reference_victim(lm: &LockManager, txn: TxnId) -> Option<TxnId> {
+        let mut stack: Vec<(TxnId, Vec<TxnId>)> = vec![(txn, vec![txn])];
+        let mut visited: Vec<TxnId> = Vec::new();
+        while let Some((node, path)) = stack.pop() {
+            for b in reference_blockers(lm, node) {
+                if b == txn {
+                    // `path` plus the closing edge is the cycle.
+                    return path.iter().max().copied();
+                }
+                if !visited.contains(&b) {
+                    visited.push(b);
+                    let mut p = path.clone();
+                    p.push(b);
+                    stack.push((b, p));
+                }
+            }
+        }
+        None
+    }
+
+    proptest! {
+        /// The linear detector picks exactly the reference victim for
+        /// every waiting transaction after every operation, under all
+        /// three queue disciplines, with S/X modes, S→X upgrades (live
+        /// transactions re-request items they hold) and both priorities.
+        /// Requests dominate and nothing resolves deadlocks, so live
+        /// transactions pile up shared holds and overlapping cycles — the
+        /// graphs in which walk order decides the victim.
+        #[test]
+        fn detector_matches_reference_victim(
+            ops in proptest::collection::vec(
+                (any::<u64>(), 0u64..5, 0u8..4, any::<bool>(), 0u8..20),
+                1..160,
+            ),
+        ) {
+            for policy in [
+                LockPriorityPolicy::None,
+                LockPriorityPolicy::PriorityQueue,
+                LockPriorityPolicy::PreemptOnWait,
+            ] {
+                let mut lm = LockManager::new(policy);
+                let mut live: Vec<(TxnId, Priority)> = Vec::new();
+                let mut next = 0u64;
+                for &(sel, item, mode, high, action) in &ops {
+                    let pick = (sel as usize) % live.len().max(1);
+                    match action {
+                        // A new transaction (20%) or a live one (65%,
+                        // possibly re-requesting an item it holds) asks
+                        // for a lock, exclusive one time in four.
+                        0..=16 => {
+                            let (t, prio) = if live.is_empty() || action < 4 {
+                                let prio = if high { Priority::High } else { Priority::Low };
+                                next += 1;
+                                live.push((TxnId(next), prio));
+                                (TxnId(next), prio)
+                            } else {
+                                live[pick]
+                            };
+                            if lm.waiting_for(t).is_none() {
+                                let mode = if mode == 0 {
+                                    LockMode::Exclusive
+                                } else {
+                                    LockMode::Shared
+                                };
+                                let _ = lm.request(t, prio, ItemId(item), mode);
+                            }
+                        }
+                        // Commit a running transaction (10%).
+                        17 | 18 => {
+                            let running = live.iter().position(|&(t, _)| lm.waiting_for(t).is_none());
+                            if let Some(pos) = running {
+                                let _ = lm.release_all(live.swap_remove(pos).0);
+                            }
+                        }
+                        // Abort any transaction (5%).
+                        _ => {
+                            if !live.is_empty() {
+                                let _ = lm.abort(live.swap_remove(pick).0);
+                            }
+                        }
+                    }
+                    lm.check_invariants();
+                    for &(t, _) in &live {
+                        if lm.waiting_for(t).is_some() {
+                            prop_assert_eq!(
+                                lm.find_deadlock_victim(t),
+                                reference_victim(&lm, t),
+                                "{:?}: victim for {:?}",
+                                policy,
+                                t
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Walk order decides the victim when several cycles pass through the
+    /// blocked transaction: the LIFO DFS explores the *last* blocker
+    /// first, so the cycle through t3 (victim t5) wins over the one
+    /// through t9, even though t9 is the youngest transaction involved.
+    #[test]
+    fn victim_comes_from_the_first_cycle_the_walk_closes() {
+        let mut lm = LockManager::new(LockPriorityPolicy::None);
+        let _ = lm.request(t(5), LO, i(2), LockMode::Exclusive);
+        let _ = lm.request(t(9), LO, i(1), LockMode::Shared);
+        let _ = lm.request(t(3), LO, i(1), LockMode::Shared);
+        assert_eq!(
+            lm.request(t(9), LO, i(2), LockMode::Exclusive),
+            RequestOutcome::Blocked
+        );
+        assert_eq!(
+            lm.request(t(3), LO, i(2), LockMode::Exclusive),
+            RequestOutcome::Blocked
+        );
+        assert_eq!(
+            lm.request(t(5), LO, i(1), LockMode::Exclusive),
+            RequestOutcome::Blocked
+        );
+        assert_eq!(lm.blockers(t(5)).collect::<Vec<_>>(), vec![t(9), t(3)]);
+        assert_eq!(lm.find_deadlock_victim(t(5)), Some(t(5)));
+        assert_eq!(reference_victim(&lm, t(5)), Some(t(5)));
     }
 }

@@ -457,22 +457,22 @@ impl<T: TraceSink> DbmsSim<T> {
         if self.events.pop_run_into(&mut self.batch).is_some() {
             return true;
         }
-        // No events pending while transactions are still inside: every
-        // in-flight transaction is blocked in a lock queue. Any cycle
-        // the incremental detector missed (they can form through
-        // queue-bypass reordering or multi-cycle aborts) is broken
-        // here — the moral equivalent of a DBMS's lock-timeout sweep.
-        if !self.states.is_empty() && self.break_global_deadlock() {
-            self.events.pop_run_into(&mut self.batch).is_some()
-        } else {
-            false
-        }
+        // Every transaction inside is running, backing off, stalled, or
+        // blocked behind one that is — and each of those has a pending
+        // event (deadlock detection breaks every cycle as it closes; a
+        // lock timeout is itself an event). An empty queue with work
+        // still inside is therefore a simulator bug: report it.
+        let n = self.states.len();
+        assert!(
+            self.states.is_empty(),
+            "DbmsSim stalled: {n} transactions in flight with no pending events"
+        );
+        false
     }
 
-    /// Dispatch one event payload. Shared by the single-step and batched
-    /// entry points so the two cannot diverge. Returns the external token
-    /// when the event was a driver timer (dispatch then stops *without*
-    /// pumping, exactly as before: the driver reacts first).
+    /// Dispatch one event payload. Returns the external token when the
+    /// event was a driver timer (dispatch then stops *without* pumping:
+    /// the driver reacts first).
     #[inline]
     fn dispatch(&mut self, ev: Ev) -> Option<u64> {
         self.events_processed += 1;
@@ -509,31 +509,6 @@ impl<T: TraceSink> DbmsSim<T> {
             Some(token) => StepOutcome::External(token),
             None => StepOutcome::Advanced,
         }
-    }
-
-    /// Batched fast path: dispatch the *rest of the current
-    /// same-timestamp run* — refilled from the heap when the buffer is
-    /// empty — through one tight loop, instead of paying the `step` call
-    /// round-trip per event. Stops early (run remainder kept buffered)
-    /// when an external token fires, so driver timers still interleave
-    /// exactly as with [`DbmsSim::step`].
-    ///
-    /// Equivalent to calling `step` in a loop until it returns something
-    /// other than [`StepOutcome::Advanced`] or the run ends; the
-    /// simulation state after either entry point is bit-identical.
-    pub fn step_run(&mut self) -> StepOutcome {
-        if self.batch_cursor >= self.batch.len() && !self.refill_batch() {
-            return StepOutcome::Idle;
-        }
-        while self.batch_cursor < self.batch.len() {
-            let h = self.batch[self.batch_cursor];
-            self.batch_cursor += 1;
-            let ev = self.arena.take(h);
-            if let Some(token) = self.dispatch(ev) {
-                return StepOutcome::External(token);
-            }
-        }
-        StepOutcome::Advanced
     }
 
     /// Take all completions recorded since the last call.
@@ -1043,47 +1018,6 @@ impl<T: TraceSink> DbmsSim<T> {
         }
     }
 
-    /// Break a stall in which every in-flight transaction waits in a lock
-    /// queue: abort a cycle victim if the detector finds one, otherwise
-    /// the youngest waiter (our waits-for edges under priority reordering
-    /// are an under-approximation, so a stalled cycle may be invisible).
-    /// Returns true if it aborted something.
-    fn break_global_deadlock(&mut self) -> bool {
-        let mut blocked: Vec<TxnId> = self
-            .states
-            .iter()
-            .filter(|(_, st)| st.phase == Phase::AcquiringLock)
-            .map(|(_, st)| st.id)
-            .collect();
-        if blocked.is_empty() {
-            return false;
-        }
-        blocked.sort();
-        for t in &blocked {
-            if let Some(victim) = self.locks.find_deadlock_victim(*t) {
-                self.metrics.deadlock_aborts += 1;
-                let now = self.now();
-                self.trace.record(TraceEvent::DeadlockAbort {
-                    txn: victim.0,
-                    t: now,
-                });
-                self.abort_txn(victim);
-                self.pump();
-                return true;
-            }
-        }
-        let victim = *blocked.last().expect("nonempty");
-        self.metrics.deadlock_aborts += 1;
-        let now = self.now();
-        self.trace.record(TraceEvent::DeadlockAbort {
-            txn: victim.0,
-            t: now,
-        });
-        self.abort_txn(victim);
-        self.pump();
-        true
-    }
-
     /// Abort a *blocked* transaction: release its locks (resuming any
     /// waiters they unblock), reset its program counter, and schedule its
     /// restart after an exponential backoff.
@@ -1199,6 +1133,7 @@ mod tests {
     use super::*;
     use crate::config::CpuPolicy;
     use crate::txn::{ItemId, Step};
+    use proptest::prelude::*;
 
     fn run_to_idle<T: TraceSink>(sim: &mut DbmsSim<T>) {
         while sim.step() != StepOutcome::Idle {}
@@ -2084,5 +2019,95 @@ mod tests {
             spiked > 2.0 * base,
             "reads under a 10x spike must crawl: {base} vs {spiked}"
         );
+    }
+
+    proptest! {
+        // Each case brute-forces the whole waits-for graph after every
+        // lock-changing step, at a cost quadratic in queue length; 12
+        // cases keep a debug run under about 5 s.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// High-MPL stress of the single deadlock path: 64–512
+        /// transactions admitted at once onto 2–16 items, under every lock
+        /// queue discipline and both isolation levels, with mixed
+        /// priorities and repeated items (so S→X upgrades happen). After
+        /// every step the lock table is consistent and the waits-for graph
+        /// has no cycle; the run drains with nothing left in flight (a
+        /// stall would trip the empty-queue assertion inside `step`).
+        #[test]
+        fn high_mpl_drains_with_an_acyclic_waits_for_graph(
+            n in 64u64..513,
+            items in 2u64..17,
+            policy in 0u8..3,
+            uncommitted in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let policy = [
+                LockPriorityPolicy::None,
+                LockPriorityPolicy::PriorityQueue,
+                LockPriorityPolicy::PreemptOnWait,
+            ][policy as usize];
+            let isolation = if uncommitted {
+                IsolationLevel::UncommittedRead
+            } else {
+                IsolationLevel::RepeatableRead
+            };
+            let cfg = DbmsConfig::default()
+                .with_lock_policy(policy)
+                .with_isolation(isolation);
+            let mut s = DbmsSim::new(HardwareConfig::default().with_cpus(2), cfg, seed);
+            let mut rng = SimRng::derive(seed, "wl");
+            for _ in 0..n {
+                // One or two lock steps; the second revisits the first
+                // item half the time (an upgrade when it asks S then X).
+                let first = ItemId(rng.index_u64(items));
+                let mut steps = Vec::new();
+                for k in 0..1 + rng.index(2) {
+                    let item = if k == 0 || rng.chance(0.5) {
+                        first
+                    } else {
+                        ItemId(rng.index_u64(items))
+                    };
+                    let mode = if rng.chance(0.5) {
+                        LockMode::Exclusive
+                    } else {
+                        LockMode::Shared
+                    };
+                    steps.push(Step {
+                        lock: Some((item, mode)),
+                        pages: vec![],
+                        cpu: 0.0002 + rng.uniform() * 0.001,
+                    });
+                }
+                let priority = if rng.chance(0.3) {
+                    Priority::High
+                } else {
+                    Priority::Low
+                };
+                s.submit(
+                    TxnBody {
+                        txn_type: 0,
+                        priority,
+                        steps,
+                    },
+                    0.0,
+                );
+            }
+            // Only a lock request (granted or blocked) or a promotion can
+            // add a waits-for edge; any other step only removes edges,
+            // which cannot close a cycle, so the last verdict still holds.
+            let mut checked = None;
+            while s.step() != StepOutcome::Idle {
+                let locks = s.lock_manager();
+                locks.check_invariants();
+                let version = Some((locks.grant_count(), locks.block_count()));
+                if version != checked {
+                    checked = version;
+                    locks.check_acyclic();
+                }
+            }
+            prop_assert_eq!(s.in_flight(), 0);
+            prop_assert_eq!(s.drain_completions().len() as u64, n);
+        }
     }
 }
