@@ -15,8 +15,11 @@
 //! block with the batched-dispatch ceiling (pop_run_into + arena
 //! handles, no DBMS model), a `saturation_grid` block streaming a
 //! 120-cell open-load grid through `run_fold` with its peak-RSS
-//! high-water mark, and a `queue` array with heap-only push/pop rates at
-//! 1M and 10M pending events. Figures run through the same
+//! high-water mark, a `queue` array with heap-only push/pop rates at
+//! 1M and 10M pending events, and an `analytic` block timing the
+//! queueing models behind the controller's jump-start (one QBD solve at
+//! MPL 10/30/92 with its reduction steps, and the whole jump-start
+//! search on setup 3's inputs). Figures run through the same
 //! `SweepOpts`/`SweepExecutor` path the `figures` binary uses, so these
 //! numbers track exactly what an operator waits on.
 
@@ -25,10 +28,11 @@ use std::io::Write as _;
 use std::time::Instant;
 use xsched_bench::{fig2_report, quick_rc, quick_rc_heavy, rt_open_report, SweepOpts};
 use xsched_core::{
-    ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario,
-    ScenarioOutcome, SweepExecutor, SweepPlan, TaskOutcome,
+    ArrivalSpec, ExecSpec, MeasurementCache, MplController, MplSpec, PolicyKind, RunConfig,
+    Scenario, ScenarioOutcome, SweepExecutor, SweepPlan, Targets, TaskOutcome,
 };
 use xsched_dbms::{CountingSink, DbmsSim, NoopTrace, StepOutcome, TraceSink};
+use xsched_queueing::{FlexServer, H2};
 use xsched_sim::{EventQueue, SimTime};
 use xsched_workload::{setup, TxnGen};
 
@@ -233,6 +237,54 @@ fn measure_saturation_grid() -> GridStats {
     }
 }
 
+/// Setup 3's analytic jump-start inputs in its `--quick` controller
+/// session: the reference run's resource utilizations and throughput,
+/// and the demand mean and C². Pinned (as in `MplController`'s tests) so
+/// the analytic layer is timed without a simulation.
+const S3_UTILS: [f64; 3] = [0.9999999914224076, 0.0, 0.057289583136172356];
+const S3_DEMAND_MEAN: f64 = 0.052000000000000005;
+const S3_DEMAND_C2: f64 = 15.076035502958574;
+const S3_REFERENCE_TPUT: f64 = 17.462467694606186;
+
+/// One timed `FlexServer` solve.
+struct QbdPoint {
+    mpl: u32,
+    secs: f64,
+    steps: u32,
+}
+
+/// The analytic layer behind every jump-start: one QBD solve at MPL
+/// 10, 30 and 92 on setup 3's job-size fit and load (capped at 0.95, as
+/// the jump-start caps it), then the whole jump-start search on setup
+/// 3's inputs. Returns the solves and `(search seconds, jump-start MPL)`.
+fn measure_analytic() -> (Vec<QbdPoint>, f64, u32) {
+    let rho = (S3_REFERENCE_TPUT * S3_DEMAND_MEAN).min(0.95);
+    let h2 = H2::fit(S3_DEMAND_MEAN, S3_DEMAND_C2);
+    let lambda = rho / S3_DEMAND_MEAN;
+    let points = [10, 30, 92]
+        .into_iter()
+        .map(|mpl| {
+            let t0 = Instant::now();
+            let sol = black_box(FlexServer::new(lambda, h2, mpl).solve());
+            QbdPoint {
+                mpl,
+                secs: t0.elapsed().as_secs_f64(),
+                steps: sol.r_iterations,
+            }
+        })
+        .collect();
+    let t0 = Instant::now();
+    let jump = MplController::jumpstart(
+        &S3_UTILS,
+        Targets::five_percent(),
+        S3_DEMAND_MEAN,
+        S3_DEMAND_C2,
+        S3_REFERENCE_TPUT,
+        100,
+    );
+    (points, t0.elapsed().as_secs_f64(), jump)
+}
+
 fn figure_benches(c: &mut Criterion) {
     // threads: 0 = one worker per core, exactly like the figures binary.
     let opts = SweepOpts {
@@ -314,6 +366,18 @@ fn main() {
         })
         .collect();
 
+    let (qbd, jump_secs, jump_mpl) = measure_analytic();
+    for p in &qbd {
+        println!(
+            "{:<40} MPL {}: {:.4} s, {} reduction steps",
+            "analytic/qbd_solve", p.mpl, p.secs, p.steps
+        );
+    }
+    println!(
+        "{:<40} setup 3: MPL {jump_mpl} in {jump_secs:.4} s",
+        "analytic/jumpstart"
+    );
+
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"xsched-hotpath-v2\",\n  \"figures\": [\n");
     let records = c.records();
@@ -354,7 +418,19 @@ fn main() {
             if i + 1 < queue_rates.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n  \"analytic\": {\"qbd\": [\n");
+    for (i, p) in qbd.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"mpl\": {}, \"solve_secs\": {:.6}, \"reduction_steps\": {}}}{}\n",
+            p.mpl,
+            p.secs,
+            p.steps,
+            if i + 1 < qbd.len() { "," } else { "" },
+        ));
+    }
+    json.push_str(&format!(
+        "  ], \"jumpstart_s3\": {{\"secs\": {jump_secs:.6}, \"mpl\": {jump_mpl}}}}}\n}}\n"
+    ));
 
     // Default to the workspace root (cargo runs benches with the package
     // directory as cwd), where the committed baseline lives.

@@ -14,8 +14,8 @@
 //! commit must print the same bytes on every host and thread count.
 
 use xsched_bench::{
-    chaos_report, chaos_specs, fig12_report, fig2_report, fig7_report, quick_rc, quick_rc_heavy,
-    SweepOpts,
+    chaos_report, chaos_specs, controller_report, fig12_report, fig2_report, fig7_report, quick_rc,
+    quick_rc_heavy, SweepOpts,
 };
 use xsched_core::{Driver, Targets};
 
@@ -94,6 +94,20 @@ fn controller_series_quick_matches_golden_snapshot() {
     // Determinism claim: a second session reproduces the same bytes.
     let (_, again) = d.run_controller_with_series(Targets::twenty_percent(), None);
     assert_eq!(series.encode_text(), again.encode_text());
+}
+
+/// Controller sessions on the three high-C² setups whose jump-starts
+/// sit highest (3, 4 and 14 start at MPL 50, 95 and 65): pins the
+/// analytic QBD search at the MPLs where the response-time model, not
+/// the throughput model, sets the jump-start.
+#[test]
+fn controller_highc2_quick_table_matches_golden_snapshot() {
+    let opts = SweepOpts {
+        threads: 0,
+        ..Default::default()
+    };
+    let report = controller_report(&quick_rc_heavy(), &[3, 4, 14], &opts);
+    check("controller_highc2_quick.txt", &report);
 }
 
 /// The chaos robustness figure in `--quick` mode must render

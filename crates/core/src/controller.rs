@@ -689,6 +689,32 @@ mod tests {
     }
 
     #[test]
+    fn jumpstart_pins_high_c2_setups() {
+        // The analytic inputs of setup 3's and setup 14's quick controller
+        // sessions (the reference run's utilizations and throughput,
+        // demand mean/C²), so the response-time search that sets these
+        // jump-starts is pinned without a simulation.
+        let s3 = MplController::jumpstart(
+            &[0.9999999914224076, 0.0, 0.057289583136172356],
+            Targets::five_percent(),
+            0.052000000000000005,
+            15.076035502958574,
+            17.462467694606186,
+            100,
+        );
+        assert_eq!(s3, 50);
+        let s14 = MplController::jumpstart(
+            &[0.9999999912825499, 0.0, 0.05600027969687028],
+            Targets::five_percent(),
+            0.054000000000000006,
+            3.8045267489711927,
+            18.44685537448503,
+            100,
+        );
+        assert_eq!(s14, 65);
+    }
+
+    #[test]
     fn trace_records_every_window() {
         let mut c = MplController::new(ControllerConfig::default(), reference(), 2);
         let (_, _) = feed_window(&mut c, 0.0, 150, 100.0, 1.0);

@@ -12,6 +12,22 @@
 //! the matrix-geometric method (Neuts; Latouche & Ramaswami, both cited by
 //! the paper).
 //!
+//! The solve has two stages, each linear in the number of levels it
+//! touches rather than in the number of states:
+//!
+//! * the rate matrix `R` of the repeating part comes from logarithmic
+//!   reduction ([`FlexServer::solve_r`]), which doubles the levels it
+//!   spans per step and converges in about a dozen steps where
+//!   functional iteration needs thousands at high C² and load;
+//! * the boundary levels `0..=m` are reduced backward one level at a
+//!   time from the top block `A1 + R·A2`, then propagated up from level
+//!   0 and normalised — one `(n+1)`-square inverse per level instead of
+//!   one LU over all `(m+1)(m+2)/2` boundary states.
+//!
+//! Together they make a solve at the MPLs the jump-start visits (50–95
+//! on the heavy-tailed setups) cost milliseconds to a few tenths of a
+//! second rather than seconds.
+//!
 //! Transitions from `(n, j)`, with `k = min(n, m)` and server speed 1 split
 //! equally (each in-service job is served at rate `1/k`, so a phase-`i` job
 //! completes at rate `μᵢ/k`):
@@ -59,7 +75,7 @@ pub struct FlexSolution {
     pub p_wait: f64,
     /// Offered load ρ = λ·`E[S]`.
     pub rho: f64,
-    /// Iterations the R fixed point needed.
+    /// Logarithmic-reduction steps (level doublings) `R` needed.
     pub r_iterations: u32,
 }
 
@@ -165,11 +181,193 @@ impl FlexServer {
     }
 
     /// Compute the minimal nonnegative solution `R` of
-    /// `A0 + R·A1 + R²·A2 = 0` by functional iteration
-    /// `R ← −(A0 + R²·A2)·A1⁻¹` (A1 is diagonal, so the inverse is a
-    /// column scaling). Returns `(R, iterations)`.
+    /// `A0 + R·A1 + R²·A2 = 0` by logarithmic reduction (Latouche &
+    /// Ramaswami, 1993). Returns `(R, reduction steps)`.
+    ///
+    /// The reduction first finds `G`, the minimal solution of
+    /// `A2 + A1·G + A0·G² = 0` (the first-passage matrix one level down).
+    /// Step `k` folds the chain onto every `2^k`-th level, so `G`'s row
+    /// sums reach 1 — the QBD is positive recurrent for ρ < 1 — in a few
+    /// tens of steps even where functional iteration needs thousands.
+    /// Then `R = A0·(−(A1 + A0·G))⁻¹`. Panics if 64 doublings do not
+    /// bring `‖1 − G·1‖∞` to 1e-14.
     pub fn solve_r(&self) -> (Mat, u32) {
         let (a0, a1, a2) = self.repeating_blocks();
+        let sz = a0.rows();
+        // B0 = (−A1)⁻¹A0 and B2 = (−A1)⁻¹A2; A1 is diagonal, so these
+        // are row scalings.
+        let scaled = |a: &Mat| Mat::from_fn(sz, sz, |i, j| a[(i, j)] / -a1[(i, i)]);
+        let (mut b0, mut b2) = (scaled(&a0), scaled(&a2));
+        let mut g = b2.clone();
+        let mut t = b0.clone();
+        let ones = vec![1.0; sz];
+        for step in 1..=64 {
+            let u = b0.mul(&b2).add(&b2.mul(&b0));
+            let (b00, b22) = (b0.mul(&b0), b2.mul(&b2));
+            // I − U, with each diagonal entry rebuilt from the row's other
+            // mass (U, B0², B2² rows sum to 1 together) so that the
+            // cancellation in 1 − U_ii never enters the inverse.
+            let mut imu = u.scale(-1.0);
+            for i in 0..sz {
+                let off: f64 = (0..sz).filter(|&j| j != i).map(|j| u[(i, j)]).sum();
+                let rest: f64 = (0..sz).map(|j| b00[(i, j)] + b22[(i, j)]).sum();
+                imu[(i, i)] = off + rest;
+            }
+            let inv = imu.inverse();
+            b0 = inv.mul(&b00);
+            b2 = inv.mul(&b22);
+            g = g.add(&t.mul(&b2));
+            t = t.mul(&b0);
+            let defect = g
+                .mul_vec(&ones)
+                .iter()
+                .fold(0.0f64, |d, row| d.max((1.0 - row).abs()));
+            if defect <= 1e-14 {
+                let r = a0.mul(&a1.add(&a0.mul(&g)).scale(-1.0).inverse());
+                return (r, step);
+            }
+        }
+        panic!(
+            "logarithmic reduction did not converge in 64 doublings \
+             (lambda = {}, job size {:?}, mpl = {})",
+            self.lambda, self.job_size, self.mpl
+        );
+    }
+
+    /// Solve for the steady state and return the summary metrics.
+    pub fn solve(&self) -> FlexSolution {
+        self.solve_with(self.solve_r())
+    }
+
+    /// The summary metrics given `(R, reduction steps)`.
+    fn solve_with(&self, (r, r_iterations): (Mat, u32)) -> FlexSolution {
+        let m = self.mpl as usize;
+        let st = self.stationary(r);
+        let ones = vec![1.0; m + 1];
+
+        // Moments. Tail sums: Σ_{k≥0} π_m R^k = π_m (I−R)⁻¹;
+        // Σ_{k≥0} k·π_m R^k = π_m R (I−R)⁻².
+        let pi_m = &st.levels[m];
+        let dot = |w: Vec<f64>| -> f64 { pi_m.iter().zip(&w).map(|(p, w)| p * w).sum() };
+        let tail_mass = dot(st.inv_imr.mul_vec(&ones));
+        let tail_excess = dot(st.r.mul(&st.inv_imr.mul(&st.inv_imr)).mul_vec(&ones));
+
+        let mut mean_jobs: f64 = st.levels[..m]
+            .iter()
+            .enumerate()
+            .map(|(n, lvl)| n as f64 * lvl.iter().sum::<f64>())
+            .sum();
+        // Levels ≥ m: Σ (m+k) π_{m+k}·1 = m·tail_mass + tail_excess.
+        mean_jobs += m as f64 * tail_mass + tail_excess;
+
+        FlexSolution {
+            mean_jobs,
+            mean_waiting: tail_excess, // Σ (n−m)⁺ π_n·1
+            mean_response_time: mean_jobs / self.lambda,
+            p_empty: st.levels[0][0],
+            p_wait: tail_mass, // P(n ≥ m): arrival waits (PASTA).
+            rho: self.rho(),
+            r_iterations,
+        }
+    }
+
+    /// Mean response time (convenience).
+    pub fn mean_response_time(&self) -> f64 {
+        self.solve().mean_response_time
+    }
+
+    /// Steady-state distribution of the number of jobs in the system,
+    /// `P(N = n)` for `n = 0..len`, computed to at least `1 - epsilon`
+    /// total mass (the geometric tail is rolled out level by level).
+    pub fn queue_length_distribution(&self, epsilon: f64) -> Vec<f64> {
+        assert!(epsilon > 0.0 && epsilon < 1.0);
+        let m = self.mpl as usize;
+        let st = self.stationary(self.solve_r().0);
+        let mut out: Vec<f64> = st.levels.iter().map(|v| v.iter().sum()).collect();
+        // Roll the geometric tail: π_{m+k} = π_m R^k.
+        let mut tail = st.levels[m].clone();
+        let mut covered: f64 = out.iter().sum();
+        while covered < 1.0 - epsilon && out.len() < 100_000 {
+            tail = st.r.vec_mul(&tail);
+            let mass: f64 = tail.iter().sum();
+            out.push(mass);
+            covered += mass;
+            if mass < 1e-18 {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The stationary distribution given `R`: the normalised boundary
+    /// level vectors `π_0 .. π_m` (levels above `m` follow from
+    /// `π_{m+k} = π_m·R^k`) together with `R` and `(I−R)⁻¹`.
+    ///
+    /// The boundary is solved level by level, as in
+    /// [`crate::ctmc::solve_truncated`]: level `m` balances
+    /// `π_{m−1}·Up(m−1) + π_m·(A1 + R·A2) = 0`, so reducing backward with
+    /// `S_{n−1} = −Up(n−1)·(L(n) + S_n·Down(n+1))⁻¹` (with `S_m = R`)
+    /// gives `π_{n+1} = π_n·S_n`. Propagating up from `π_0 = 1` and
+    /// normalising by `Σ_{n<m} π_n·1 + π_m·(I−R)⁻¹·1` finishes the solve
+    /// with one `(n+1)`-square inverse per level.
+    fn stationary(&self, r: Mat) -> Stationary {
+        let m = self.mpl as usize;
+        let (_, a1, a2) = self.repeating_blocks();
+        // Level m's local block is the repeating A1.
+        debug_assert!((0..=m).all(|j| (self.boundary_diag(m)[j] - a1[(j, j)]).abs() < 1e-9));
+
+        // Backward reduction; s[n] maps π_n to π_{n+1}, pushed top-down.
+        let mut s: Vec<Mat> = Vec::with_capacity(m);
+        let mut block = a1.add(&r.mul(&a2));
+        for n in (1..=m).rev() {
+            let s_below = self.boundary_up(n - 1).mul(&block.inverse()).scale(-1.0);
+            if n > 1 {
+                block =
+                    Mat::diag(&self.boundary_diag(n - 1)).add(&s_below.mul(&self.boundary_down(n)));
+            }
+            s.push(s_below);
+        }
+        s.reverse();
+
+        let mut levels: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+        levels.push(vec![1.0]);
+        for s_n in &s {
+            let next = s_n.vec_mul(levels.last().expect("level 0 is seeded"));
+            levels.push(next);
+        }
+        let inv_imr = Mat::identity(m + 1).sub(&r).inverse();
+        let total: f64 = levels[..m].iter().flatten().sum::<f64>()
+            + levels[m]
+                .iter()
+                .zip(inv_imr.mul_vec(&vec![1.0; m + 1]))
+                .map(|(p, w)| p * w)
+                .sum::<f64>();
+        for x in levels.iter_mut().flatten() {
+            *x /= total;
+        }
+        Stationary { levels, r, inv_imr }
+    }
+}
+
+/// What [`FlexServer::stationary`] hands to the summary and distribution
+/// views.
+struct Stationary {
+    /// Normalised `π_0 .. π_m`; level `n` has `min(n, m) + 1` phases.
+    levels: Vec<Vec<f64>>,
+    r: Mat,
+    /// `(I − R)⁻¹`.
+    inv_imr: Mat,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mg1;
+
+    /// The functional iteration `R ← −(A0 + R²·A2)·A1⁻¹` the solver used
+    /// before logarithmic reduction — kept as an independent oracle.
+    fn reference_solve_r(fs: &FlexServer) -> (Mat, u32) {
+        let (a0, a1, a2) = fs.repeating_blocks();
         let sz = a0.rows();
         let inv_diag: Vec<f64> = (0..sz).map(|j| -1.0 / a1[(j, j)]).collect();
         let mut r = Mat::zeros(sz, sz);
@@ -193,259 +391,48 @@ impl FlexServer {
         (r, iters)
     }
 
-    /// Solve for the steady state and return the summary metrics.
-    pub fn solve(&self) -> FlexSolution {
-        let m = self.mpl as usize;
-        let (r, r_iters) = self.solve_r();
-        let sz = m + 1;
-        let (_, a1, a2) = self.repeating_blocks();
+    /// `(C², ρ, MPL)` points for the oracle checks: low and high
+    /// variability, moderate and jump-start-capped load.
+    const ORACLE_CASES: [(f64, f64, u32); 5] = [
+        (2.0, 0.7, 5),
+        (5.0, 0.9, 8),
+        (15.0, 0.7, 10),
+        (15.0, 0.95, 12),
+        (1.29, 0.95, 20),
+    ];
 
-        // Unknowns: x = [π_0, π_1, ..., π_m], total S entries.
-        let offsets: Vec<usize> = (0..=m)
-            .scan(0, |acc, n| {
-                let o = *acc;
-                *acc += n + 1;
-                Some(o)
-            })
-            .collect();
-        let s_total = offsets[m] + (m + 1);
-
-        // Assemble the balance equations x·G = 0 where G[(row=from, col=to)]
-        // holds generator rates between boundary states, with the level-m
-        // column block folded through R (π_{m+1} = π_m R).
-        let mut g = Mat::zeros(s_total, s_total);
-        for n in 0..=m {
-            let off = offsets[n];
-            let diag = self.boundary_diag(n);
-            for j in 0..=n {
-                g[(off + j, off + j)] += diag[j];
-            }
-            if n < m {
-                let up = self.boundary_up(n);
-                let off_up = offsets[n + 1];
-                for j in 0..=n {
-                    for j2 in 0..=(n + 1) {
-                        let v = up[(j, j2)];
-                        if v != 0.0 {
-                            g[(off + j, off_up + j2)] += v;
-                        }
-                    }
-                }
-            }
-            if n >= 1 {
-                let down = self.boundary_down(n);
-                let off_dn = offsets[n - 1];
-                for j in 0..=n {
-                    for j2 in 0..n {
-                        let v = down[(j, j2)];
-                        if v != 0.0 {
-                            g[(off + j, off_dn + j2)] += v;
-                        }
-                    }
-                }
-            }
-        }
-        // Level-m balance also receives π_{m+1}·A2 = π_m·R·A2, and the
-        // diagonal of level m must be the repeating A1 diagonal (it already
-        // is: boundary_diag(m) == diag(A1)).
-        debug_assert!((0..sz).all(|j| { (self.boundary_diag(m)[j] - a1[(j, j)]).abs() < 1e-9 }));
-        let ra2 = r.mul(&a2);
-        let off_m = offsets[m];
-        for j in 0..sz {
-            for j2 in 0..sz {
-                let v = ra2[(j, j2)];
-                if v != 0.0 {
-                    g[(off_m + j, off_m + j2)] += v;
-                }
-            }
-        }
-
-        // Normalization: Σ_{n<m} π_n·1 + π_m·(I−R)⁻¹·1 = 1.
-        let i_minus_r = Mat::identity(sz).sub(&r);
-        let inv_imr = i_minus_r.inverse();
-        let ones = vec![1.0; sz];
-        let tail_weight = inv_imr.mul_vec(&ones); // (I−R)⁻¹·1
-
-        // Solve x·G = 0 with the last balance equation replaced by the
-        // normalization. Columns of G are equations; replace column S−1.
-        let mut a = Mat::zeros(s_total, s_total);
-        for eq in 0..s_total {
-            if eq == s_total - 1 {
-                for st in 0..s_total {
-                    let w = if st >= off_m {
-                        tail_weight[st - off_m]
-                    } else {
-                        1.0
-                    };
-                    a[(eq, st)] = w;
-                }
-            } else {
-                for st in 0..s_total {
-                    a[(eq, st)] = g[(st, eq)];
-                }
-            }
-        }
-        let mut b = vec![0.0; s_total];
-        b[s_total - 1] = 1.0;
-        let x = a.solve(&b);
-
-        // Moments. Tail sums: Σ_{k≥0} π_m R^k = π_m (I−R)⁻¹;
-        // Σ_{k≥0} k·π_m R^k = π_m R (I−R)⁻².
-        let pi_m = &x[off_m..off_m + sz];
-        let inv2 = inv_imr.mul(&inv_imr);
-        let r_inv2 = r.mul(&inv2);
-        let tail_mass: f64 = pi_m
-            .iter()
-            .zip(inv_imr.mul_vec(&ones).iter())
-            .map(|(p, w)| p * w)
-            .sum();
-        let tail_excess: f64 = pi_m
-            .iter()
-            .zip(r_inv2.mul_vec(&ones).iter())
-            .map(|(p, w)| p * w)
-            .sum();
-
-        let mut mean_jobs = 0.0;
-        let mut p_wait = 0.0;
-        for n in 0..m {
-            let lvl: f64 = x[offsets[n]..offsets[n] + n + 1].iter().sum();
-            mean_jobs += n as f64 * lvl;
-        }
-        // Levels ≥ m: Σ (m+k) π_{m+k}·1 = m·tail_mass + tail_excess.
-        mean_jobs += m as f64 * tail_mass + tail_excess;
-        p_wait += tail_mass; // P(n ≥ m): arrival waits (PASTA).
-
-        let mean_waiting = tail_excess; // Σ (n−m)⁺ π_n·1
-        let p_empty = x[0];
-        FlexSolution {
-            mean_jobs,
-            mean_waiting,
-            mean_response_time: mean_jobs / self.lambda,
-            p_empty,
-            p_wait,
-            rho: self.rho(),
-            r_iterations: r_iters,
+    #[test]
+    fn log_reduction_r_solves_the_matrix_quadratic() {
+        for (c2, rho, mpl) in ORACLE_CASES.into_iter().chain([(15.0, 0.95, 65)]) {
+            let fs = FlexServer::new(rho / 0.1, H2::fit(0.1, c2), mpl);
+            let (a0, a1, a2) = fs.repeating_blocks();
+            let (r, steps) = fs.solve_r();
+            let residual = a0.add(&r.mul(&a1)).add(&r.mul(&r).mul(&a2)).max_abs();
+            assert!(
+                residual <= 1e-12,
+                "C2={c2} rho={rho} mpl={mpl}: residual {residual:e}"
+            );
+            assert!(steps <= 30, "C2={c2} rho={rho} mpl={mpl}: {steps} steps");
         }
     }
 
-    /// Mean response time (convenience).
-    pub fn mean_response_time(&self) -> f64 {
-        self.solve().mean_response_time
+    #[test]
+    fn response_time_matches_functional_iteration() {
+        for (c2, rho, mpl) in ORACLE_CASES {
+            let fs = FlexServer::new(rho / 0.1, H2::fit(0.1, c2), mpl);
+            let got = fs.solve();
+            let want = fs.solve_with(reference_solve_r(&fs));
+            let rel =
+                (got.mean_response_time - want.mean_response_time).abs() / want.mean_response_time;
+            assert!(rel <= 1e-9, "C2={c2} rho={rho} mpl={mpl}: rel err {rel:e}");
+            assert!(
+                got.r_iterations < want.r_iterations / 10,
+                "{} reduction steps vs {} functional iterations",
+                got.r_iterations,
+                want.r_iterations
+            );
+        }
     }
-
-    /// Steady-state distribution of the number of jobs in the system,
-    /// `P(N = n)` for `n = 0..len`, computed to at least `1 - epsilon`
-    /// total mass (the geometric tail is rolled out level by level).
-    pub fn queue_length_distribution(&self, epsilon: f64) -> Vec<f64> {
-        assert!(epsilon > 0.0 && epsilon < 1.0);
-        let m = self.mpl as usize;
-        let (r, _) = self.solve_r();
-        // Re-run the boundary solve to get the level vectors.
-        let sol_levels = self.boundary_levels(&r);
-        let mut out: Vec<f64> = sol_levels.iter().map(|v| v.iter().sum()).collect();
-        // Roll the geometric tail: π_{m+k} = π_m R^k.
-        let mut tail = sol_levels[m].clone();
-        let mut covered: f64 = out.iter().sum();
-        while covered < 1.0 - epsilon && out.len() < 100_000 {
-            tail = r.vec_mul(&tail);
-            let mass: f64 = tail.iter().sum();
-            out.push(mass);
-            covered += mass;
-            if mass < 1e-18 {
-                break;
-            }
-        }
-        out
-    }
-
-    /// The boundary level vectors `π_0 .. π_m` (helper shared with the
-    /// full solve; kept private to the crate).
-    fn boundary_levels(&self, r: &Mat) -> Vec<Vec<f64>> {
-        let m = self.mpl as usize;
-        let sz = m + 1;
-        let (_, _, a2) = self.repeating_blocks();
-        let offsets: Vec<usize> = (0..=m)
-            .scan(0, |acc, n| {
-                let o = *acc;
-                *acc += n + 1;
-                Some(o)
-            })
-            .collect();
-        let s_total = offsets[m] + (m + 1);
-        let mut g = Mat::zeros(s_total, s_total);
-        for n in 0..=m {
-            let off = offsets[n];
-            let diag = self.boundary_diag(n);
-            for j in 0..=n {
-                g[(off + j, off + j)] += diag[j];
-            }
-            if n < m {
-                let up = self.boundary_up(n);
-                let off_up = offsets[n + 1];
-                for j in 0..=n {
-                    for j2 in 0..=(n + 1) {
-                        let v = up[(j, j2)];
-                        if v != 0.0 {
-                            g[(off + j, off_up + j2)] += v;
-                        }
-                    }
-                }
-            }
-            if n >= 1 {
-                let down = self.boundary_down(n);
-                let off_dn = offsets[n - 1];
-                for j in 0..=n {
-                    for j2 in 0..n {
-                        let v = down[(j, j2)];
-                        if v != 0.0 {
-                            g[(off + j, off_dn + j2)] += v;
-                        }
-                    }
-                }
-            }
-        }
-        let ra2 = r.mul(&a2);
-        let off_m = offsets[m];
-        for j in 0..sz {
-            for j2 in 0..sz {
-                let v = ra2[(j, j2)];
-                if v != 0.0 {
-                    g[(off_m + j, off_m + j2)] += v;
-                }
-            }
-        }
-        let i_minus_r = Mat::identity(sz).sub(r);
-        let tail_weight = i_minus_r.inverse().mul_vec(&vec![1.0; sz]);
-        let mut a = Mat::zeros(s_total, s_total);
-        for eq in 0..s_total {
-            if eq == s_total - 1 {
-                for st in 0..s_total {
-                    let w = if st >= off_m {
-                        tail_weight[st - off_m]
-                    } else {
-                        1.0
-                    };
-                    a[(eq, st)] = w;
-                }
-            } else {
-                for st in 0..s_total {
-                    a[(eq, st)] = g[(st, eq)];
-                }
-            }
-        }
-        let mut b = vec![0.0; s_total];
-        b[s_total - 1] = 1.0;
-        let x = a.solve(&b);
-        (0..=m)
-            .map(|n| x[offsets[n]..offsets[n] + n + 1].to_vec())
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mg1;
 
     #[test]
     fn mm1_for_any_mpl_when_c2_is_one() {

@@ -1,8 +1,11 @@
 //! Small dense matrices.
 //!
-//! The QBD blocks are at most `(MPL+1) × (MPL+1)` (a few dozen rows), so a
-//! simple row-major dense matrix with partial-pivot LU is all we need — no
-//! external linear-algebra dependency.
+//! The QBD blocks are at most `(MPL+1) × (MPL+1)` (about a hundred rows at
+//! the MPLs the jump-start visits), so a simple row-major dense matrix with
+//! partial-pivot LU is all we need — no external linear-algebra dependency.
+//! [`Mat::inverse`] factors once and back-substitutes every column against
+//! the same factors, so an inverse costs one O(n³) factorisation rather
+//! than `n` of them.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
@@ -155,12 +158,37 @@ impl Mat {
     /// Solve `self · x = b` by LU with partial pivoting. Panics if the
     /// matrix is numerically singular.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows);
+        let mut x = b.to_vec();
+        self.lu().solve_in_place(&mut x);
+        x
+    }
+
+    /// Matrix inverse: one LU factorisation reused for all `n` columns,
+    /// O(n³) in total. Panics if singular.
+    pub fn inverse(&self) -> Mat {
+        let lu = self.lu();
+        let n = self.rows;
+        let mut out = Mat::zeros(n, n);
+        let mut col = vec![0.0; n];
+        for j in 0..n {
+            col.iter_mut().for_each(|x| *x = 0.0);
+            col[j] = 1.0;
+            lu.solve_in_place(&mut col);
+            for (i, &x) in col.iter().enumerate() {
+                out[(i, j)] = x;
+            }
+        }
+        out
+    }
+
+    /// Partial-pivot LU factorisation `P·self = L·U` (unit-diagonal `L`
+    /// below the diagonal, `U` on and above it, packed in one buffer).
+    fn lu(&self) -> Lu {
+        assert_eq!(self.rows, self.cols, "LU requires a square matrix");
         let n = self.rows;
         let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        // Forward elimination with partial pivoting.
+        let mut perm: Vec<usize> = (0..n).collect();
         for col in 0..n {
             let mut piv = col;
             let mut best = a[col * n + col].abs();
@@ -176,47 +204,21 @@ impl Mat {
                 for j in 0..n {
                     a.swap(col * n + j, piv * n + j);
                 }
-                x.swap(col, piv);
+                perm.swap(col, piv);
             }
             let d = a[col * n + col];
             for r in (col + 1)..n {
                 let f = a[r * n + col] / d;
+                a[r * n + col] = f;
                 if f == 0.0 {
                     continue;
                 }
-                a[r * n + col] = 0.0;
                 for j in (col + 1)..n {
                     a[r * n + j] -= f * a[col * n + j];
                 }
-                x[r] -= f * x[col];
             }
         }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut s = x[col];
-            for j in (col + 1)..n {
-                s -= a[col * n + j] * x[j];
-            }
-            x[col] = s / a[col * n + col];
-        }
-        x
-    }
-
-    /// Matrix inverse via `n` solves. Panics if singular.
-    pub fn inverse(&self) -> Mat {
-        assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut out = Mat::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e);
-            e[j] = 0.0;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        out
+        Lu { n, a, perm }
     }
 
     /// Transpose.
@@ -239,6 +241,39 @@ impl IndexMut<(usize, usize)> for Mat {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]
+    }
+}
+
+/// A packed LU factorisation with its row permutation (see [`Mat::lu`]).
+struct Lu {
+    n: usize,
+    a: Vec<f64>,
+    perm: Vec<usize>,
+}
+
+impl Lu {
+    /// Overwrite `x` (holding `b`) with the solution of `A·x = b`.
+    fn solve_in_place(&self, x: &mut [f64]) {
+        let n = self.n;
+        let a = &self.a;
+        let b: Vec<f64> = self.perm.iter().map(|&p| x[p]).collect();
+        x.copy_from_slice(&b);
+        // Forward substitution with the unit-diagonal L.
+        for r in 1..n {
+            let mut s = x[r];
+            for j in 0..r {
+                s -= a[r * n + j] * x[j];
+            }
+            x[r] = s;
+        }
+        // Back substitution with U.
+        for col in (0..n).rev() {
+            let mut s = x[col];
+            for j in (col + 1)..n {
+                s -= a[col * n + j] * x[j];
+            }
+            x[col] = s / a[col * n + col];
+        }
     }
 }
 

@@ -94,16 +94,34 @@ pub fn min_mpl_for_response_time(job_size: H2, lambda: f64, slack: f64, max_mpl:
     assert!(slack >= 0.0);
     let ps = mg1::mg1_ps_response_time(lambda, job_size.mean());
     let target = ps * (1.0 + slack);
-    // E[T](mpl) is monotone nonincreasing in MPL for H2 job sizes, so a
-    // linear scan with early exit is both simple and robust; each solve is
-    // cheap at the small MPLs that matter.
-    for mpl in 1..=max_mpl {
-        let t = FlexServer::new(lambda, job_size, mpl).mean_response_time();
-        if t <= target {
-            return mpl;
+    if max_mpl == 0 {
+        return 0;
+    }
+    let meets = |mpl: u32| FlexServer::new(lambda, job_size, mpl).mean_response_time() <= target;
+    // E[T](mpl) is monotone nonincreasing in MPL for H2 job sizes, so
+    // gallop up from MPL 1 (1, 2, 4, …, capped at `max_mpl`) to bracket
+    // the first MPL that meets the target, then bisect the bracket. A
+    // solve costs O(MPL³) or more, so probing from the low end keeps
+    // setups that need a small MPL down to a few cheap solves.
+    // `miss` never meets the target (0 = nothing probed yet); `hit` does.
+    let mut miss = 0;
+    let mut hit = 1;
+    while !meets(hit) {
+        if hit == max_mpl {
+            return max_mpl;
+        }
+        miss = hit;
+        hit = hit.saturating_mul(2).min(max_mpl);
+    }
+    while hit - miss > 1 {
+        let mid = miss + (hit - miss) / 2;
+        if meets(mid) {
+            hit = mid;
+        } else {
+            miss = mid;
         }
     }
-    max_mpl
+    hit
 }
 
 /// Combined jump-start: the MPL must satisfy both the throughput and the
@@ -124,6 +142,42 @@ pub fn jumpstart_mpl(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear scan the galloping search replaced, verbatim: the
+    /// oracle for [`min_mpl_for_response_time`].
+    fn reference_min_mpl(job_size: H2, lambda: f64, slack: f64, max_mpl: u32) -> u32 {
+        assert!(slack >= 0.0);
+        let ps = mg1::mg1_ps_response_time(lambda, job_size.mean());
+        let target = ps * (1.0 + slack);
+        // E[T](mpl) is monotone nonincreasing in MPL for H2 job sizes, so a
+        // linear scan with early exit is both simple and robust.
+        for mpl in 1..=max_mpl {
+            let t = FlexServer::new(lambda, job_size, mpl).mean_response_time();
+            if t <= target {
+                return mpl;
+            }
+        }
+        max_mpl
+    }
+
+    #[test]
+    fn galloping_search_matches_linear_scan() {
+        for c2 in [1.0, 1.29, 2.0, 5.0, 15.0] {
+            let h2 = H2::fit(0.1, c2);
+            for rho in [0.3, 0.7, 0.9, 0.95] {
+                let lambda = rho / 0.1;
+                for slack in [0.0, 0.05, 0.2] {
+                    for max_mpl in [0, 1, 7, 40] {
+                        assert_eq!(
+                            min_mpl_for_response_time(h2, lambda, slack, max_mpl),
+                            reference_min_mpl(h2, lambda, slack, max_mpl),
+                            "C2={c2} rho={rho} slack={slack} max_mpl={max_mpl}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_resource_needs_mpl_one() {
