@@ -42,8 +42,8 @@ use xsched_bench::cli::{parse_args, USAGE};
 use xsched_bench::*;
 use xsched_core::shard::decode_payloads;
 use xsched_core::{
-    CheckpointJournal, CoordServer, FaultInjector, FaultPolicy, FaultyTransport, JournalReplay,
-    SweepObs, TcpTransport, Transport, WireFaultInjector, WorkerConfig,
+    CheckpointJournal, CoordServer, FaultPolicy, JournalReplay, SweepObs, TcpTransport,
+    WorkerConfig,
 };
 
 const EXPERIMENTS: &[&str] = &[
@@ -120,16 +120,8 @@ fn main() {
             linger_secs: 1.0,
         }
     } else if let Some(addr) = &args.worker {
-        let tcp = TcpTransport::new(addr, Duration::from_secs(5));
-        let transport: Arc<dyn Transport> = match args.wire_faults {
-            Some(seed) => {
-                eprintln!("[wire-fault injection on, seed {seed}]");
-                Arc::new(FaultyTransport::new(tcp, WireFaultInjector::chaos(seed)))
-            }
-            None => Arc::new(tcp),
-        };
         SweepMode::Worker {
-            transport,
+            transport: Arc::new(TcpTransport::new(addr, Duration::from_secs(5))),
             epoch: Arc::new(AtomicU64::new(0)),
             config: Arc::new(WorkerConfig::new(&format!("w{}", std::process::id()))),
             degraded: Arc::clone(&degraded),
@@ -164,18 +156,11 @@ fn main() {
         .is_some()
         .then(|| Arc::new(Mutex::new(Vec::new())));
     let obs = args.metrics_out.as_ref().map(|_| Arc::new(SweepObs::new()));
-    // Fault tolerance: every attempt runs panic-isolated; these flags add
-    // keep-going degradation, retries, a watchdog and fault injection.
+    // Every task runs once, panic-isolated; these flags add keep-going
+    // degradation and a watchdog.
     let faults = FaultPolicy {
         keep_going: args.keep_going,
-        retries: args.retry,
-        backoff_base_secs: 0.01,
         task_timeout_secs: args.task_timeout,
-        injector: (args.inject_panics > 0.0 || args.inject_stalls > 0.0).then_some(FaultInjector {
-            p_panic: args.inject_panics,
-            p_stall: args.inject_stalls,
-            stall_secs: 0.2,
-        }),
     };
     // `--resume` replays the journal then appends new completions to it;
     // `--checkpoint` alone starts a fresh journal (truncating any old one).

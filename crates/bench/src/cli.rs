@@ -3,9 +3,9 @@
 //! A small hand-rolled parser (the build environment has no crates.io
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
-//! `--shard`, `--merge`, `--metrics`, `--progress`, `--subruns`, the
-//! fault-tolerance and checkpoint flags, `--serve`, `--worker`,
-//! `--lease`, `--wire-faults`, `--list`, `--help`, and positional
+//! `--shard`, `--merge`, `--metrics`, `--progress`, `--subruns`,
+//! `--keep-going`, `--task-timeout`, `--checkpoint`, `--resume`,
+//! `--serve`, `--worker`, `--lease`, `--list`, `--help`, and positional
 //! experiment names. Parsing is pure
 //! and errors are **typed** ([`ArgError`]) so the binary can render a
 //! clean one-liner and the unit tests can assert on the exact failure,
@@ -91,21 +91,14 @@ pub struct FiguresArgs {
     /// Degrade failed sweep tasks to marked `FAILED` cells and keep
     /// sweeping instead of aborting on the first failure.
     pub keep_going: bool,
-    /// Retries per task after a failed attempt (deterministic backoff
-    /// between attempts).
-    pub retry: u32,
-    /// Per-task watchdog deadline in seconds; an attempt running past it
-    /// is abandoned and scored a timeout.
+    /// Per-task watchdog deadline in seconds; a task running past it is
+    /// abandoned and scored a timeout.
     pub task_timeout: Option<f64>,
     /// Checkpoint journal path: every completed task outcome is appended
     /// (fsync'd) so a killed run can `--resume`.
     pub checkpoint: Option<String>,
     /// Resume from the `--checkpoint` journal, skipping journaled tasks.
     pub resume: bool,
-    /// Fault injection: probability an attempt panics at task start.
-    pub inject_panics: f64,
-    /// Fault injection: probability an attempt stalls at task start.
-    pub inject_stalls: f64,
     /// Shard payload files to merge instead of simulating.
     pub merge: Vec<String>,
     /// Serve every sweep as a task-queue coordinator on this TCP address
@@ -120,10 +113,6 @@ pub struct FiguresArgs {
     /// a worker that neither records nor heartbeats within the window
     /// loses the task to reassignment.
     pub lease: Option<f64>,
-    /// Worker-side deterministic wire-fault injection seed: drop /
-    /// duplicate / delay / truncate a few percent of frames, pure in
-    /// (seed, frame index).
-    pub wire_faults: Option<u64>,
     /// Print the experiment list and exit.
     pub list: bool,
     /// Print usage and exit.
@@ -176,15 +165,10 @@ OPTIONS:
                              through shard payloads and merges;
                              without it the first failed task aborts the
                              run
-        --retry N            retry each failed task up to N times with
-                             deterministic exponential backoff; a retried
-                             success is bit-identical to a first-try
-                             success (the scenario seed never changes)
-                             [default: 0]
-        --task-timeout SECS  per-task watchdog deadline: an attempt still
+        --task-timeout SECS  per-task watchdog deadline: a task still
                              running after SECS wall-clock seconds is
-                             abandoned and scored a timeout (then retried
-                             or failed per --retry/--keep-going)
+                             abandoned and scored a timeout (a FAILED
+                             cell under --keep-going, else an abort)
         --checkpoint FILE    append every completed task outcome to FILE
                              (fsync'd per task, kill-safe) so an
                              interrupted run can --resume; without
@@ -193,15 +177,7 @@ OPTIONS:
                              (requires it); the finished tables are
                              byte-identical to an uninterrupted run.
                              Journaled failures replay as failures —
-                             delete the journal to retry them
-        --inject-panics P    fault injection: panic each task attempt
-                             with probability P, deterministically
-                             derived from (seed, task, attempt) — for
-                             exercising the paths above [default: 0]
-        --inject-stalls P    fault injection: stall each task attempt
-                             (0.2s) with probability P; with a shorter
-                             --task-timeout, a deterministic timeout
-                             [default: 0]
+                             delete the journal to re-run them
         --merge FILES        comma-separated shard payload files; merge
                              them (running no sweep tasks) and print the
                              tables, byte-identical to an unsharded run
@@ -228,10 +204,6 @@ OPTIONS:
         --lease SECS         coordinator lease duration [default: 10]:
                              a worker silent for SECS loses its task to
                              reassignment (requires --serve)
-        --wire-faults SEED   deterministically drop/duplicate/delay/
-                             truncate a few percent of this worker's
-                             frames (requires --worker) — the sweep must
-                             still converge byte-identical
     -l, --list               list experiment names and exit
     -h, --help               print this help and exit
 
@@ -337,14 +309,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                 subruns = Some(n);
             }
             "--keep-going" => out.keep_going = true,
-            "--retry" => {
-                let v = value_for(arg)?;
-                out.retry = v.parse().map_err(|_| ArgError::InvalidValue {
-                    flag: arg.to_string(),
-                    value: v,
-                    want: "a retry count ≥ 0",
-                })?;
-            }
             "--task-timeout" => {
                 let v = value_for(arg)?;
                 let secs: f64 = v.parse().unwrap_or(f64::NAN);
@@ -359,22 +323,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             }
             "--checkpoint" => out.checkpoint = Some(value_for(arg)?),
             "--resume" => out.resume = true,
-            "--inject-panics" | "--inject-stalls" => {
-                let v = value_for(arg)?;
-                let p: f64 = v.parse().unwrap_or(f64::NAN);
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(ArgError::InvalidValue {
-                        flag: arg.to_string(),
-                        value: v,
-                        want: "a probability in [0, 1]",
-                    });
-                }
-                if arg == "--inject-panics" {
-                    out.inject_panics = p;
-                } else {
-                    out.inject_stalls = p;
-                }
-            }
             "--merge" => out
                 .merge
                 .extend(value_for(arg)?.split(',').map(|p| p.trim().to_string())),
@@ -391,14 +339,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                     });
                 }
                 out.lease = Some(secs);
-            }
-            "--wire-faults" => {
-                let v = value_for(arg)?;
-                out.wire_faults = Some(v.parse().map_err(|_| ArgError::InvalidValue {
-                    flag: arg.to_string(),
-                    value: v,
-                    want: "a fault-stream seed (u64)",
-                })?);
             }
             other if other.starts_with('-') => {
                 return Err(ArgError::UnknownOption(other.to_string()));
@@ -438,11 +378,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
     if out.lease.is_some() && out.serve.is_none() {
         return Err(ArgError::Conflict(
             "--lease requires --serve (the coordinator owns the leases)",
-        ));
-    }
-    if out.wire_faults.is_some() && out.worker.is_none() {
-        return Err(ArgError::Conflict(
-            "--wire-faults requires --worker (faults are injected client-side)",
         ));
     }
     if out.worker.is_some() && out.checkpoint.is_some() {
@@ -556,8 +491,9 @@ mod tests {
         }
     }
 
-    /// Shard balancing, cost calibration, timing dumps and explicit
-    /// defaults are not options: each is a typed unknown-option error.
+    /// Shard balancing, cost calibration, timing dumps, explicit
+    /// defaults, task retries and fault injection are not options: each
+    /// is a typed unknown-option error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -566,6 +502,10 @@ mod tests {
             vec!["--timings", "x"],
             vec!["--no-subruns"],
             vec!["--fail-fast"],
+            vec!["--retry", "2"],
+            vec!["--inject-panics", "0.3"],
+            vec!["--inject-stalls", "0.1"],
+            vec!["--wire-faults", "1234"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -622,37 +562,18 @@ mod tests {
 
     #[test]
     fn fault_tolerance_flags_parse() {
-        let a = parse_args(&[
-            "--keep-going",
-            "--retry",
-            "2",
-            "--task-timeout",
-            "1.5",
-            "--inject-panics",
-            "0.3",
-            "--inject-stalls",
-            "0.1",
-            "fig2",
-        ])
-        .unwrap();
+        let a = parse_args(&["--keep-going", "--task-timeout", "1.5", "fig2"]).unwrap();
         assert!(a.keep_going);
-        assert_eq!(a.retry, 2);
         assert_eq!(a.task_timeout, Some(1.5));
-        assert_eq!(a.inject_panics, 0.3);
-        assert_eq!(a.inject_stalls, 0.1);
-        // Defaults: everything off, exactly today's behavior.
+        // Defaults: everything off.
         let d = parse_args::<&str>(&[]).unwrap();
         assert!(!d.keep_going && !d.resume);
-        assert_eq!((d.retry, d.task_timeout, d.checkpoint), (0, None, None));
-        assert_eq!((d.inject_panics, d.inject_stalls), (0.0, 0.0));
+        assert_eq!((d.task_timeout, d.checkpoint), (None, None));
         // Bad values are typed.
         for bad in [
-            vec!["--retry", "x"],
             vec!["--task-timeout", "0"],
             vec!["--task-timeout", "-1"],
             vec!["--task-timeout", "nope"],
-            vec!["--inject-panics", "1.5"],
-            vec!["--inject-stalls", "-0.1"],
         ] {
             assert!(
                 matches!(parse_args(&bad).unwrap_err(), ArgError::InvalidValue { .. }),
@@ -686,21 +607,16 @@ mod tests {
         let a = parse_args(&["--serve", "0.0.0.0:7070", "--lease", "2.5", "fig3"]).unwrap();
         assert_eq!(a.serve.as_deref(), Some("0.0.0.0:7070"));
         assert_eq!(a.lease, Some(2.5));
-        let b = parse_args(&["--worker", "host:7070", "--wire-faults", "99"]).unwrap();
+        let b = parse_args(&["--worker", "host:7070"]).unwrap();
         assert_eq!(b.worker.as_deref(), Some("host:7070"));
-        assert_eq!(b.wire_faults, Some(99));
         // Defaults: neither role, lease unset (the binary applies 10 s).
         let d = parse_args::<&str>(&[]).unwrap();
-        assert_eq!(
-            (d.serve, d.worker, d.lease, d.wire_faults),
-            (None, None, None, None)
-        );
+        assert_eq!((d.serve, d.worker, d.lease), (None, None, None));
         // Bad values are typed.
         for bad in [
             vec!["--lease", "0"],
             vec!["--lease", "-1"],
             vec!["--lease", "x"],
-            vec!["--wire-faults", "nope"],
         ] {
             assert!(
                 matches!(parse_args(&bad).unwrap_err(), ArgError::InvalidValue { .. }),
@@ -730,14 +646,6 @@ mod tests {
             (
                 vec!["--worker", "a:1", "--lease", "5"],
                 "--lease requires --serve",
-            ),
-            (
-                vec!["--wire-faults", "7"],
-                "--wire-faults requires --worker",
-            ),
-            (
-                vec!["--serve", "a:1", "--wire-faults", "7"],
-                "--wire-faults requires --worker",
             ),
             (
                 vec!["--worker", "a:1", "--checkpoint", "j.log"],

@@ -127,7 +127,7 @@ pub enum SweepMode {
     /// case the sweep degrades to a full local run and `degraded` is
     /// raised so the caller knows the results are real.
     Worker {
-        /// Round-trip channel to the coordinator (possibly fault-injected).
+        /// Round-trip channel to the coordinator.
         transport: Arc<dyn Transport>,
         /// Sweep epoch counter mirroring the coordinator's.
         epoch: Arc<AtomicU64>,
@@ -197,9 +197,9 @@ pub struct SweepOpts {
     /// default, whose output bytes the goldens pin). Participates in the
     /// plan fingerprint, so shards and merges must agree on it.
     pub subruns: u32,
-    /// Fault tolerance for every executed sweep: panic isolation, retry,
-    /// watchdog, keep-going degradation, fault injection. The default
-    /// policy makes one attempt per task and fails fast.
+    /// Failure handling for every executed sweep: panic isolation, an
+    /// optional watchdog, keep-going degradation. The default policy
+    /// fails fast.
     pub faults: FaultPolicy,
     /// Checkpoint journal every executed sweep appends completed task
     /// outcomes to (kill-safe; see `figures --checkpoint`).
@@ -1249,5 +1249,42 @@ mod tests {
         };
         let (r, _) = throughput_curves(&[("s1", 1)], &[5], &rc, &opts);
         assert!(r.contains('±'), "replicated table must carry CIs:\n{r}");
+    }
+
+    /// The quick Fig. 2 sweep with every cell failing for real (a
+    /// high-priority fraction of 2.0 trips the workload generator's
+    /// assert): keep-going renders `FAILED` in every cell and counts one
+    /// failure per task; the default fail-fast policy aborts with the
+    /// typed message of the first task.
+    #[test]
+    fn fig2_failed_cells_render_failed_or_abort_by_policy() {
+        let rc = RunConfig {
+            high_fraction: 2.0,
+            ..quick_rc()
+        };
+        let obs = Arc::new(SweepObs::new());
+        let keep_going = SweepOpts {
+            obs: Some(Arc::clone(&obs)),
+            faults: FaultPolicy {
+                keep_going: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let report = fig2_report(&rc, &keep_going);
+        let rows: Vec<&str> = report.lines().skip(3).collect();
+        assert_eq!(rows.len(), FIG2_LABELS.len(), "{report}");
+        for row in rows {
+            assert_eq!(row.matches("FAILED").count(), MPL_GRID.len(), "{report}");
+        }
+        let tasks = (FIG2_LABELS.len() * MPL_GRID.len()) as u64;
+        assert_eq!(obs.registry().counter("sweep.task_failures"), tasks);
+
+        let result = std::panic::catch_unwind(|| fig2_report(&rc, &SweepOpts::default()));
+        let msg = *result
+            .expect_err("fail-fast aborts")
+            .downcast::<String>()
+            .unwrap();
+        assert!(msg.starts_with("sweep task 0 failed: panicked:"), "{msg}");
     }
 }

@@ -115,10 +115,7 @@ pub fn pivot_table(stub: &str, results: &[ScenarioResult], cols: &[Col]) -> Stri
 mod tests {
     use super::*;
     use crate::fmt::f1;
-    use xsched_core::{
-        FaultInjector, FaultPolicy, RunConfig, Scenario, SweepExecutor, SweepPlan, TaskError,
-        TaskFailure,
-    };
+    use xsched_core::{FaultPolicy, RunConfig, Scenario, SweepExecutor, SweepPlan, TaskError};
     use xsched_workload::setup;
 
     fn tiny_results(seeds: usize) -> Vec<ScenarioResult> {
@@ -175,40 +172,42 @@ mod tests {
     fn fully_failed_cells_render_failed() {
         let policy = FaultPolicy {
             keep_going: true,
-            injector: Some(FaultInjector {
-                p_panic: 1.0,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
             ..Default::default()
         };
+        // A high-priority fraction of 2.0 fails every replication of the
+        // MPL 1 cell; the MPL 5 cell beside it is fine.
         let rc = RunConfig {
             warmup_txns: 30,
             measured_txns: 150,
             ..Default::default()
         };
-        let scenarios = vec![Scenario::tput("curve", setup(1), 1, rc)];
+        let mut broken = Scenario::tput("curve", setup(1), 1, rc.clone());
+        broken.rc.high_fraction = 2.0;
+        let scenarios = vec![broken, Scenario::tput("curve", setup(1), 5, rc)];
         let results = SweepExecutor::serial()
             .with_faults(policy)
             .run(&SweepPlan::new(scenarios).replicated(2, 42));
         let t = pivot_table(
             "curve",
             &results,
-            &[Col::new("MPL 1", "throughput", "MPL 1", f1)],
+            &[
+                Col::new("MPL 1", "throughput", "MPL 1", f1),
+                Col::new("MPL 5", "throughput", "MPL 5", f1),
+            ],
         );
+        let row = t.lines().nth(2).unwrap();
         assert!(
-            t.contains("FAILED"),
+            row.contains("FAILED"),
             "an all-failures cell must render FAILED, not average nothing:\n{t}"
         );
+        assert_eq!(row.matches("FAILED").count(), 1, "only MPL 1 failed:\n{t}");
+        assert!(!row.contains('!'), "MPL 5 has no failed replication:\n{t}");
     }
 
     #[test]
     fn partially_failed_cells_are_marked() {
         let mut results = tiny_results(2);
-        results[0].failures.push(TaskFailure {
-            error: TaskError::Timeout(1.0),
-            attempts: 2,
-        });
+        results[0].failures.push(TaskError::Timeout(1.0));
         let t = pivot_table(
             "curve",
             &results,

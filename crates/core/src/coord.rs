@@ -41,10 +41,9 @@
 //! coordinator stays a transport-free state machine
 //! ([`Coordinator::handle`]) with an injectable clock — every lease
 //! expiry and reassignment path is unit-testable without sockets or
-//! sleeps. [`WireFaultInjector`] completes the story: a deterministic
-//! drop/duplicate/delay/truncate layer over any [`Transport`], pure in
-//! `(seed, frame counter)`, under which a coordinated sweep must still
-//! converge byte-identical (pinned by tests and CI).
+//! sleeps. The unit tests also wrap transports in a deterministic
+//! drop/duplicate/delay/truncate layer, under which a coordinated sweep
+//! must still converge byte-identical.
 
 use crate::fault::{relock, TaskOutcome};
 use crate::journal::{CheckpointJournal, JournalReplay};
@@ -56,11 +55,10 @@ use crate::sweep::{SweepExecutor, SweepPlan};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xsched_obs::TraceEvent;
-use xsched_sim::SimRng;
 
 // ---------------------------------------------------------------------------
 // Wire frames.
@@ -828,136 +826,6 @@ impl Transport for TcpTransport {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic wire-fault injection.
-
-/// What the wire-fault injector decided for one frame.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireFault {
-    /// The frame is dropped: the call fails as a transport error and the
-    /// worker's reconnect path takes over.
-    Drop,
-    /// The frame is sent twice (the duplicate's response is discarded) —
-    /// exercising request idempotence.
-    Duplicate,
-    /// The frame is delayed this many wall-clock seconds before sending —
-    /// exercising lease expiry under slow links.
-    Delay(f64),
-    /// Only a prefix of the frame reaches the coordinator, which must
-    /// answer with a typed `error`, never a panic.
-    Truncate,
-}
-
-/// Deterministic per-frame wire-fault decisions, pure in
-/// `(seed, frame counter)` via the same derived-stream scheme the
-/// harness fault injector uses — so a faulty-wire run reproduces its
-/// exact fault sequence on every host.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireFaultInjector {
-    /// Stream seed.
-    pub seed: u64,
-    /// Probability a frame is dropped.
-    pub p_drop: f64,
-    /// Probability a frame is duplicated (checked after the drop draw).
-    pub p_dup: f64,
-    /// Probability a frame is delayed (checked after the previous draws).
-    pub p_delay: f64,
-    /// Probability a frame is truncated (checked last).
-    pub p_truncate: f64,
-    /// Delay length in wall-clock seconds.
-    pub delay_secs: f64,
-}
-
-impl WireFaultInjector {
-    /// A mildly hostile wire: a few percent of every fault kind.
-    pub fn chaos(seed: u64) -> WireFaultInjector {
-        WireFaultInjector {
-            seed,
-            p_drop: 0.05,
-            p_dup: 0.05,
-            p_delay: 0.05,
-            p_truncate: 0.05,
-            delay_secs: 0.02,
-        }
-    }
-
-    /// The decision for frame number `n`. Pure and deterministic.
-    pub fn decide(&self, n: u64) -> Option<WireFault> {
-        let mut rng = SimRng::derive(self.seed, &format!("wire/{n}"));
-        let u = rng.uniform();
-        if u < self.p_drop {
-            Some(WireFault::Drop)
-        } else if u < self.p_drop + self.p_dup {
-            Some(WireFault::Duplicate)
-        } else if u < self.p_drop + self.p_dup + self.p_delay {
-            Some(WireFault::Delay(self.delay_secs))
-        } else if u < self.p_drop + self.p_dup + self.p_delay + self.p_truncate {
-            Some(WireFault::Truncate)
-        } else {
-            None
-        }
-    }
-}
-
-/// A [`Transport`] wrapper acting out [`WireFaultInjector`] decisions on
-/// the client side of the wire. Safe by construction: drops surface as
-/// transport errors (retried with backoff), duplicates are idempotent
-/// (keep-first records, re-extendable heartbeats), delays at worst
-/// expire a lease (reassignment), truncations draw a typed `error`
-/// response — so a sweep under an arbitrarily faulty wire still merges
-/// byte-identical, it just takes longer.
-pub struct FaultyTransport<T> {
-    inner: T,
-    injector: WireFaultInjector,
-    counter: AtomicU64,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wrap `inner`, acting out `injector`'s decision stream.
-    pub fn new(inner: T, injector: WireFaultInjector) -> FaultyTransport<T> {
-        FaultyTransport {
-            inner,
-            injector,
-            counter: AtomicU64::new(0),
-        }
-    }
-
-    /// Frames seen so far (fault decisions consumed).
-    pub fn frames(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn call_raw(&self, line: &str) -> Result<String, String> {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        match self.injector.decide(n) {
-            None => self.inner.call_raw(line),
-            Some(WireFault::Drop) => Err(format!("injected: dropped frame {n}")),
-            Some(WireFault::Duplicate) => {
-                let first = self.inner.call_raw(line);
-                match self.inner.call_raw(line) {
-                    // If the duplicate send fails, fall back to the
-                    // first response — one of the two got through.
-                    Ok(resp) => Ok(resp),
-                    Err(_) => first,
-                }
-            }
-            Some(WireFault::Delay(secs)) => {
-                std::thread::sleep(Duration::from_secs_f64(secs));
-                self.inner.call_raw(line)
-            }
-            Some(WireFault::Truncate) => {
-                let mut cut = line.len() / 2;
-                while cut > 0 && !line.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                self.inner.call_raw(&line[..cut])
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // TCP server front end.
 
 /// The coordinator's TCP front end: a bound listener serving one request
@@ -1140,8 +1008,7 @@ pub fn run_worker(
                 Ok(Response::Error { msg }) if msg.contains("plan mismatch") => {
                     return Err(WorkerError::Protocol(msg));
                 }
-                // `bad request` means the frame was mangled in transit
-                // (the wire-fault injector truncates lines by design):
+                // `bad request` means the frame was mangled in transit:
                 // the coordinator never saw a parseable hello, so
                 // resending is safe — treat it like a transport failure.
                 Ok(Response::Error { msg }) if msg.starts_with("bad request") => {
@@ -1174,9 +1041,9 @@ pub fn run_worker(
         let mut attempt = 0u32;
         loop {
             // A `bad request` reply means the frame was mangled in
-            // transit (e.g. the wire-fault injector truncated it): the
-            // coordinator never saw a parseable request, so resending
-            // is safe for every frame type — duplicate records are
+            // transit (e.g. a truncated line): the coordinator never saw
+            // a parseable request, so resending is safe for every frame
+            // type — duplicate records are
             // deduplicated keep-first on the coordinator. Any other
             // in-protocol error is the handler speaking and is
             // surfaced to the caller.
@@ -1209,6 +1076,7 @@ pub fn run_worker(
                         "leased task {task} out of range for {task_count}"
                     )));
                 }
+                eprintln!("[worker {}] sweep {epoch}: leased task {task}", config.id);
                 let outcome =
                     execute_task(plan, epoch, executor, transport, config, task, lease_secs);
                 match rpc(
@@ -1220,7 +1088,9 @@ pub fn run_worker(
                     },
                     &mut summary,
                 )? {
-                    Response::Ok | Response::Done => {}
+                    Response::Ok | Response::Done => {
+                        eprintln!("[worker {}] sweep {epoch}: recorded task {task}", config.id);
+                    }
                     Response::Error { msg } => return Err(WorkerError::Protocol(msg)),
                     other => {
                         return Err(WorkerError::Protocol(format!(
@@ -1304,10 +1174,142 @@ fn execute_task(
 mod tests {
     use super::*;
     use crate::driver::RunConfig;
-    use crate::fault::TaskFailure;
+    use crate::fault::TaskError;
     use crate::scenario::Scenario;
     use crate::shard::encode_outcome;
+    use std::sync::atomic::AtomicU64;
+    use xsched_sim::SimRng;
     use xsched_workload::setup;
+
+    // Deterministic wire-fault injection: a transport wrapper that drops,
+    // duplicates, delays and truncates frames, pure in (seed, frame).
+
+    /// What the wire-fault injector decided for one frame.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum WireFault {
+        /// The frame is dropped: the call fails as a transport error and
+        /// the worker's reconnect path takes over.
+        Drop,
+        /// The frame is sent twice (the duplicate's response is
+        /// discarded) — exercising request idempotence.
+        Duplicate,
+        /// The frame is delayed this many wall-clock seconds before
+        /// sending — exercising lease expiry under slow links.
+        Delay(f64),
+        /// Only a prefix of the frame reaches the coordinator, which must
+        /// answer with a typed `error`, never a panic.
+        Truncate,
+    }
+
+    /// Deterministic per-frame wire-fault decisions, pure in
+    /// `(seed, frame counter)` via a derived RNG stream (`wire/<n>`), so a
+    /// faulty-wire run reproduces its exact fault sequence on every host.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct WireFaultInjector {
+        /// Stream seed.
+        seed: u64,
+        /// Probability a frame is dropped.
+        p_drop: f64,
+        /// Probability a frame is duplicated (checked after the drop draw).
+        p_dup: f64,
+        /// Probability a frame is delayed (checked after the previous
+        /// draws).
+        p_delay: f64,
+        /// Probability a frame is truncated (checked last).
+        p_truncate: f64,
+        /// Delay length in wall-clock seconds.
+        delay_secs: f64,
+    }
+
+    impl WireFaultInjector {
+        /// A mildly hostile wire: a few percent of every fault kind.
+        fn chaos(seed: u64) -> WireFaultInjector {
+            WireFaultInjector {
+                seed,
+                p_drop: 0.05,
+                p_dup: 0.05,
+                p_delay: 0.05,
+                p_truncate: 0.05,
+                delay_secs: 0.02,
+            }
+        }
+
+        /// The decision for frame number `n`. Pure and deterministic.
+        fn decide(&self, n: u64) -> Option<WireFault> {
+            let mut rng = SimRng::derive(self.seed, &format!("wire/{n}"));
+            let u = rng.uniform();
+            if u < self.p_drop {
+                Some(WireFault::Drop)
+            } else if u < self.p_drop + self.p_dup {
+                Some(WireFault::Duplicate)
+            } else if u < self.p_drop + self.p_dup + self.p_delay {
+                Some(WireFault::Delay(self.delay_secs))
+            } else if u < self.p_drop + self.p_dup + self.p_delay + self.p_truncate {
+                Some(WireFault::Truncate)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// A [`Transport`] wrapper acting out [`WireFaultInjector`] decisions
+    /// on the client side of the wire. Safe by construction: drops surface
+    /// as transport errors (retried with backoff), duplicates are
+    /// idempotent (keep-first records, re-extendable heartbeats), delays
+    /// at worst expire a lease (reassignment), truncations draw a typed
+    /// `error` response — so a sweep under an arbitrarily faulty wire
+    /// still merges byte-identical, it just takes longer.
+    struct FaultyTransport<T> {
+        inner: T,
+        injector: WireFaultInjector,
+        counter: AtomicU64,
+    }
+
+    impl<T: Transport> FaultyTransport<T> {
+        /// Wrap `inner`, acting out `injector`'s decision stream.
+        fn new(inner: T, injector: WireFaultInjector) -> FaultyTransport<T> {
+            FaultyTransport {
+                inner,
+                injector,
+                counter: AtomicU64::new(0),
+            }
+        }
+
+        /// Frames seen so far (fault decisions consumed).
+        fn frames(&self) -> u64 {
+            self.counter.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<T: Transport> Transport for FaultyTransport<T> {
+        fn call_raw(&self, line: &str) -> Result<String, String> {
+            let n = self.counter.fetch_add(1, Ordering::Relaxed);
+            match self.injector.decide(n) {
+                None => self.inner.call_raw(line),
+                Some(WireFault::Drop) => Err(format!("injected: dropped frame {n}")),
+                Some(WireFault::Duplicate) => {
+                    let first = self.inner.call_raw(line);
+                    match self.inner.call_raw(line) {
+                        // If the duplicate send fails, fall back to the
+                        // first response — one of the two got through.
+                        Ok(resp) => Ok(resp),
+                        Err(_) => first,
+                    }
+                }
+                Some(WireFault::Delay(secs)) => {
+                    std::thread::sleep(Duration::from_secs_f64(secs));
+                    self.inner.call_raw(line)
+                }
+                Some(WireFault::Truncate) => {
+                    let mut cut = line.len() / 2;
+                    while cut > 0 && !line.is_char_boundary(cut) {
+                        cut -= 1;
+                    }
+                    self.inner.call_raw(&line[..cut])
+                }
+            }
+        }
+    }
 
     fn tiny_plan() -> SweepPlan {
         let rc = RunConfig {
@@ -1519,10 +1521,7 @@ mod tests {
         let mut coord = Coordinator::new(0, &plan, CoordConfig { lease_secs: 1.0 });
         let (si, seed) = plan.tasks()[0];
         let real = TaskOutcome::Ok(plan.scenarios[si].run(seed));
-        let fake = TaskOutcome::Failed(TaskFailure {
-            error: crate::fault::TaskError::Panic("late loser".into()),
-            attempts: 1,
-        });
+        let fake = TaskOutcome::Failed(TaskError::Panic("late loser".into()));
         let rec = |outcome: TaskOutcome| Request::Record {
             worker: "w0".into(),
             epoch: 0,
@@ -1806,34 +1805,51 @@ mod tests {
         }
     }
 
+    /// A worker and a coordinator talking over real sockets: once over a
+    /// clean wire, once over a hostile one (a few percent of frames
+    /// dropped, duplicated, delayed or truncated). Both converge to tables
+    /// byte-identical to a direct run.
     #[test]
     fn tcp_server_round_trips_a_sweep_end_to_end() {
         let plan = tiny_plan();
         let direct = SweepExecutor::parallel(3).run(&plan);
-        let server = CoordServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let mut coord = Coordinator::new(0, &plan, CoordConfig { lease_secs: 30.0 });
+        for faulty in [false, true] {
+            let server = CoordServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            // A duplicated claim strands a lease the worker never saw, so
+            // the hostile wire needs short leases to reassign it quickly.
+            let lease_secs = if faulty { 0.5 } else { 30.0 };
+            let mut coord = Coordinator::new(0, &plan, CoordConfig { lease_secs });
 
-        let worker = std::thread::spawn({
-            let plan = plan.clone();
-            let addr = addr.clone();
-            move || {
-                let transport = TcpTransport::new(&addr, Duration::from_secs(2));
-                let executor = SweepExecutor::serial();
-                run_worker(
-                    &plan,
-                    0,
-                    &executor,
-                    &transport,
-                    &WorkerConfig::new("tcp-w0"),
-                )
-                .unwrap()
+            let worker = std::thread::spawn({
+                let plan = plan.clone();
+                move || {
+                    let tcp = TcpTransport::new(&addr, Duration::from_secs(2));
+                    let mut config = WorkerConfig::new("tcp-w0");
+                    let transport: Box<dyn Transport> = if faulty {
+                        config.backoff_base_secs = 0.005;
+                        config.max_retries = 64;
+                        Box::new(FaultyTransport::new(tcp, WireFaultInjector::chaos(1234)))
+                    } else {
+                        Box::new(tcp)
+                    };
+                    let executor = SweepExecutor::serial();
+                    run_worker(&plan, 0, &executor, transport.as_ref(), &config).unwrap()
+                }
+            });
+            server.serve_sweep(&mut coord, 0.5).unwrap();
+            let summary = worker.join().unwrap();
+            if faulty {
+                assert!(summary.tasks_executed >= plan.task_count());
+            } else {
+                assert_eq!(summary.tasks_executed, plan.task_count());
             }
-        });
-        server.serve_sweep(&mut coord, 0.3).unwrap();
-        let summary = worker.join().unwrap();
-        assert_eq!(summary.tasks_executed, plan.task_count());
-        let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
-        assert_eq!(outcome_bits(&direct), outcome_bits(&merged));
+            let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
+            assert_eq!(
+                outcome_bits(&direct),
+                outcome_bits(&merged),
+                "faulty={faulty}"
+            );
+        }
     }
 }

@@ -233,7 +233,7 @@ impl JournalReplay {
 mod tests {
     use super::*;
     use crate::driver::ChaosOutcome;
-    use crate::fault::{TaskError, TaskFailure};
+    use crate::fault::TaskError;
     use crate::scenario::ScenarioOutcome;
 
     fn tmp(name: &str) -> PathBuf {
@@ -269,10 +269,7 @@ mod tests {
         let journal = CheckpointJournal::create(&path).unwrap();
         journal.begin_sweep(0xabcd, 3).unwrap();
         let ok = TaskOutcome::Ok(chaos(7));
-        let failed = TaskOutcome::Failed(TaskFailure {
-            error: TaskError::Panic("kaboom with spaces".to_string()),
-            attempts: 2,
-        });
+        let failed = TaskOutcome::Failed(TaskError::Panic("kaboom with spaces".to_string()));
         journal.record(0, &ok).unwrap();
         journal.record(2, &failed).unwrap();
         let replay = JournalReplay::load(&path).unwrap();

@@ -41,10 +41,11 @@
 //!   registry, controller telemetry series, per-cell [`CellTiming`]s)
 //!   behind `figures --metrics`; strictly observational, never changes a
 //!   result byte;
-//! * [`fault`] — the sweep's fault-tolerance layer: typed
-//!   [`TaskError`]/[`TaskOutcome`], the [`FaultPolicy`] (panic isolation,
-//!   deterministic retry, watchdog deadlines, keep-going degradation) and
-//!   the deterministic [`FaultInjector`] that makes those paths testable;
+//! * [`fault`] — the sweep's failure handling: typed
+//!   [`TaskError`]/[`TaskOutcome`] and the [`FaultPolicy`] (panic
+//!   isolation, an optional watchdog deadline, keep-going degradation);
+//!   every unit runs once, since a pure task that failed would fail the
+//!   same way again;
 //! * [`journal`] — the kill-safe [`CheckpointJournal`]: completed task
 //!   outcomes fsync'd through the shard codec, with truncation-tolerant
 //!   [`JournalReplay`] so `--resume` skips finished work and merges
@@ -52,10 +53,9 @@
 //! * [`coord`] — the cross-host work-stealing layer: a [`Coordinator`]
 //!   handing out task leases over a line-based wire protocol, worker
 //!   clients with heartbeats and deterministic reconnect backoff, lease
-//!   expiry + reassignment for dead workers, journal-backed coordinator
-//!   crash recovery, and a deterministic wire-fault injector — all under
-//!   the invariant that a coordinated sweep merges byte-identical to a
-//!   direct run.
+//!   expiry + reassignment for dead workers, and journal-backed
+//!   coordinator crash recovery — all under the invariant that a
+//!   coordinated sweep merges byte-identical to a direct run.
 
 pub mod cache;
 pub mod controller;
@@ -74,17 +74,14 @@ pub mod sweep;
 pub use cache::{MeasurementCache, MeasurementKey, MeasurementKind};
 pub use controller::{ControllerConfig, Decision, MplController, Reference, Targets};
 pub use coord::{
-    call, run_worker, serve_line, CoordConfig, CoordServer, Coordinator, FaultyTransport,
-    LocalTransport, Request, Response, TcpTransport, Transport, WireFault, WireFaultInjector,
-    WorkerConfig, WorkerError, WorkerSummary,
+    call, run_worker, serve_line, CoordConfig, CoordServer, Coordinator, LocalTransport, Request,
+    Response, TcpTransport, Transport, WorkerConfig, WorkerError, WorkerSummary,
 };
 pub use driver::{
     combine_subruns, ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome,
     RunConfig, RunResult,
 };
-pub use fault::{
-    relock, FaultInjector, FaultPolicy, InjectedFault, TaskError, TaskFailure, TaskOutcome,
-};
+pub use fault::{relock, FaultPolicy, TaskError, TaskOutcome};
 pub use gate::MplGate;
 pub use journal::{CheckpointJournal, JournalReplay};
 pub use observe::{CellTiming, SweepObs};

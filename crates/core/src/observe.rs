@@ -131,10 +131,9 @@ pub struct SweepObs {
     task_events: Mutex<RingRecorder>,
 }
 
-/// Most recent task fault events ([`TraceEvent::TaskRetry`] /
-/// [`TraceEvent::TaskFailed`]) retained per sweep — enough to inspect
-/// every failure of any realistic sweep without unbounded growth under
-/// an injector-driven stress run.
+/// Most recent task fault events ([`TraceEvent::TaskFailed`]) retained
+/// per sweep — enough to inspect every failure of any realistic sweep
+/// without unbounded growth when a whole grid fails.
 const TASK_EVENT_CAPACITY: usize = 1024;
 
 impl SweepObs {
@@ -147,7 +146,7 @@ impl SweepObs {
         }
     }
 
-    /// Record one harness-side task fault event (retry / failure). Ring
+    /// Record one harness-side task fault event (a failure). Ring
     /// buffered: the most recent [`TASK_EVENT_CAPACITY`] events are
     /// retained.
     pub fn record_task_event(&self, ev: TraceEvent) {
@@ -357,29 +356,14 @@ mod tests {
     fn task_events_ring_records_in_order() {
         let obs = SweepObs::new();
         assert!(obs.task_events().is_empty());
-        obs.record_task_event(TraceEvent::TaskRetry {
-            task: 4,
-            attempt: 1,
-        });
-        obs.record_task_event(TraceEvent::TaskFailed {
-            task: 4,
-            attempts: 2,
-        });
-        let events = obs.task_events();
-        assert_eq!(events.len(), 2);
+        obs.record_task_event(TraceEvent::TaskFailed { task: 4 });
+        obs.record_task_event(TraceEvent::TaskFailed { task: 9 });
         assert_eq!(
-            events[0],
-            TraceEvent::TaskRetry {
-                task: 4,
-                attempt: 1
-            }
-        );
-        assert_eq!(
-            events[1],
-            TraceEvent::TaskFailed {
-                task: 4,
-                attempts: 2
-            }
+            obs.task_events(),
+            [
+                TraceEvent::TaskFailed { task: 4 },
+                TraceEvent::TaskFailed { task: 9 }
+            ]
         );
     }
 

@@ -308,9 +308,8 @@ impl Scenario {
     /// Execute one work *unit* of this cell: the whole scenario when it
     /// does not split (`of <= 1`), or sub-run `k` of `of` when it does.
     /// This is the single dispatch point the sweep executor's guarded
-    /// (fault-tolerant) path runs under `catch_unwind` and the watchdog —
-    /// one function owning "run exactly this unit" keeps the retry loop
-    /// shape-agnostic. Returns the unit's outcome plus cost telemetry
+    /// path runs under `catch_unwind` and the watchdog — one function
+    /// owning "run exactly this unit" keeps that path shape-agnostic. Returns the unit's outcome plus cost telemetry
     /// (see [`Scenario::run_timed`]).
     pub fn run_unit(
         &self,

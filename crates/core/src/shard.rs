@@ -17,7 +17,7 @@
 
 use crate::controller::IterationRecord;
 use crate::driver::{ChaosOutcome, ControllerOutcome, PriorityOutcome, RunResult};
-use crate::fault::{TaskError, TaskFailure};
+use crate::fault::TaskError;
 use crate::scenario::ScenarioOutcome;
 use crate::sweep::{assemble, ScenarioResult, SweepPlan};
 use serde::Serialize;
@@ -80,12 +80,12 @@ pub struct ShardResult {
     pub task_count: usize,
     /// `(global task index, outcome)` pairs for this shard's slice.
     pub entries: Vec<(usize, ScenarioOutcome)>,
-    /// `(global task index, failure)` pairs for tasks this shard ran but
+    /// `(global task index, error)` pairs for tasks this shard ran but
     /// could not complete under `--keep-going`: the cell is *covered*
     /// (merge treats it like an entry for partition accounting) but
-    /// carries a typed [`TaskFailure`] instead of an outcome. Empty on
+    /// carries a typed [`TaskError`] instead of an outcome. Empty on
     /// every fail-fast run.
-    pub failures: Vec<(usize, TaskFailure)>,
+    pub failures: Vec<(usize, TaskError)>,
     /// `(global task index, wall-clock seconds)` telemetry for the tasks
     /// this shard executed. Observational only: it rides the wire format
     /// as an optional trailing section and never participates in merge
@@ -127,7 +127,7 @@ impl ShardResult {
         let fp = plan.fingerprint();
         let task_count = plan.task_count();
         let mut entries: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(task_count);
-        let mut failures: Vec<(usize, TaskFailure)> = Vec::new();
+        let mut failures: Vec<(usize, TaskError)> = Vec::new();
         let mut seen = vec![false; task_count];
         for shard in shards {
             if shard.plan_fingerprint != fp {
@@ -650,35 +650,29 @@ pub fn decode_outcome(line: &str) -> Result<ScenarioOutcome, String> {
     }
 }
 
-/// Encode a [`TaskFailure`] as wire tokens: `<attempts> <kind> <detail>`.
-/// Panic/injected messages are percent-escaped into a single token so
-/// arbitrary text (spaces, newlines, non-ASCII) survives the line-based
-/// format; timeout deadlines travel as IEEE bits like every other float.
-pub fn encode_failure(f: &TaskFailure) -> String {
-    match &f.error {
-        TaskError::Panic(msg) => format!("{} panic {}", f.attempts, esc(msg)),
-        TaskError::Timeout(limit) => format!("{} timeout {}", f.attempts, fh(*limit)),
-        TaskError::Injected(what) => format!("{} injected {}", f.attempts, esc(what)),
+/// Encode a [`TaskError`] as wire tokens: `<kind> <detail>`. Panic
+/// messages are percent-escaped into a single token so arbitrary text
+/// (spaces, newlines, non-ASCII) survives the line-based format; timeout
+/// deadlines travel as IEEE bits like every other float.
+pub fn encode_failure(e: &TaskError) -> String {
+    match e {
+        TaskError::Panic(msg) => format!("panic {}", esc(msg)),
+        TaskError::Timeout(limit) => format!("timeout {}", fh(*limit)),
     }
 }
 
 /// Decode the tokens produced by [`encode_failure`].
-pub fn decode_failure(s: &str) -> Result<TaskFailure, String> {
+pub fn decode_failure(s: &str) -> Result<TaskError, String> {
     let mut t = Tokens(s.split_whitespace());
-    let attempts: u32 = t.int()?;
     let kind = t.next()?.to_string();
     let detail = t.next()?.to_string();
-    let error = match kind.as_str() {
-        "panic" => TaskError::Panic(unesc(&detail)?),
-        "timeout" => TaskError::Timeout(
-            u64::from_str_radix(&detail, 16)
-                .map(f64::from_bits)
-                .map_err(|e| format!("bad timeout bits `{detail}`: {e}"))?,
-        ),
-        "injected" => TaskError::Injected(unesc(&detail)?),
-        other => return Err(format!("unknown failure kind `{other}`")),
-    };
-    Ok(TaskFailure { error, attempts })
+    match kind.as_str() {
+        "panic" => Ok(TaskError::Panic(unesc(&detail)?)),
+        "timeout" => u64::from_str_radix(&detail, 16)
+            .map(|bits| TaskError::Timeout(f64::from_bits(bits)))
+            .map_err(|e| format!("bad timeout bits `{detail}`: {e}")),
+        other => Err(format!("unknown failure kind `{other}`")),
+    }
 }
 
 /// Percent-escape arbitrary text into one whitespace-free token. The
@@ -881,32 +875,16 @@ mod tests {
     #[test]
     fn failures_round_trip_through_the_codec() {
         let cases = [
-            TaskFailure {
-                error: TaskError::Panic("index out of bounds: the len is 3".to_string()),
-                attempts: 3,
-            },
-            TaskFailure {
-                error: TaskError::Panic(String::new()),
-                attempts: 1,
-            },
-            TaskFailure {
-                error: TaskError::Panic("smörgåsbord\n% weird %%".to_string()),
-                attempts: 2,
-            },
-            TaskFailure {
-                error: TaskError::Timeout(1.5),
-                attempts: 4,
-            },
-            TaskFailure {
-                error: TaskError::Injected("panic".to_string()),
-                attempts: 1,
-            },
+            TaskError::Panic("index out of bounds: the len is 3".to_string()),
+            TaskError::Panic(String::new()),
+            TaskError::Panic("smörgåsbord\n% weird %%".to_string()),
+            TaskError::Timeout(1.5),
         ];
         for f in &cases {
             let spec = encode_failure(f);
             assert!(
-                spec.split_whitespace().count() == 3,
-                "failure must encode as exactly three tokens: `{spec}`"
+                spec.split_whitespace().count() == 2,
+                "failure must encode as exactly two tokens: `{spec}`"
             );
             assert_eq!(&decode_failure(&spec).unwrap(), f, "{spec}");
         }
@@ -920,34 +898,19 @@ mod tests {
         // Move one of s1's tasks into the failed set, as a keep-going
         // run with a panicking cell would report it.
         let (t, _) = s1.entries.pop().unwrap();
-        s1.failures.push((
-            t,
-            TaskFailure {
-                error: TaskError::Panic("boom at task".to_string()),
-                attempts: 2,
-            },
-        ));
+        s1.failures
+            .push((t, TaskError::Panic("boom at task".to_string())));
         let decoded = ShardResult::decode(&s1.encode()).unwrap();
         assert_eq!(decoded.failures, s1.failures);
         assert_eq!(decoded.entries.len(), s1.entries.len());
         // A failed task covers its index: the merge accepts the
         // partition and surfaces the failure on the right cell.
         let merged = ShardResult::merge(&plan, [&s0, &decoded]).unwrap();
-        let failed: Vec<&TaskFailure> = merged.iter().flat_map(|r| r.failures.iter()).collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(
-            failed[0].error,
-            TaskError::Panic("boom at task".to_string())
-        );
+        let failed: Vec<&TaskError> = merged.iter().flat_map(|r| r.failures.iter()).collect();
+        assert_eq!(failed, [&TaskError::Panic("boom at task".to_string())]);
         // But a task reported as BOTH an outcome and a failure is a
         // duplicate, same as appearing in two shards.
-        s0.failures.push((
-            s0.entries[0].0,
-            TaskFailure {
-                error: TaskError::Timeout(0.5),
-                attempts: 1,
-            },
-        ));
+        s0.failures.push((s0.entries[0].0, TaskError::Timeout(0.5)));
         let err = ShardResult::merge(&plan, [&s0, &s1]).unwrap_err();
         assert!(err.contains("more than one shard"), "{err}");
     }
@@ -965,6 +928,15 @@ mod tests {
         assert_eq!(err.line, 3);
         assert!(err.context.starts_with("4 R not-hex"), "{err}");
         assert!(err.to_string().contains("line 3"), "{err}");
+
+        // A failure line in the old `<attempts> <kind> <detail>` format
+        // is a typed error on its line, not a panic.
+        let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+        lines.insert(2, "failed 0 2 panic boom".to_string());
+        let err = ShardResult::decode(&lines.join("\n")).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.context, "failed 0 2 panic boom");
+        assert!(err.msg.contains("unknown failure kind `2`"), "{err}");
 
         // Header errors point at line 1.
         let err = ShardResult::decode("xsched-shard v1 plan=zzzz tasks=1 shard=0 of=1 entries=0")

@@ -15,15 +15,12 @@
 //! and the coordinator worker's per-lease `SweepExecutor::run_task` —
 //! is a thin caller of one private core. The core expands tasks into work
 //! units (sub-runs included), claims units in task order from one atomic
-//! counter, runs each under the guarded attempt path, and hands every
+//! counter, runs each once under the guarded path, and hands every
 //! finished cell to a sink on the calling thread, in task order.
 
 use crate::cache::MeasurementCache;
 use crate::driver::combine_subruns;
-use crate::fault::{
-    classify_panic, relock, FaultPolicy, InjectedFault, InjectedPanic, TaskError, TaskFailure,
-    TaskOutcome,
-};
+use crate::fault::{classify_panic, relock, FaultPolicy, TaskError, TaskOutcome};
 use crate::journal::{CheckpointJournal, JournalReplay};
 use crate::observe::SweepObs;
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost, UnitOutcome};
@@ -144,10 +141,9 @@ pub struct ScenarioResult {
     /// One outcome per *successful* plan seed, in seed order. Without
     /// fault tolerance engaged this is every seed.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Failure records for replications that failed every attempt under
-    /// keep-going mode, in seed order. Empty on fail-fast runs (those
-    /// abort instead).
-    pub failures: Vec<TaskFailure>,
+    /// Failures of replications that failed under keep-going mode, in
+    /// seed order. Empty on fail-fast runs (those abort instead).
+    pub failures: Vec<TaskError>,
     /// Per-metric aggregates over the successful replications.
     pub reps: Replications,
 }
@@ -234,15 +230,10 @@ impl SweepExecutor {
         self
     }
 
-    /// Set the fault policy: retries with deterministic backoff, an
-    /// optional watchdog deadline, keep-going degradation and/or
-    /// deterministic fault injection (see [`FaultPolicy`]). Every attempt
-    /// runs panic-isolated whatever the policy; the default policy makes
-    /// one attempt per unit and fails fast.
-    ///
-    /// Determinism: tasks re-run under their unchanged scenario seed, so
-    /// any outcome that eventually succeeds is bit-identical to a
-    /// first-try success whatever the retry count.
+    /// Set the fault policy: an optional watchdog deadline and/or
+    /// keep-going degradation (see [`FaultPolicy`]). Every unit runs
+    /// once, panic-isolated, whatever the policy; the default policy
+    /// fails fast.
     pub fn with_faults(mut self, faults: FaultPolicy) -> SweepExecutor {
         self.faults = faults;
         self
@@ -295,7 +286,7 @@ impl SweepExecutor {
     /// to an unsharded run.
     ///
     /// Resume splices journaled outcomes (successes *and* failures —
-    /// delete the journal to retry failed cells) in place of running
+    /// delete the journal to re-run failed cells) in place of running
     /// their tasks; resumed cells cost no wall-clock here, so they
     /// contribute no timing telemetry. Every executed cell is journaled
     /// as it is delivered.
@@ -482,14 +473,14 @@ impl SweepExecutor {
             let t = mine[pos];
             let (si, seed) = tasks[t];
             let started = Instant::now();
-            let result = self.run_unit_guarded(&plan.scenarios[si], t, seed, k, subs[pos], &cache);
+            let result = self.run_unit_guarded(&plan.scenarios[si], seed, k, subs[pos], &cache);
             let secs = started.elapsed().as_secs_f64();
             let finished = match result {
                 // Fail fast: park the failure at once and stop claiming —
                 // the cell's remaining units may never run.
-                Err(failure) if !self.faults.keep_going => {
+                Err(error) if !self.faults.keep_going => {
                     abort.store(true, Ordering::Relaxed);
-                    Some((TaskOutcome::Failed(failure), secs, UnitCost::default()))
+                    Some((TaskOutcome::Failed(error), secs, UnitCost::default()))
                 }
                 result => relock(&accs[pos]).land(k, result, secs),
             };
@@ -538,23 +529,20 @@ impl SweepExecutor {
                     }
                     if !guard.contains_key(&pos) {
                         // Every helper is gone and the cell never landed:
-                        // one died outside the guarded attempt, and the
+                        // one died outside the guarded run, and the
                         // scope re-raises its panic on return.
                         return;
                     }
                 };
-                if let (false, Some(failure)) = (self.faults.keep_going, cell.outcome.as_failed()) {
+                if let (false, Some(error)) = (self.faults.keep_going, cell.outcome.as_failed()) {
                     abort.store(true, Ordering::Relaxed);
-                    panic!("sweep task {t} failed: {failure}");
+                    panic!("sweep task {t} failed: {error}");
                 }
                 if let Some(obs) = obs {
                     let r = obs.registry();
-                    if let Some(failure) = cell.outcome.as_failed() {
+                    if cell.outcome.as_failed().is_some() {
                         r.counter_add("sweep.task_failures", 1);
-                        obs.record_task_event(TraceEvent::TaskFailed {
-                            task: t as u64,
-                            attempts: failure.attempts,
-                        });
+                        obs.record_task_event(TraceEvent::TaskFailed { task: t as u64 });
                     }
                     // Telemetry counts *cells* (the plan's task unit),
                     // credited to the worker that finished the cell, so
@@ -591,106 +579,48 @@ impl SweepExecutor {
         peak
     }
 
-    /// Run one task unit under the fault policy: up to `1 + retries`
-    /// guarded attempts with deterministic backoff between them. Returns
-    /// the unit's outcome plus its [`UnitCost`], or the final attempt's
-    /// failure once the budget is exhausted.
-    ///
-    /// Determinism: the scenario re-runs under its unchanged `seed` every
-    /// attempt — only the injector's decision stream folds the attempt
-    /// number in, so a retried success is bit-identical to a first-try
-    /// success.
+    /// Run one task unit once, panic-isolated, optionally under the
+    /// watchdog deadline. Returns the unit's outcome plus its
+    /// [`UnitCost`], or the error that failed it. Without a deadline the
+    /// unit runs inline under `catch_unwind`; with one it runs on a
+    /// detached monitor-pattern thread — if the deadline passes, the
+    /// runaway thread is abandoned (its eventual result discarded) and
+    /// the unit scores [`TaskError::Timeout`].
     fn run_unit_guarded(
         &self,
         scenario: &Scenario,
-        task: usize,
         seed: u64,
         k: u32,
         of: u32,
         cache: &Arc<MeasurementCache>,
-    ) -> Result<(UnitOutcome, UnitCost), TaskFailure> {
-        let obs = self.obs.as_deref();
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                let backoff = self.faults.backoff_secs(attempt);
-                if backoff > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(backoff));
-                }
-                if let Some(obs) = obs {
-                    obs.registry().counter_add("sweep.task_retries", 1);
-                    obs.record_task_event(TraceEvent::TaskRetry {
-                        task: task as u64,
-                        attempt,
-                    });
-                }
-            }
-            let inject = self
-                .faults
-                .injector
-                .and_then(|inj| inj.decide(seed, task, k, attempt));
-            match self.run_attempt(scenario, seed, k, of, cache, inject) {
-                Ok(done) => return Ok(done),
-                Err(error) => {
-                    if matches!(error, TaskError::Timeout(_)) {
-                        if let Some(obs) = obs {
-                            obs.registry().counter_add("sweep.task_timeouts", 1);
-                        }
-                    }
-                    if attempt >= self.faults.retries {
-                        return Err(TaskFailure {
-                            error,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// One guarded attempt at a task unit: panic-isolated, optionally
-    /// under the watchdog deadline. Without a deadline the attempt runs
-    /// inline under `catch_unwind`; with one it runs on a detached
-    /// monitor-pattern thread — if the deadline passes, the runaway
-    /// thread is abandoned (its eventual result discarded) and the
-    /// attempt scores [`TaskError::Timeout`].
-    fn run_attempt(
-        &self,
-        scenario: &Scenario,
-        seed: u64,
-        k: u32,
-        of: u32,
-        cache: &Arc<MeasurementCache>,
-        inject: Option<InjectedFault>,
     ) -> Result<(UnitOutcome, UnitCost), TaskError> {
-        let obs = self.obs.as_deref();
-        match self.faults.task_timeout_secs {
-            None => catch_unwind(AssertUnwindSafe(|| {
-                apply_injected(inject);
-                scenario.run_unit(seed, k, of, Some(cache), obs)
+        let Some(limit) = self.faults.task_timeout_secs else {
+            return catch_unwind(AssertUnwindSafe(|| {
+                scenario.run_unit(seed, k, of, Some(cache), self.obs.as_deref())
             }))
-            .map_err(classify_panic),
-            Some(limit) => {
-                let scenario = scenario.clone();
-                let cache = Arc::clone(cache);
-                let obs = self.obs.clone();
-                let (tx, rx) = std::sync::mpsc::channel();
-                // Detached on purpose: joining a runaway thread would
-                // defeat the deadline. An abandoned attempt keeps its CPU
-                // until it finishes, but its result is discarded and its
-                // panic (if any) is caught here, not propagated.
-                std::thread::spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        apply_injected(inject);
-                        scenario.run_unit(seed, k, of, Some(&cache), obs.as_deref())
-                    }));
-                    let _ = tx.send(result);
-                });
-                match rx.recv_timeout(Duration::from_secs_f64(limit)) {
-                    Ok(result) => result.map_err(classify_panic),
-                    Err(_) => Err(TaskError::Timeout(limit)),
+            .map_err(classify_panic);
+        };
+        let scenario = scenario.clone();
+        let cache = Arc::clone(cache);
+        let obs = self.obs.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Detached on purpose: joining a runaway thread would defeat the
+        // deadline. An abandoned unit keeps its CPU until it finishes, but
+        // its result is discarded and its panic (if any) is caught here,
+        // not propagated.
+        std::thread::spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                scenario.run_unit(seed, k, of, Some(&cache), obs.as_deref())
+            }));
+            let _ = tx.send(result);
+        });
+        match rx.recv_timeout(Duration::from_secs_f64(limit)) {
+            Ok(result) => result.map_err(classify_panic),
+            Err(_) => {
+                if let Some(obs) = &self.obs {
+                    obs.registry().counter_add("sweep.task_timeouts", 1);
                 }
+                Err(TaskError::Timeout(limit))
             }
         }
     }
@@ -738,23 +668,10 @@ impl Drop for WorkerExit<'_> {
     }
 }
 
-/// Act out an injected fault decision at the top of a guarded attempt.
-fn apply_injected(inject: Option<InjectedFault>) {
-    match inject {
-        None => {}
-        // The marker payload lets the catch site classify this as an
-        // injected fault rather than a genuine bug.
-        Some(InjectedFault::Panic) => std::panic::panic_any(InjectedPanic),
-        Some(InjectedFault::Stall(secs)) => {
-            std::thread::sleep(Duration::from_secs_f64(secs));
-        }
-    }
-}
-
 /// Accumulates a cell's unit results until the last one lands.
 #[derive(Debug)]
 struct SubAcc {
-    parts: Vec<Option<Result<UnitOutcome, TaskFailure>>>,
+    parts: Vec<Option<Result<UnitOutcome, TaskError>>>,
     secs: f64,
     cost: UnitCost,
     done: usize,
@@ -778,7 +695,7 @@ impl SubAcc {
     fn land(
         &mut self,
         k: u32,
-        result: Result<(UnitOutcome, UnitCost), TaskFailure>,
+        result: Result<(UnitOutcome, UnitCost), TaskError>,
         secs: f64,
     ) -> Option<(TaskOutcome, f64, UnitCost)> {
         self.secs += secs;
@@ -797,8 +714,8 @@ impl SubAcc {
         let mut outcome = None;
         for part in std::mem::take(&mut self.parts) {
             match part.expect("every unit lands before the cell completes") {
-                Err(failure) => {
-                    outcome = Some(TaskOutcome::Failed(failure));
+                Err(error) => {
+                    outcome = Some(TaskOutcome::Failed(error));
                     break;
                 }
                 Ok(UnitOutcome::Whole(whole)) => outcome = Some(TaskOutcome::Ok(whole)),
@@ -819,14 +736,14 @@ impl SubAcc {
 pub(crate) fn assemble(
     plan: &SweepPlan,
     mut entries: Vec<(usize, ScenarioOutcome)>,
-    mut failed: Vec<(usize, TaskFailure)>,
+    mut failed: Vec<(usize, TaskError)>,
 ) -> Vec<ScenarioResult> {
     let tasks = plan.tasks();
     entries.sort_by_key(|(t, _)| *t);
     failed.sort_by_key(|(t, _)| *t);
     let mut outcomes: Vec<Vec<ScenarioOutcome>> =
         plan.scenarios.iter().map(|_| Vec::new()).collect();
-    let mut failures: Vec<Vec<TaskFailure>> = plan.scenarios.iter().map(|_| Vec::new()).collect();
+    let mut failures: Vec<Vec<TaskError>> = plan.scenarios.iter().map(|_| Vec::new()).collect();
     for (t, outcome) in entries {
         outcomes[tasks[t].0].push(outcome);
     }
@@ -1135,21 +1052,31 @@ mod tests {
         }
     }
 
-    /// An injector that fails *every* attempt of *every* task must not
-    /// abort a keep-going sweep: every cell degrades to a marked failure
-    /// carrying the full attempt count, and the failure records survive
+    /// `quick_plan` with every replication of its middle scenario
+    /// failing for real: a high-priority fraction of 2.0 trips the
+    /// workload generator's assert, on every thread count.
+    fn mixed_plan() -> SweepPlan {
+        let mut plan = quick_plan();
+        plan.scenarios[1].rc.high_fraction = 2.0;
+        plan
+    }
+
+    /// The panic a `high_fraction = 2.0` cell fails with.
+    fn bad_fraction() -> TaskError {
+        TaskError::Panic("assertion failed: (0.0..=1.0).contains(&f)".into())
+    }
+
+    /// A plan whose every task fails must not abort a keep-going sweep:
+    /// every cell degrades to a marked failure, and the failures survive
     /// the assemble path.
     #[test]
     fn keep_going_sweep_survives_total_failure() {
-        let plan = quick_plan();
+        let mut plan = quick_plan();
+        for s in &mut plan.scenarios {
+            s.rc.high_fraction = 2.0;
+        }
         let exec = SweepExecutor::parallel(4).with_faults(FaultPolicy {
             keep_going: true,
-            retries: 1,
-            injector: Some(crate::fault::FaultInjector {
-                p_panic: 1.0,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
             ..Default::default()
         });
         let obs = Arc::new(SweepObs::new());
@@ -1158,80 +1085,60 @@ mod tests {
         assert_eq!(total, plan.task_count());
         assert!(results.iter().all(|r| r.outcomes.is_empty()));
         for r in &results {
-            for f in &r.failures {
-                assert_eq!(f.attempts, 2, "1 retry = 2 attempts");
-                assert_eq!(f.error, crate::fault::TaskError::Injected("panic".into()));
-            }
+            assert!(r.failures.iter().all(|e| *e == bad_fraction()));
         }
         let reg = obs.registry();
         assert_eq!(reg.counter("sweep.task_failures"), plan.task_count() as u64);
-        assert_eq!(reg.counter("sweep.task_retries"), plan.task_count() as u64);
+        assert_eq!(obs.task_events().len(), plan.task_count());
     }
 
-    /// The determinism acceptance criterion: under a partial-failure
-    /// injector with retries, every cell that eventually *succeeds* is
-    /// bit-identical to the same cell of a fault-free run — a retried
-    /// success is indistinguishable from a first-try success.
+    /// The cells beside a failing one are bit-identical to the same cells
+    /// of a fault-free run, and the failures themselves are the same at
+    /// every thread count.
     #[test]
-    fn surviving_cells_under_injected_faults_match_the_fault_free_run_bitwise() {
-        let plan = quick_plan();
-        let baseline = SweepExecutor::serial().run_shard(&plan, 0, 1);
-        let faulty = SweepExecutor::parallel(4)
-            .with_faults(FaultPolicy {
-                keep_going: true,
-                retries: 2,
-                injector: Some(crate::fault::FaultInjector {
-                    p_panic: 0.4,
-                    p_stall: 0.0,
-                    stall_secs: 0.0,
-                }),
-                ..Default::default()
-            })
-            .run_shard(&plan, 0, 1);
+    fn surviving_cells_beside_failed_cells_match_the_fault_free_run_bitwise() {
+        let baseline = SweepExecutor::serial().run_shard(&quick_plan(), 0, 1);
         let by_task: std::collections::HashMap<usize, String> = baseline
             .entries
             .iter()
             .map(|(t, o)| (*t, encode_outcome(o)))
             .collect();
-        assert!(
-            !faulty.entries.is_empty(),
-            "p=0.4 over 3 attempts leaves survivors"
-        );
-        for (t, o) in &faulty.entries {
-            assert_eq!(encode_outcome(o), by_task[t], "task {t}");
-        }
-        // Determinism of the *failures* too: the same injected sweep
-        // re-run (serial this time) must fail the same tasks the same way.
-        let again = SweepExecutor::serial()
-            .with_faults(FaultPolicy {
-                keep_going: true,
-                retries: 2,
-                injector: Some(crate::fault::FaultInjector {
-                    p_panic: 0.4,
-                    p_stall: 0.0,
-                    stall_secs: 0.0,
-                }),
-                ..Default::default()
-            })
-            .run_shard(&plan, 0, 1);
-        assert_eq!(faulty.failures, again.failures);
+        let plan = mixed_plan();
+        let policy = FaultPolicy {
+            keep_going: true,
+            ..Default::default()
+        };
         let render = |s: &ShardResult| -> Vec<(usize, String)> {
             s.entries
                 .iter()
                 .map(|(t, o)| (*t, encode_outcome(o)))
                 .collect()
         };
-        assert_eq!(render(&faulty), render(&again));
+        let serial = SweepExecutor::serial()
+            .with_faults(policy.clone())
+            .run_shard(&plan, 0, 1);
+        let failed: Vec<usize> = serial.failures.iter().map(|(t, _)| *t).collect();
+        assert_eq!(failed, [3, 4, 5], "scenario 1's three replications");
+        assert!(serial.failures.iter().all(|(_, e)| *e == bad_fraction()));
+        assert_eq!(serial.entries.len(), 6);
+        for (t, o) in &serial.entries {
+            assert_eq!(encode_outcome(o), by_task[t], "task {t}");
+        }
+        let wide = SweepExecutor::parallel(4)
+            .with_faults(policy)
+            .run_shard(&plan, 0, 1);
+        assert_eq!(serial.failures, wide.failures);
+        assert_eq!(render(&serial), render(&wide));
     }
 
-    /// The watchdog scores a stalled attempt as a timeout: with a stall
-    /// injected on every attempt and a deadline shorter than the stall,
-    /// every cell fails by `TaskError::Timeout` without hanging the sweep.
+    /// The watchdog scores a cell that outlives its deadline as a
+    /// timeout: a real 20k-transaction cell under a 1 ms deadline fails by
+    /// `TaskError::Timeout` without hanging the sweep.
     #[test]
     fn watchdog_times_out_stalled_tasks() {
         let rc = RunConfig {
-            warmup_txns: 10,
-            measured_txns: 30,
+            warmup_txns: 1_000,
+            measured_txns: 20_000,
             ..Default::default()
         };
         let plan = SweepPlan::new(vec![Scenario::tput("s1", setup(1), 3, rc)]);
@@ -1239,65 +1146,37 @@ mod tests {
         let results = SweepExecutor::serial()
             .with_faults(FaultPolicy {
                 keep_going: true,
-                task_timeout_secs: Some(0.05),
-                injector: Some(crate::fault::FaultInjector {
-                    p_panic: 0.0,
-                    p_stall: 1.0,
-                    stall_secs: 0.4,
-                }),
-                ..Default::default()
+                task_timeout_secs: Some(0.001),
             })
             .with_obs(Arc::clone(&obs))
             .run(&plan);
-        assert_eq!(results[0].failures.len(), 1);
-        assert_eq!(
-            results[0].failures[0].error,
-            crate::fault::TaskError::Timeout(0.05)
-        );
+        assert_eq!(results[0].failures, [TaskError::Timeout(0.001)]);
         assert_eq!(obs.registry().counter("sweep.task_timeouts"), 1);
     }
 
-    /// Fail-fast (the default) still aborts: an all-failing injector
-    /// without keep-going panics out of the sweep instead of degrading.
+    /// Fail-fast (the default) still aborts: a failing cell without
+    /// keep-going panics out of the sweep instead of degrading.
     #[test]
     fn fail_fast_policy_aborts_the_sweep_on_task_failure() {
-        let plan = quick_plan();
-        let policy = FaultPolicy {
-            injector: Some(crate::fault::FaultInjector {
-                p_panic: 1.0,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
-            ..Default::default()
-        };
-        // Serial: the failure panic carries the typed message.
-        let failure = policy.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepExecutor::serial().with_faults(failure).run(&plan)
-        }));
-        let msg = *result
-            .expect_err("fail-fast aborts")
-            .downcast::<String>()
-            .unwrap();
-        assert!(msg.contains("sweep task"), "{msg}");
-        assert!(msg.contains("injected fault"), "{msg}");
-        // Parallel: the calling thread re-raises the same typed message.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepExecutor::parallel(4).with_faults(policy).run(&plan)
-        }));
-        let msg = *result
-            .expect_err("parallel fail-fast aborts too")
-            .downcast::<String>()
-            .unwrap();
-        assert!(msg.contains("sweep task"), "{msg}");
-        assert!(msg.contains("injected fault"), "{msg}");
+        let plan = mixed_plan();
+        for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.run(&plan)));
+            let msg = *result
+                .expect_err("fail-fast aborts")
+                .downcast::<String>()
+                .unwrap();
+            // The cursor reaches the first failed task after delivering
+            // every earlier cell.
+            assert!(msg.starts_with("sweep task 3 failed: panicked: "), "{msg}");
+            assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
+        }
     }
 
-    /// A fold whose first cell panics (MPL 0 trips the gate's assert)
-    /// under the default fail-fast policy must re-raise the typed failure
-    /// on the calling thread, not leave the in-order consumer waiting
-    /// for a cell that never lands. Run on a helper thread so a
-    /// regression fails the test instead of hanging it.
+    /// A fold whose first cell panics under the default fail-fast policy
+    /// must re-raise the typed failure on the calling thread, not leave
+    /// the in-order consumer waiting for a cell that never lands. Run on
+    /// a helper thread so a regression fails the test instead of hanging
+    /// it.
     #[test]
     fn run_fold_reraises_a_failed_first_cell_instead_of_hanging() {
         let rc = RunConfig {
@@ -1305,10 +1184,9 @@ mod tests {
             measured_txns: 30,
             ..Default::default()
         };
-        let plan = SweepPlan::new(vec![
-            Scenario::tput("s1", setup(1), 0, rc.clone()),
-            Scenario::tput("s1", setup(1), 2, rc),
-        ]);
+        let mut broken = Scenario::tput("s1", setup(1), 2, rc.clone());
+        broken.rc.high_fraction = 2.0;
+        let plan = SweepPlan::new(vec![broken, Scenario::tput("s1", setup(1), 2, rc)]);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1323,7 +1201,7 @@ mod tests {
             .expect_err("the failed first cell aborts the fold")
             .expect("the panic carries a message");
         assert!(msg.contains("sweep task 0 failed: "), "{msg}");
-        assert!(msg.contains("MPL must be at least 1"), "{msg}");
+        assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
     }
 
     /// Checkpoint/resume round trip: journal a full run, then resume from
@@ -1374,73 +1252,56 @@ mod tests {
         }
     }
 
-    /// Keep-going + sub-run expansion: a failing unit degrades the whole
-    /// cell deterministically (lowest-k failure wins) while fault-free
-    /// cells still combine bit-identically to the plain run.
+    /// A split cell's units can land in any order; the cell's failure is
+    /// the lowest-k one, whatever order the units landed in, and its
+    /// seconds and cost still add up over every unit.
     #[test]
-    fn subrun_cell_failure_degrades_the_cell_deterministically() {
+    fn sub_acc_keeps_the_lowest_k_failure_whatever_the_landing_order() {
         let rc = RunConfig {
-            warmup_txns: 30,
-            measured_txns: 240,
+            warmup_txns: 10,
+            measured_txns: 60,
             subruns: 3,
             ..Default::default()
         };
-        let plan = SweepPlan::new(vec![
-            Scenario::tput("s1", setup(1), 2, rc.clone()),
-            Scenario::tput("s2", setup(2), 6, rc),
-        ]);
-        let policy = FaultPolicy {
-            keep_going: true,
-            injector: Some(crate::fault::FaultInjector {
-                p_panic: 0.3,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
-            ..Default::default()
+        let part = Scenario::tput("s1", setup(1), 2, rc)
+            .run_subrun(42, 0, 3, None)
+            .0;
+        let cost = UnitCost {
+            ref_secs: 0.5,
+            events: 100,
+            ref_events: 40,
         };
-        let serial = SweepExecutor::serial()
-            .with_faults(policy.clone())
-            .run_shard(&plan, 0, 1);
-        assert!(
-            !serial.failures.is_empty(),
-            "p=0.3 per unit, no retries: some cell fails"
+        let fail = |k: u32| TaskError::Panic(format!("unit {k}"));
+        let mut acc = SubAcc::new(3);
+        assert!(acc.land(2, Err(fail(2)), 0.25).is_none());
+        assert!(acc.land(1, Err(fail(1)), 0.25).is_none());
+        let (outcome, secs, total) = acc
+            .land(0, Ok((UnitOutcome::Part(part), cost)), 0.5)
+            .expect("the last unit finishes the cell");
+        assert_eq!(outcome.as_failed(), Some(&fail(1)));
+        assert_eq!(secs, 1.0);
+        assert_eq!(
+            (total.ref_secs, total.events, total.ref_events),
+            (0.5, 100, 40)
         );
-        let render = |s: &ShardResult| -> Vec<(usize, String)> {
-            s.entries
-                .iter()
-                .map(|(t, o)| (*t, encode_outcome(o)))
-                .collect()
-        };
-        for threads in [2usize, 4] {
-            let wide = SweepExecutor::parallel(threads)
-                .with_faults(policy.clone())
-                .run_shard(&plan, 0, 1);
-            assert_eq!(serial.failures, wide.failures, "threads={threads}");
-            assert_eq!(render(&serial), render(&wide), "threads={threads}");
-        }
     }
 
     /// run_fold under keep-going: failed tasks arrive at the fold as
     /// `TaskOutcome::Failed`, still strictly in task order, and the
-    /// successful outcomes match the unguarded stream.
+    /// successful outcomes match the fault-free stream.
     #[test]
     fn run_fold_keep_going_folds_failures_in_order() {
-        let plan = quick_plan();
         let policy = FaultPolicy {
             keep_going: true,
-            injector: Some(crate::fault::FaultInjector {
-                p_panic: 0.4,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
             ..Default::default()
         };
-        let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
+        let reference = SweepExecutor::serial().run_shard(&quick_plan(), 0, 1);
         let expected: Vec<String> = reference
             .entries
             .iter()
             .map(|(_, o)| encode_outcome(o))
             .collect();
+        let plan = mixed_plan();
         let mut streams = Vec::new();
         for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
             let (folded, stats) = exec.with_faults(policy.clone()).run_fold(
@@ -1453,9 +1314,12 @@ mod tests {
                 },
             );
             assert_eq!(stats.tasks, plan.task_count());
-            let failed = folded.iter().filter(|(_, o)| o.is_none()).count();
-            assert!(failed > 0, "p=0.4 with no retries fails something");
-            assert!(failed < plan.task_count(), "and spares something");
+            let failed: Vec<usize> = folded
+                .iter()
+                .filter(|(_, o)| o.is_none())
+                .map(|(t, _)| *t)
+                .collect();
+            assert_eq!(failed, [3, 4, 5]);
             for (t, o) in &folded {
                 if let Some(o) = o {
                     assert_eq!(o, &expected[*t], "surviving task {t}");

@@ -1,9 +1,9 @@
 //! Property tests for the coordinator wire codec.
 //!
 //! The coordinator reads lines from a TCP socket, so its decoders face
-//! genuinely untrusted bytes: truncated frames (the wire-fault injector
-//! cuts lines in half by design), corrupted payloads, or arbitrary
-//! garbage from a stray client. The contract these properties pin:
+//! genuinely untrusted bytes: truncated frames (a dropped connection can
+//! cut a line anywhere), corrupted payloads, or arbitrary garbage from a
+//! stray client. The contract these properties pin:
 //!
 //! * every frame the encoder can produce decodes back bit-exactly
 //!   (canonical re-encode equality, covering each field);
@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use xsched_core::shard::DecodeError;
 use xsched_core::{
     serve_line, CoordConfig, Coordinator, Request, Response, RunConfig, Scenario, ScenarioOutcome,
-    SweepPlan, TaskError, TaskFailure, TaskOutcome,
+    SweepPlan, TaskError, TaskOutcome,
 };
 use xsched_workload::setup;
 
@@ -66,18 +66,8 @@ fn outcome_from(kind: u8, pick: u64, detail_draws: &[u8]) -> TaskOutcome {
         .collect();
     match kind % 4 {
         0 | 1 => TaskOutcome::Ok(real_outcome(pick)),
-        2 => TaskOutcome::Failed(TaskFailure {
-            error: TaskError::Panic(detail),
-            attempts: (kind as u32 % 5) + 1,
-        }),
-        _ => TaskOutcome::Failed(TaskFailure {
-            error: if kind.is_multiple_of(2) {
-                TaskError::Timeout(f64::from(kind) * 0.25)
-            } else {
-                TaskError::Injected(detail)
-            },
-            attempts: (pick as u32 % 9) + 1,
-        }),
+        2 => TaskOutcome::Failed(TaskError::Panic(detail)),
+        _ => TaskOutcome::Failed(TaskError::Timeout(f64::from(kind) * 0.25)),
     }
 }
 

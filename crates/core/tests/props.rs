@@ -8,14 +8,13 @@
 //! as the comparison key.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use xsched_core::shard::encode_outcome;
 use xsched_core::{
-    combine_subruns, ArrivalSpec, CheckpointJournal, ExecSpec, FaultInjector, FaultPolicy,
-    JournalReplay, MeasurementCache, MplSpec, PolicyKind, RunConfig, RunResult, Scenario,
-    ScenarioOutcome, ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
+    combine_subruns, ArrivalSpec, CheckpointJournal, ExecSpec, JournalReplay, MeasurementCache,
+    MplSpec, PolicyKind, RunConfig, RunResult, Scenario, ScenarioOutcome, ScenarioResult,
+    ShardResult, SweepExecutor, SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -128,49 +127,6 @@ proptest! {
         std::fs::remove_file(&path).ok();
         prop_assert!(resumed.iter().all(|r| r.failures.is_empty()));
         prop_assert_eq!(&bits(&resumed), direct_bits);
-    }
-
-    /// Retry determinism: a cell that survives only through retries is
-    /// bit-identical to the same cell in a fault-free run — the retry
-    /// count never leaks into the simulation's RNG streams.
-    #[test]
-    fn retried_cells_are_bit_identical_to_first_try_cells(
-        setups in collection::vec(any::<u8>(), 1..3),
-        mpls in collection::vec(any::<u8>(), 3..4),
-        arrivals in collection::vec(any::<u8>(), 3..4),
-        seed_base in 0u64..1_000_000,
-        p in 1u32..7,
-        threads in 1usize..4,
-    ) {
-        let plan = plan_from(&setups, &mpls, &arrivals, 0, seed_base);
-        let clean = SweepExecutor::serial().run_shard(&plan, 0, 1);
-        let policy = FaultPolicy {
-            keep_going: true,
-            retries: 5,
-            injector: Some(FaultInjector {
-                p_panic: f64::from(p) / 10.0,
-                p_stall: 0.0,
-                stall_secs: 0.0,
-            }),
-            ..Default::default()
-        };
-        let faulty = SweepExecutor::parallel(threads)
-            .with_faults(policy)
-            .run_shard(&plan, 0, 1);
-        let reference: BTreeMap<usize, String> = clean
-            .entries
-            .iter()
-            .map(|(t, o)| (*t, encode_outcome(o)))
-            .collect();
-        // Every task is accounted for: survived bit-identically or
-        // degraded to a typed failure (p^6 per cell), never dropped.
-        prop_assert_eq!(
-            faulty.entries.len() + faulty.failures.len(),
-            plan.task_count()
-        );
-        for (t, o) in &faulty.entries {
-            prop_assert_eq!(&encode_outcome(o), reference.get(t).unwrap());
-        }
     }
 
     /// Cached execution (the executor's default) is bit-identical to the

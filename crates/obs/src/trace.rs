@@ -111,22 +111,13 @@ pub enum TraceEvent {
         /// Throughput of the discarded window, txns/second.
         throughput: f64,
     },
-    /// Harness: a sweep task attempt failed and is being retried. Unlike
-    /// the simulator events above this carries no simulation time — it
-    /// is emitted by the sweep executor, outside any simulation.
-    TaskRetry {
-        /// Global task index within the sweep plan.
-        task: u64,
-        /// The retry attempt about to run (1 = first retry).
-        attempt: u32,
-    },
-    /// Harness: a sweep task exhausted its attempts and was degraded to
-    /// a failed cell (keep-going mode) or aborted the sweep (fail-fast).
+    /// Harness: a sweep task failed and was degraded to a failed cell
+    /// (keep-going mode). Unlike the simulator events above this carries
+    /// no simulation time — it is emitted by the sweep executor, outside
+    /// any simulation.
     TaskFailed {
         /// Global task index within the sweep plan.
         task: u64,
-        /// Total attempts made before giving up.
-        attempts: u32,
     },
     /// Coordinator: a task lease was granted to a worker. Like the
     /// harness events above, carries no simulation time — emitted by the
@@ -179,17 +170,16 @@ impl TraceEvent {
             TraceEvent::ChaosAbort { .. } => 10,
             TraceEvent::ChaosBurst { .. } => 11,
             TraceEvent::ControllerDiscard { .. } => 12,
-            TraceEvent::TaskRetry { .. } => 13,
-            TraceEvent::TaskFailed { .. } => 14,
-            TraceEvent::LeaseGranted { .. } => 15,
-            TraceEvent::LeaseExpired { .. } => 16,
-            TraceEvent::TaskReassigned { .. } => 17,
-            TraceEvent::WorkerReconnect { .. } => 18,
+            TraceEvent::TaskFailed { .. } => 13,
+            TraceEvent::LeaseGranted { .. } => 14,
+            TraceEvent::LeaseExpired { .. } => 15,
+            TraceEvent::TaskReassigned { .. } => 16,
+            TraceEvent::WorkerReconnect { .. } => 17,
         }
     }
 
     /// Number of distinct event kinds.
-    pub const KINDS: usize = 19;
+    pub const KINDS: usize = 18;
 
     /// Stable short name of a kind index.
     pub fn kind_name(kind: usize) -> &'static str {
@@ -207,7 +197,6 @@ impl TraceEvent {
             "chaos_abort",
             "chaos_burst",
             "controller_discard",
-            "task_retry",
             "task_failed",
             "lease_granted",
             "lease_expired",
