@@ -41,10 +41,7 @@ use std::time::Duration;
 use xsched_bench::cli::{parse_args, USAGE};
 use xsched_bench::*;
 use xsched_core::shard::decode_payloads;
-use xsched_core::{
-    CheckpointJournal, CoordServer, FaultPolicy, JournalReplay, SweepObs, TcpTransport,
-    WorkerConfig,
-};
+use xsched_core::{CoordServer, FaultPolicy, SweepObs, TcpTransport, WorkerConfig};
 
 const EXPERIMENTS: &[&str] = &[
     "table1",
@@ -162,36 +159,6 @@ fn main() {
         keep_going: args.keep_going,
         task_timeout_secs: args.task_timeout,
     };
-    // `--resume` replays the journal then appends new completions to it;
-    // `--checkpoint` alone starts a fresh journal (truncating any old one).
-    let resume = args
-        .resume
-        .then_some(args.checkpoint.as_ref())
-        .flatten()
-        .map(|path| {
-            let replay = JournalReplay::load(path).unwrap_or_else(|e| {
-                eprintln!("error: bad checkpoint journal `{path}`: {e}");
-                std::process::exit(2);
-            });
-            if replay.dropped_partial() > 0 {
-                eprintln!(
-                    "[checkpoint `{path}`: dropped {} partial trailing record(s) from an interrupted write]",
-                    replay.dropped_partial()
-                );
-            }
-            Arc::new(replay)
-        });
-    let journal = args.checkpoint.as_ref().map(|path| {
-        let journal = if args.resume {
-            CheckpointJournal::append(path)
-        } else {
-            CheckpointJournal::create(path)
-        };
-        Arc::new(journal.unwrap_or_else(|e| {
-            eprintln!("error: cannot open checkpoint journal `{path}`: {e}");
-            std::process::exit(2);
-        }))
-    });
     let opts = SweepOpts {
         seeds: args.seeds.clone(),
         threads: args.threads,
@@ -201,8 +168,6 @@ fn main() {
         progress: args.progress,
         subruns: args.subruns,
         faults,
-        journal,
-        resume,
     };
     let rc = if args.quick { quick_rc() } else { full_rc() };
     // Controller sessions and MPL searches run many inner sims per

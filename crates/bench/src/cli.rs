@@ -4,12 +4,13 @@
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
 //! `--shard`, `--merge`, `--metrics`, `--progress`, `--subruns`,
-//! `--keep-going`, `--task-timeout`, `--checkpoint`, `--resume`,
-//! `--serve`, `--worker`, `--lease`, `--list`, `--help`, and positional
-//! experiment names. Parsing is pure
-//! and errors are **typed** ([`ArgError`]) so the binary can render a
-//! clean one-liner and the unit tests can assert on the exact failure,
-//! not a string.
+//! `--keep-going`, `--task-timeout`, `--serve`, `--worker`, `--lease`,
+//! `--list`, `--help`, and positional experiment names. A killed run is
+//! simply run again: every cell is pure in `(scenario, seed)` and the
+//! whole quick study takes well under a minute. Parsing is pure and
+//! errors are **typed** ([`ArgError`]) so the binary can render a clean
+//! one-liner and the unit tests can assert on the exact failure, not a
+//! string.
 
 use std::fmt;
 
@@ -94,11 +95,6 @@ pub struct FiguresArgs {
     /// Per-task watchdog deadline in seconds; a task running past it is
     /// abandoned and scored a timeout.
     pub task_timeout: Option<f64>,
-    /// Checkpoint journal path: every completed task outcome is appended
-    /// (fsync'd) so a killed run can `--resume`.
-    pub checkpoint: Option<String>,
-    /// Resume from the `--checkpoint` journal, skipping journaled tasks.
-    pub resume: bool,
     /// Shard payload files to merge instead of simulating.
     pub merge: Vec<String>,
     /// Serve every sweep as a task-queue coordinator on this TCP address
@@ -169,15 +165,6 @@ OPTIONS:
                              running after SECS wall-clock seconds is
                              abandoned and scored a timeout (a FAILED
                              cell under --keep-going, else an abort)
-        --checkpoint FILE    append every completed task outcome to FILE
-                             (fsync'd per task, kill-safe) so an
-                             interrupted run can --resume; without
-                             --resume the file is truncated first
-        --resume             skip tasks already recorded in --checkpoint
-                             (requires it); the finished tables are
-                             byte-identical to an uninterrupted run.
-                             Journaled failures replay as failures —
-                             delete the journal to re-run them
         --merge FILES        comma-separated shard payload files; merge
                              them (running no sweep tasks) and print the
                              tables, byte-identical to an unsharded run
@@ -187,12 +174,13 @@ OPTIONS:
                              deterministic search locally
         --serve ADDR         coordinate every sweep over TCP at ADDR
                              (host:port): hand out task leases to
-                             --worker clients, record their outcomes
-                             (checkpointed under --checkpoint, resumable
-                             with --resume), and print merged tables
+                             --worker clients, record their outcomes in
+                             memory, and print merged tables
                              byte-identical to a direct run. Dead
                              workers are detected by lease expiry and
-                             their tasks reassigned
+                             their tasks reassigned; a restarted
+                             coordinator serves every sweep from the
+                             start
         --worker ADDR        run as a worker of the coordinator at ADDR:
                              claim task leases, execute, heartbeat,
                              stream outcomes back; reconnect with
@@ -321,8 +309,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                 }
                 out.task_timeout = Some(secs);
             }
-            "--checkpoint" => out.checkpoint = Some(value_for(arg)?),
-            "--resume" => out.resume = true,
             "--merge" => out
                 .merge
                 .extend(value_for(arg)?.split(',').map(|p| p.trim().to_string())),
@@ -355,11 +341,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             "--shard and --merge are mutually exclusive",
         ));
     }
-    if out.resume && out.checkpoint.is_none() {
-        return Err(ArgError::Conflict(
-            "--resume requires --checkpoint (the journal to resume from)",
-        ));
-    }
     if out.serve.is_some() && out.worker.is_some() {
         return Err(ArgError::Conflict(
             "--serve and --worker are mutually exclusive (one process is one side)",
@@ -378,11 +359,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
     if out.lease.is_some() && out.serve.is_none() {
         return Err(ArgError::Conflict(
             "--lease requires --serve (the coordinator owns the leases)",
-        ));
-    }
-    if out.worker.is_some() && out.checkpoint.is_some() {
-        return Err(ArgError::Conflict(
-            "--checkpoint/--resume run on the coordinator, not with --worker",
         ));
     }
     out.subruns = subruns.unwrap_or(0);
@@ -492,8 +468,8 @@ mod tests {
     }
 
     /// Shard balancing, cost calibration, timing dumps, explicit
-    /// defaults, task retries and fault injection are not options: each
-    /// is a typed unknown-option error.
+    /// defaults, task retries, fault injection and checkpoint/resume are
+    /// not options: each is a typed unknown-option error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -506,6 +482,8 @@ mod tests {
             vec!["--inject-panics", "0.3"],
             vec!["--inject-stalls", "0.1"],
             vec!["--wire-faults", "1234"],
+            vec!["--checkpoint", "j.log"],
+            vec!["--resume"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -567,8 +545,8 @@ mod tests {
         assert_eq!(a.task_timeout, Some(1.5));
         // Defaults: everything off.
         let d = parse_args::<&str>(&[]).unwrap();
-        assert!(!d.keep_going && !d.resume);
-        assert_eq!((d.task_timeout, d.checkpoint), (None, None));
+        assert!(!d.keep_going);
+        assert_eq!(d.task_timeout, None);
         // Bad values are typed.
         for bad in [
             vec!["--task-timeout", "0"],
@@ -582,17 +560,25 @@ mod tests {
         }
     }
 
-    /// `--resume` without `--checkpoint` is a typed conflict.
+    /// The fault-tolerance flags conflict with no execution mode, and
+    /// they do not mask the typed conflicts between the modes themselves.
     #[test]
     fn fault_tolerance_conflicts_are_typed() {
+        for mode in [
+            vec!["--serve", "a:1"],
+            vec!["--worker", "a:1"],
+            vec!["--shard", "1/2"],
+            vec!["--merge", "s.txt"],
+        ] {
+            let mut args = vec!["--keep-going", "--task-timeout", "2"];
+            args.extend(&mode);
+            let a = parse_args(&args).unwrap();
+            assert!(a.keep_going && a.task_timeout == Some(2.0), "{args:?}");
+        }
         assert_eq!(
-            parse_args(&["--resume"]).unwrap_err(),
-            ArgError::Conflict("--resume requires --checkpoint (the journal to resume from)")
+            parse_args(&["--keep-going", "--shard", "1/2", "--merge", "a"]).unwrap_err(),
+            ArgError::Conflict("--shard and --merge are mutually exclusive")
         );
-        // With the journal named, --resume is fine.
-        let a = parse_args(&["--checkpoint", "j.log", "--resume"]).unwrap();
-        assert_eq!(a.checkpoint.as_deref(), Some("j.log"));
-        assert!(a.resume);
     }
 
     #[test]
@@ -629,9 +615,9 @@ mod tests {
         );
     }
 
-    /// The coordinated-mode contract: role, sharding, and journal flags
-    /// that cannot be combined are typed conflicts, and dependent flags
-    /// name their prerequisite.
+    /// The coordinated-mode contract: role and sharding flags that
+    /// cannot be combined are typed conflicts, and dependent flags name
+    /// their prerequisite.
     #[test]
     fn coordinator_conflicts_are_typed() {
         for (args, needle) in [
@@ -647,18 +633,52 @@ mod tests {
                 vec!["--worker", "a:1", "--lease", "5"],
                 "--lease requires --serve",
             ),
-            (
-                vec!["--worker", "a:1", "--checkpoint", "j.log"],
-                "--checkpoint/--resume run on the coordinator",
-            ),
         ] {
             match parse_args(&args).unwrap_err() {
                 ArgError::Conflict(msg) => assert!(msg.contains(needle), "{args:?}: {msg}"),
                 other => panic!("{args:?}: expected conflict, got {other:?}"),
             }
         }
-        // The journal flags are fine on the coordinator side.
-        let a = parse_args(&["--serve", "a:1", "--checkpoint", "j.log", "--resume"]).unwrap();
-        assert!(a.resume && a.serve.is_some());
+    }
+
+    /// `--help` and the parser cannot drift apart: every long option
+    /// (with a valid value and any prerequisite) parses and is listed
+    /// in USAGE, and USAGE's OPTIONS section names no other `--flag`.
+    #[test]
+    fn usage_lists_exactly_the_parsed_options() {
+        let options: [&[&str]; 16] = [
+            &["--quick"],
+            &["--seeds", "7,8"],
+            &["--replications", "2"],
+            &["--threads", "2"],
+            &["--shard", "1/2"],
+            &["--metrics", "m.json"],
+            &["--progress"],
+            &["--subruns", "3"],
+            &["--keep-going"],
+            &["--task-timeout", "5"],
+            &["--merge", "s.txt"],
+            &["--serve", "a:1"],
+            &["--worker", "a:1"],
+            &["--lease", "5", "--serve", "a:1"],
+            &["--list"],
+            &["--help"],
+        ];
+        for args in options {
+            assert!(parse_args(args).is_ok(), "{args:?}");
+        }
+        let section = USAGE
+            .split_once("OPTIONS:\n")
+            .and_then(|(_, rest)| rest.split("\n\n").next())
+            .expect("USAGE has an OPTIONS section");
+        let mut listed: Vec<&str> = section
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        listed.sort_unstable();
+        listed.dedup();
+        let mut parsed: Vec<&str> = options.iter().map(|a| a[0]).collect();
+        parsed.sort_unstable();
+        assert_eq!(listed, parsed);
     }
 }

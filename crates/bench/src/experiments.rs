@@ -13,10 +13,9 @@ use crate::table::{pivot_table, Col};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xsched_core::{
-    run_worker, ArrivalSpec, CellTiming, CheckpointJournal, CoordConfig, CoordServer, Coordinator,
-    ExecSpec, FaultPolicy, JournalReplay, MeasurementCache, MplSpec, PolicyKind, RunConfig,
-    Scenario, ScenarioResult, ShardResult, SweepExecutor, SweepObs, SweepPlan, Targets, Transport,
-    WorkerConfig, WorkerError,
+    run_worker, ArrivalSpec, CellTiming, CoordConfig, CoordServer, Coordinator, ExecSpec,
+    FaultPolicy, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario, ScenarioResult,
+    ShardResult, SweepExecutor, SweepObs, SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
 };
 use xsched_dbms::{CpuPolicy, FaultSpec, LockPriorityPolicy, SpikeSpec, StallSpec};
 use xsched_queueing::{flex::FlexServer, mg1, recommend, ClosedNetwork, ThroughputModel, H2};
@@ -104,9 +103,9 @@ pub enum SweepMode {
         pool: Arc<Vec<ShardResult>>,
     },
     /// Serve each sweep as a task-queue coordinator: hand out leases to
-    /// `--worker` clients over TCP, record (and optionally journal)
-    /// their outcomes, reassign expired leases, and return the merged
-    /// results — byte-identical to a direct run.
+    /// `--worker` clients over TCP, record their outcomes in memory,
+    /// reassign expired leases, and return the merged results —
+    /// byte-identical to a direct run.
     Serve {
         /// The bound TCP listener, shared across the run's sweeps.
         server: Arc<CoordServer>,
@@ -201,12 +200,6 @@ pub struct SweepOpts {
     /// optional watchdog, keep-going degradation. The default policy
     /// fails fast.
     pub faults: FaultPolicy,
-    /// Checkpoint journal every executed sweep appends completed task
-    /// outcomes to (kill-safe; see `figures --checkpoint`).
-    pub journal: Option<Arc<CheckpointJournal>>,
-    /// Journal replay to resume from: journaled tasks are skipped and
-    /// their outcomes spliced in bit-identically.
-    pub resume: Option<Arc<JournalReplay>>,
 }
 
 impl SweepOpts {
@@ -223,18 +216,6 @@ impl SweepOpts {
             .with_faults(self.faults.clone());
         if let Some(obs) = &self.obs {
             executor = executor.with_obs(Arc::clone(obs));
-        }
-        // Durability belongs to whichever side records outcomes: the
-        // executor in local/sharded runs, the Coordinator in Serve mode
-        // (workers never journal — a worker's journal would hold a
-        // meaningless subset).
-        if matches!(self.mode, SweepMode::Run | SweepMode::Shard { .. }) {
-            if let Some(journal) = &self.journal {
-                executor = executor.with_journal(Arc::clone(journal));
-            }
-            if let Some(replay) = &self.resume {
-                executor = executor.with_resume(Arc::clone(replay));
-            }
         }
         match &self.mode {
             SweepMode::Run => {
@@ -276,12 +257,6 @@ impl SweepOpts {
                         lease_secs: *lease_secs,
                     },
                 );
-                if let Some(journal) = &self.journal {
-                    coord = coord.with_journal(Arc::clone(journal));
-                }
-                if let Some(replay) = &self.resume {
-                    coord = coord.with_resume(replay);
-                }
                 if let Some(obs) = &self.obs {
                     coord = coord.with_obs(Arc::clone(obs));
                 }

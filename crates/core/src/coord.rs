@@ -8,7 +8,7 @@
 //! **time-bounded leases**, and worker clients that claim a task, execute
 //! it through the exact [`SweepExecutor`] code path a shard would use,
 //! and stream the outcome back through the same bit-exact codec shard
-//! payloads and checkpoint journals travel on.
+//! payloads travel on.
 //!
 //! Robustness model, in order of line of defense:
 //!
@@ -21,20 +21,18 @@
 //!    original worker may have been slow, not dead. Tasks are pure in
 //!    `(scenario, seed)`, the coordinator keeps the **first** recorded
 //!    outcome per task, and late duplicates are acknowledged and
-//!    discarded — exactly the [`JournalReplay`] dedupe rule, so a
-//!    double-assigned sweep still merges byte-identical to a direct run.
+//!    discarded, so a double-assigned sweep still merges byte-identical
+//!    to a direct run.
 //! 3. **Worker reconnect.** Transport failures (coordinator restart,
 //!    dropped frames) are retried with deterministic exponential backoff;
 //!    the worker re-introduces itself with `hello` so the coordinator
 //!    counts the reconnect. Bounded retries turn a truly dead
 //!    coordinator into a typed [`WorkerError`].
-//! 4. **Coordinator crash recovery.** Every recorded outcome is
-//!    journaled through [`CheckpointJournal`] before it is acknowledged;
-//!    a restarted coordinator replays its journal and serves only the
-//!    remainder.
-//! 5. **Graceful degradation.** A worker that can never reach the
+//! 4. **Graceful degradation.** A worker that can never reach the
 //!    coordinator reports [`WorkerError::Unreachable`]; the CLI falls
-//!    back to plain local execution.
+//!    back to plain local execution. The coordinator keeps its outcomes
+//!    in memory only: a restarted coordinator serves the sweep from the
+//!    start, since every task is pure and cheap to run again.
 //!
 //! The protocol is line-based (one request line, one response line per
 //! connection) so a frame is atomic at the transport layer and the
@@ -46,7 +44,6 @@
 //! must still converge byte-identical.
 
 use crate::fault::{relock, TaskOutcome};
-use crate::journal::{CheckpointJournal, JournalReplay};
 use crate::observe::SweepObs;
 use crate::shard::{
     decode_failure, decode_outcome, encode_failure, encode_outcome, DecodeError, ShardResult,
@@ -58,7 +55,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xsched_obs::TraceEvent;
 
 // ---------------------------------------------------------------------------
 // Wire frames.
@@ -421,11 +417,9 @@ pub struct Coordinator {
     /// Tasks whose lease expired at least once — the next grant of one
     /// of these is a *reassignment*.
     expired_once: BTreeSet<usize>,
-    /// Dense worker ids in hello order (for trace events).
-    workers: Vec<String>,
-    journal: Option<Arc<CheckpointJournal>>,
+    /// Workers seen in a hello or claim; a second hello is a reconnect.
+    workers: BTreeSet<String>,
     obs: Option<Arc<SweepObs>>,
-    resumed: usize,
 }
 
 impl Coordinator {
@@ -441,50 +435,13 @@ impl Coordinator {
             leases: BTreeMap::new(),
             outcomes: BTreeMap::new(),
             expired_once: BTreeSet::new(),
-            workers: Vec::new(),
-            journal: None,
+            workers: BTreeSet::new(),
             obs: None,
-            resumed: 0,
         }
     }
 
-    /// Durably journal every recorded outcome (fsync'd append) before it
-    /// is acknowledged, so a coordinator crash loses nothing a worker
-    /// was told is safe. Writes the sweep header immediately, exactly
-    /// like [`SweepExecutor::with_journal`] does at the top of a shard.
-    pub fn with_journal(self, journal: Arc<CheckpointJournal>) -> Coordinator {
-        journal
-            .begin_sweep(self.fingerprint, self.task_count)
-            .expect("checkpoint journal write failed");
-        Coordinator {
-            journal: Some(journal),
-            ..self
-        }
-    }
-
-    /// Crash recovery: splice outcomes `replay` already holds for this
-    /// plan, so a restarted coordinator serves only the remainder.
-    /// Journaled outcomes travel the same codec as `record` frames, so
-    /// the final merge stays byte-identical to an uninterrupted run.
-    pub fn with_resume(mut self, replay: &JournalReplay) -> Coordinator {
-        for t in 0..self.task_count {
-            if let Some(outcome) = replay.outcome(self.fingerprint, t) {
-                self.outcomes.insert(t, outcome.clone());
-                self.resumed += 1;
-            }
-        }
-        self.pending.retain(|t| !self.outcomes.contains_key(t));
-        if self.resumed > 0 {
-            eprintln!(
-                "[coord] resume: {}/{} tasks already journaled (epoch {})",
-                self.resumed, self.task_count, self.epoch
-            );
-        }
-        self
-    }
-
-    /// Record coordination telemetry (`coord.*` counters and lease trace
-    /// events) into `obs`. Strictly observational.
+    /// Record coordination telemetry (`coord.*` counters) into `obs`.
+    /// Strictly observational.
     pub fn with_obs(self, obs: Arc<SweepObs>) -> Coordinator {
         Coordinator {
             obs: Some(obs),
@@ -505,11 +462,6 @@ impl Coordinator {
     /// Tasks still lacking an outcome.
     pub fn remaining(&self) -> usize {
         self.task_count - self.outcomes.len()
-    }
-
-    /// Tasks spliced from a journal replay rather than recorded live.
-    pub fn resumed(&self) -> usize {
-        self.resumed
     }
 
     /// The recorded outcomes as a single full-coverage [`ShardResult`]
@@ -546,23 +498,6 @@ impl Coordinator {
         }
     }
 
-    fn trace(&self, ev: TraceEvent) {
-        if let Some(obs) = &self.obs {
-            obs.record_task_event(ev);
-        }
-    }
-
-    /// Dense id of `worker`, registering it on first sight.
-    fn worker_id(&mut self, worker: &str) -> u64 {
-        match self.workers.iter().position(|w| w == worker) {
-            Some(i) => i as u64,
-            None => {
-                self.workers.push(worker.to_string());
-                (self.workers.len() - 1) as u64
-            }
-        }
-    }
-
     /// Lazily expire leases older than `now`: the task returns to the
     /// pending queue (ascending task order, after everything already
     /// queued) and its next grant counts as a reassignment.
@@ -574,15 +509,10 @@ impl Coordinator {
             .map(|(&t, _)| t)
             .collect();
         for t in dead {
-            let lease = self.leases.remove(&t).expect("lease vanished mid-expiry");
+            self.leases.remove(&t);
             self.expired_once.insert(t);
             self.pending.push_back(t);
             self.counter("coord.leases_expired");
-            let worker = self.worker_id(&lease.worker);
-            self.trace(TraceEvent::LeaseExpired {
-                task: t as u64,
-                worker,
-            });
         }
     }
 
@@ -626,11 +556,8 @@ impl Coordinator {
                         ),
                     };
                 }
-                let known = self.workers.iter().any(|w| w == &worker);
-                let id = self.worker_id(&worker);
-                if known {
+                if !self.workers.insert(worker) {
                     self.counter("coord.worker_reconnects");
-                    self.trace(TraceEvent::WorkerReconnect { worker: id });
                 }
                 Response::Welcome {
                     epoch: self.epoch,
@@ -646,7 +573,7 @@ impl Coordinator {
                 let Some(task) = self.pending.pop_front() else {
                     return Response::Wait;
                 };
-                let id = self.worker_id(&worker);
+                self.workers.insert(worker.clone());
                 self.leases.insert(
                     task,
                     LeaseState {
@@ -657,15 +584,6 @@ impl Coordinator {
                 self.counter("coord.leases_granted");
                 if self.expired_once.contains(&task) {
                     self.counter("coord.tasks_reassigned");
-                    self.trace(TraceEvent::TaskReassigned {
-                        task: task as u64,
-                        worker: id,
-                    });
-                } else {
-                    self.trace(TraceEvent::LeaseGranted {
-                        task: task as u64,
-                        worker: id,
-                    });
                 }
                 Response::Lease { task }
             }
@@ -688,15 +606,9 @@ impl Coordinator {
                     };
                 }
                 // Keep-first: a duplicate (double-assignment, duplicated
-                // frame, retried record) is acknowledged and discarded,
-                // mirroring the journal replay rule.
+                // frame, retried record) is acknowledged and discarded.
                 if self.outcomes.contains_key(task) {
                     return Response::Ok;
-                }
-                if let Some(journal) = &self.journal {
-                    journal
-                        .record(*task, outcome)
-                        .expect("checkpoint journal write failed");
                 }
                 self.outcomes.insert(*task, outcome.clone());
                 self.leases.remove(task);
@@ -975,9 +887,14 @@ pub struct WorkerSummary {
 /// so a coordinated sweep's outcomes are bit-identical to a direct one
 /// whatever the claim interleaving.
 ///
-/// `executor` should carry the worker's thread/fault/cache/obs
-/// configuration but **not** a journal or resume replay — durability is
-/// the coordinator's job.
+/// `executor` carries the worker's thread/fault/cache/obs configuration.
+///
+/// If the coordinator goes away, every request is retried up to
+/// [`WorkerConfig::max_retries`] times with exponential backoff and a
+/// re-hello before each retry; past that budget the worker gives up with
+/// [`WorkerError::Unreachable`] (before the handshake) or
+/// [`WorkerError::Lost`] (mid-sweep). A restarted coordinator keeps
+/// none of the old one's outcomes and serves its sweeps from the start.
 pub fn run_worker(
     plan: &SweepPlan,
     epoch: u64,
@@ -1734,56 +1651,6 @@ mod tests {
             delay_secs: 0.0,
         };
         assert!((0..500).all(|n| quiet.decide(n).is_none()));
-    }
-
-    #[test]
-    fn coordinator_journal_recovery_resumes_the_remainder() {
-        let dir = std::env::temp_dir().join(format!("xsched-coord-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("coord-recovery.journal");
-        let _ = std::fs::remove_file(&path);
-        let plan = tiny_plan();
-        let direct = SweepExecutor::parallel(3).run(&plan);
-
-        // First incarnation records half the tasks, then "crashes".
-        {
-            let journal = Arc::new(CheckpointJournal::create(&path).unwrap());
-            let mut coord =
-                Coordinator::new(0, &plan, CoordConfig::default()).with_journal(journal);
-            for t in 0..plan.task_count() / 2 {
-                let (si, seed) = plan.tasks()[t];
-                let rec = Request::Record {
-                    worker: "w0".into(),
-                    epoch: 0,
-                    task: t,
-                    outcome: TaskOutcome::Ok(plan.scenarios[si].run(seed)),
-                };
-                assert_eq!(coord.handle(&rec, 0.0), Response::Ok);
-            }
-            assert!(!coord.finished());
-        }
-
-        // Second incarnation replays the journal and serves the rest.
-        let replay = Arc::new(JournalReplay::load(&path).unwrap());
-        let journal = Arc::new(CheckpointJournal::append(&path).unwrap());
-        let coord = Coordinator::new(0, &plan, CoordConfig { lease_secs: 30.0 })
-            .with_journal(journal)
-            .with_resume(&replay);
-        assert_eq!(coord.resumed(), plan.task_count() / 2);
-        let coord = Arc::new(Mutex::new(coord));
-        let transport = LocalTransport::new(Arc::clone(&coord));
-        let executor = SweepExecutor::serial();
-        let summary =
-            run_worker(&plan, 0, &executor, &transport, &WorkerConfig::new("w1")).unwrap();
-        assert_eq!(
-            summary.tasks_executed,
-            plan.task_count() - plan.task_count() / 2
-        );
-        drop(transport);
-        let coord = Arc::into_inner(coord).unwrap().into_inner().unwrap();
-        let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
-        assert_eq!(outcome_bits(&direct), outcome_bits(&merged));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -46,16 +46,13 @@
 //!   isolation, an optional watchdog deadline, keep-going degradation);
 //!   every unit runs once, since a pure task that failed would fail the
 //!   same way again;
-//! * [`journal`] — the kill-safe [`CheckpointJournal`]: completed task
-//!   outcomes fsync'd through the shard codec, with truncation-tolerant
-//!   [`JournalReplay`] so `--resume` skips finished work and merges
-//!   byte-identical to an uninterrupted run;
 //! * [`coord`] — the cross-host work-stealing layer: a [`Coordinator`]
 //!   handing out task leases over a line-based wire protocol, worker
-//!   clients with heartbeats and deterministic reconnect backoff, lease
-//!   expiry + reassignment for dead workers, and journal-backed
-//!   coordinator crash recovery — all under the invariant that a
-//!   coordinated sweep merges byte-identical to a direct run.
+//!   clients with heartbeats and deterministic reconnect backoff, and
+//!   lease expiry + reassignment for dead workers — all under the
+//!   invariant that a coordinated sweep merges byte-identical to a
+//!   direct run. A killed run is simply run again: every cell is pure in
+//!   `(scenario, seed)`.
 
 pub mod cache;
 pub mod controller;
@@ -63,7 +60,6 @@ pub mod coord;
 pub mod driver;
 pub mod fault;
 pub mod gate;
-pub mod journal;
 pub mod observe;
 pub mod policy;
 pub mod scenario;
@@ -83,7 +79,6 @@ pub use driver::{
 };
 pub use fault::{relock, FaultPolicy, TaskError, TaskOutcome};
 pub use gate::MplGate;
-pub use journal::{CheckpointJournal, JournalReplay};
 pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
 pub use scenario::{

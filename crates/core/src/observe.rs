@@ -16,7 +16,7 @@
 use crate::fault::relock;
 use crate::scenario::{ArrivalSpec, ExecSpec, MplSpec, Scenario};
 use std::sync::Mutex;
-use xsched_obs::{ControllerSeries, MetricsRegistry, RingRecorder, TraceEvent, TraceSink};
+use xsched_obs::{ControllerSeries, MetricsRegistry};
 
 /// One executed cell's timing telemetry: which bucket it fell in, the
 /// measured wall-clock seconds, and the deterministic simulator event
@@ -128,13 +128,7 @@ impl CellTiming {
 pub struct SweepObs {
     registry: MetricsRegistry,
     series: Mutex<Vec<(String, ControllerSeries)>>,
-    task_events: Mutex<RingRecorder>,
 }
-
-/// Most recent task fault events ([`TraceEvent::TaskFailed`]) retained
-/// per sweep — enough to inspect every failure of any realistic sweep
-/// without unbounded growth when a whole grid fails.
-const TASK_EVENT_CAPACITY: usize = 1024;
 
 impl SweepObs {
     /// An empty sink.
@@ -142,20 +136,7 @@ impl SweepObs {
         SweepObs {
             registry: MetricsRegistry::new(),
             series: Mutex::new(Vec::new()),
-            task_events: Mutex::new(RingRecorder::new(TASK_EVENT_CAPACITY)),
         }
-    }
-
-    /// Record one harness-side task fault event (a failure). Ring
-    /// buffered: the most recent [`TASK_EVENT_CAPACITY`] events are
-    /// retained.
-    pub fn record_task_event(&self, ev: TraceEvent) {
-        relock(&self.task_events).record(ev);
-    }
-
-    /// Retained task fault events, oldest first.
-    pub fn task_events(&self) -> Vec<TraceEvent> {
-        relock(&self.task_events).iter().copied().collect()
     }
 
     /// The metrics registry executors and binaries record into.
@@ -350,21 +331,6 @@ mod tests {
         let hit = CellTiming::split(&open, 0.1, 0.0, 1_000, 0);
         assert_eq!(hit.len(), 1);
         assert_eq!((hit[0].secs, hit[0].events), (0.1, 1_000));
-    }
-
-    #[test]
-    fn task_events_ring_records_in_order() {
-        let obs = SweepObs::new();
-        assert!(obs.task_events().is_empty());
-        obs.record_task_event(TraceEvent::TaskFailed { task: 4 });
-        obs.record_task_event(TraceEvent::TaskFailed { task: 9 });
-        assert_eq!(
-            obs.task_events(),
-            [
-                TraceEvent::TaskFailed { task: 4 },
-                TraceEvent::TaskFailed { task: 9 }
-            ]
-        );
     }
 
     #[test]

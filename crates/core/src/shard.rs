@@ -26,8 +26,8 @@ use xsched_dbms::DbmsMetrics;
 
 /// A typed decode failure: which line of the payload was malformed, the
 /// offending text, and what went wrong — so a bad byte in a multi-payload
-/// stream (or a checkpoint journal) is locatable instead of a bare
-/// `format!` string that lost its position.
+/// stream is locatable instead of a bare `format!` string that lost its
+/// position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// 1-based line number within the decoded text (0 when the failure

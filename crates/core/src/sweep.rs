@@ -21,7 +21,6 @@
 use crate::cache::MeasurementCache;
 use crate::driver::combine_subruns;
 use crate::fault::{classify_panic, relock, FaultPolicy, TaskError, TaskOutcome};
-use crate::journal::{CheckpointJournal, JournalReplay};
 use crate::observe::SweepObs;
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost, UnitOutcome};
 use crate::shard::ShardResult;
@@ -31,7 +30,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xsched_obs::TraceEvent;
 use xsched_sim::{ConfidenceInterval, Replications};
 
 /// Scenarios × replication seeds: the unit of execution.
@@ -174,8 +172,6 @@ pub struct SweepExecutor {
     obs: Option<Arc<SweepObs>>,
     progress: bool,
     faults: FaultPolicy,
-    journal: Option<Arc<CheckpointJournal>>,
-    resume: Option<Arc<JournalReplay>>,
 }
 
 impl SweepExecutor {
@@ -187,8 +183,6 @@ impl SweepExecutor {
             obs: None,
             progress: false,
             faults: FaultPolicy::default(),
-            journal: None,
-            resume: None,
         }
     }
 
@@ -239,26 +233,6 @@ impl SweepExecutor {
         self
     }
 
-    /// Durably record every completed task outcome into `journal` (one
-    /// fsync'd append per task) so a killed sweep can resume. The
-    /// executor writes the plan's header itself at the start of each
-    /// [`SweepExecutor::run_shard`].
-    pub fn with_journal(mut self, journal: Arc<CheckpointJournal>) -> SweepExecutor {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Skip tasks whose outcome `replay` already holds (matched by plan
-    /// fingerprint + task index), splicing the journaled outcomes into
-    /// their slots — the merge is byte-identical to an uninterrupted run
-    /// because journaled outcomes travel through the same bit-exact
-    /// codec as shard payloads. Resumed tasks contribute no timing
-    /// telemetry (they cost no wall-clock this run).
-    pub fn with_resume(mut self, replay: Arc<JournalReplay>) -> SweepExecutor {
-        self.resume = Some(replay);
-        self
-    }
-
     /// Worker count this executor will use.
     pub fn threads(&self) -> usize {
         self.threads
@@ -283,46 +257,13 @@ impl SweepExecutor {
     /// Shards are independent: split a plan across processes or hosts,
     /// ship each [`ShardResult`] back (see [`ShardResult::encode`]), and
     /// [`ShardResult::merge`] reassembles the full sweep bit-identically
-    /// to an unsharded run.
-    ///
-    /// Resume splices journaled outcomes (successes *and* failures —
-    /// delete the journal to re-run failed cells) in place of running
-    /// their tasks; resumed cells cost no wall-clock here, so they
-    /// contribute no timing telemetry. Every executed cell is journaled
-    /// as it is delivered.
+    /// to an unsharded run. The core delivers cells in task order, so
+    /// `entries` and `failures` come out sorted by task index.
     pub fn run_shard(&self, plan: &SweepPlan, index: usize, of: usize) -> ShardResult {
-        let fp = plan.fingerprint();
-        let mut outcomes: BTreeMap<usize, TaskOutcome> = BTreeMap::new();
-        let mut pending = plan.shard(index, of);
-        if let Some(replay) = &self.resume {
-            pending.retain(|&t| match replay.outcome(fp, t) {
-                Some(outcome) => {
-                    outcomes.insert(t, outcome.clone());
-                    false
-                }
-                None => true,
-            });
-            let skipped = outcomes.len();
-            if skipped > 0 {
-                eprintln!(
-                    "[sweep] resume: skipped {skipped}/{} journaled tasks (shard {index}/{of})",
-                    skipped + pending.len()
-                );
-                if let Some(obs) = &self.obs {
-                    obs.registry()
-                        .counter_add("sweep.tasks_resumed", skipped as u64);
-                }
-            }
-        }
-        if let Some(journal) = &self.journal {
-            journal
-                .begin_sweep(fp, plan.task_count())
-                .expect("checkpoint journal write failed");
-        }
         let mut shard = ShardResult {
             shard: index,
             of,
-            plan_fingerprint: fp,
+            plan_fingerprint: plan.fingerprint(),
             task_count: plan.task_count(),
             entries: Vec::new(),
             failures: Vec::new(),
@@ -331,12 +272,7 @@ impl SweepExecutor {
             events: Vec::new(),
             ref_events: Vec::new(),
         };
-        self.execute(plan, &pending, (index, of), |t, cell| {
-            if let Some(journal) = &self.journal {
-                journal
-                    .record(t, &cell.outcome)
-                    .expect("checkpoint journal write failed");
-            }
+        self.execute(plan, &plan.shard(index, of), (index, of), |t, cell| {
             let cost = cell.cost;
             shard.timings.push((t, cell.secs));
             if cost.ref_secs > 0.0 {
@@ -352,14 +288,11 @@ impl SweepExecutor {
             if cost.ref_events > 0 {
                 shard.ref_events.push((t, cost.ref_events));
             }
-            outcomes.insert(t, cell.outcome);
-        });
-        for (t, outcome) in outcomes {
-            match outcome {
+            match cell.outcome {
                 TaskOutcome::Ok(outcome) => shard.entries.push((t, outcome)),
                 TaskOutcome::Failed(failure) => shard.failures.push((t, failure)),
             }
-        }
+        });
         shard
     }
 
@@ -391,9 +324,7 @@ impl SweepExecutor {
     /// Fault tolerance applies per task exactly as in
     /// [`SweepExecutor::run_shard`] (the fold sees [`TaskOutcome::Failed`]
     /// cells under keep-going mode; fail-fast re-raises on the calling
-    /// thread). The checkpoint journal is *not* consulted or written
-    /// here — folds are streaming by nature; use the batch executor for
-    /// resumable sweeps.
+    /// thread).
     pub fn run_fold<A>(
         &self,
         plan: &SweepPlan,
@@ -542,7 +473,6 @@ impl SweepExecutor {
                     let r = obs.registry();
                     if cell.outcome.as_failed().is_some() {
                         r.counter_add("sweep.task_failures", 1);
-                        obs.record_task_event(TraceEvent::TaskFailed { task: t as u64 });
                     }
                     // Telemetry counts *cells* (the plan's task unit),
                     // credited to the worker that finished the cell, so
@@ -1089,7 +1019,6 @@ mod tests {
         }
         let reg = obs.registry();
         assert_eq!(reg.counter("sweep.task_failures"), plan.task_count() as u64);
-        assert_eq!(obs.task_events().len(), plan.task_count());
     }
 
     /// The cells beside a failing one are bit-identical to the same cells
@@ -1202,54 +1131,6 @@ mod tests {
             .expect("the panic carries a message");
         assert!(msg.contains("sweep task 0 failed: "), "{msg}");
         assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
-    }
-
-    /// Checkpoint/resume round trip: journal a full run, then resume from
-    /// the journal — every task is skipped, the merged shard is
-    /// bit-identical, and resumed cells contribute no timing lines.
-    #[test]
-    fn journaled_sweep_resumes_bit_identically_and_skips_timings() {
-        let plan = quick_plan();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("xsched-sweep-journal-{}.log", std::process::id()));
-        let direct = SweepExecutor::serial().run_shard(&plan, 0, 1);
-        // An executed shard times every task it ran.
-        assert_eq!(direct.timings.len(), direct.entries.len());
-        assert!(direct.timings.iter().all(|&(_, secs)| secs >= 0.0));
-        let journal = Arc::new(crate::journal::CheckpointJournal::create(&path).unwrap());
-        let journaled = SweepExecutor::parallel(2)
-            .with_journal(Arc::clone(&journal))
-            .run_shard(&plan, 0, 1);
-        for ((t, a), (u, b)) in direct.entries.iter().zip(&journaled.entries) {
-            assert_eq!(t, u);
-            assert_eq!(encode_outcome(a), encode_outcome(b));
-        }
-        let replay = Arc::new(crate::journal::JournalReplay::load(&path).unwrap());
-        let obs = Arc::new(SweepObs::new());
-        let resumed = SweepExecutor::parallel(2)
-            .with_resume(replay)
-            .with_obs(Arc::clone(&obs))
-            .run_shard(&plan, 0, 1);
-        std::fs::remove_file(&path).ok();
-        // Entries identical; no wall-clock was spent, so no timing lines
-        // and no executed-task telemetry.
-        assert_eq!(resumed.entries.len(), direct.entries.len());
-        for ((t, a), (u, b)) in direct.entries.iter().zip(&resumed.entries) {
-            assert_eq!(t, u);
-            assert_eq!(encode_outcome(a), encode_outcome(b));
-        }
-        assert!(resumed.timings.is_empty());
-        let reg = obs.registry();
-        assert_eq!(reg.counter("sweep.tasks_resumed"), plan.task_count() as u64);
-        assert_eq!(reg.counter("sweep.tasks_done"), 0);
-        // And the assembled tables match bitwise.
-        let a = assemble(&plan, direct.entries, direct.failures);
-        let b = assemble(&plan, resumed.entries, resumed.failures);
-        for (x, y) in a.iter().zip(&b) {
-            for (o, p) in x.outcomes.iter().zip(&y.outcomes) {
-                assert_eq!(encode_outcome(o), encode_outcome(p));
-            }
-        }
     }
 
     /// A split cell's units can land in any order; the cell's failure is

@@ -8,13 +8,10 @@
 //! as the comparison key.
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use xsched_core::shard::encode_outcome;
 use xsched_core::{
-    combine_subruns, ArrivalSpec, CheckpointJournal, ExecSpec, JournalReplay, MeasurementCache,
-    MplSpec, PolicyKind, RunConfig, RunResult, Scenario, ScenarioOutcome, ScenarioResult,
-    ShardResult, SweepExecutor, SweepPlan,
+    combine_subruns, ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig,
+    RunResult, Scenario, ScenarioOutcome, ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -72,63 +69,7 @@ fn bits(results: &[ScenarioResult]) -> Vec<String> {
         .collect()
 }
 
-/// The fixed plan the kill-point property resumes: 3 scenarios × 2
-/// replication seeds = 6 journaled tasks.
-fn kill_plan() -> SweepPlan {
-    plan_from(&[0, 1, 2], &[2, 5, 7], &[0, 1, 2], 1, 777_001)
-}
-
-/// Baseline for the kill-point property, computed once: the complete
-/// checkpoint journal of a full run of [`kill_plan`], plus the bitwise
-/// key of the uninterrupted (journal-free) run. Each proptest case then
-/// only pays for the *resumed* sweep.
-fn kill_baseline() -> &'static (String, Vec<String>) {
-    static BASELINE: OnceLock<(String, Vec<String>)> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        let plan = kill_plan();
-        let direct = SweepExecutor::serial().run(&plan);
-        let path =
-            std::env::temp_dir().join(format!("xsched-props-journal-{}.log", std::process::id()));
-        let journal = Arc::new(CheckpointJournal::create(&path).unwrap());
-        SweepExecutor::parallel(2)
-            .with_journal(Arc::clone(&journal))
-            .run(&plan);
-        drop(journal);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(text.is_ascii(), "journal records are ASCII by construction");
-        (text, bits(&direct))
-    })
-}
-
-/// Unique-per-case scratch file suffix (proptest may repeat draws).
-static KILL_FILE_SEQ: AtomicUsize = AtomicUsize::new(0);
-
 proptest! {
-    /// Kill-safety: truncating the checkpoint journal at *any* byte —
-    /// every possible SIGKILL point, including mid-record — and resuming
-    /// from the remains merges bit-identical to an uninterrupted run.
-    #[test]
-    fn any_kill_point_in_the_journal_resumes_bit_identically(cut in 0usize..100_000) {
-        let (text, direct_bits) = kill_baseline();
-        let cut = cut % (text.len() + 1);
-        let seq = KILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "xsched-props-kill-{}-{seq}.log",
-            std::process::id()
-        ));
-        std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
-        let replay = Arc::new(JournalReplay::load(&path).unwrap());
-        let journal = Arc::new(CheckpointJournal::append(&path).unwrap());
-        let resumed = SweepExecutor::parallel(2)
-            .with_resume(replay)
-            .with_journal(journal)
-            .run(&kill_plan());
-        std::fs::remove_file(&path).ok();
-        prop_assert!(resumed.iter().all(|r| r.failures.is_empty()));
-        prop_assert_eq!(&bits(&resumed), direct_bits);
-    }
-
     /// Cached execution (the executor's default) is bit-identical to the
     /// cache-free path, for any small plan.
     #[test]

@@ -111,45 +111,6 @@ pub enum TraceEvent {
         /// Throughput of the discarded window, txns/second.
         throughput: f64,
     },
-    /// Harness: a sweep task failed and was degraded to a failed cell
-    /// (keep-going mode). Unlike the simulator events above this carries
-    /// no simulation time — it is emitted by the sweep executor, outside
-    /// any simulation.
-    TaskFailed {
-        /// Global task index within the sweep plan.
-        task: u64,
-    },
-    /// Coordinator: a task lease was granted to a worker. Like the
-    /// harness events above, carries no simulation time — emitted by the
-    /// sweep coordinator, outside any simulation.
-    LeaseGranted {
-        /// Global task index within the sweep plan.
-        task: u64,
-        /// Dense worker id (hello order at the coordinator).
-        worker: u64,
-    },
-    /// Coordinator: a lease outlived its deadline without a heartbeat;
-    /// the task returned to the pending queue.
-    LeaseExpired {
-        /// Global task index within the sweep plan.
-        task: u64,
-        /// Dense id of the worker that held the dead lease.
-        worker: u64,
-    },
-    /// Coordinator: a previously-expired task was leased again — the
-    /// recovery path that makes a SIGKILLed worker survivable.
-    TaskReassigned {
-        /// Global task index within the sweep plan.
-        task: u64,
-        /// Dense id of the worker now holding the lease.
-        worker: u64,
-    },
-    /// Coordinator: a known worker re-introduced itself — it reconnected
-    /// after a transport failure (or a coordinator restart).
-    WorkerReconnect {
-        /// Dense worker id.
-        worker: u64,
-    },
 }
 
 impl TraceEvent {
@@ -170,16 +131,11 @@ impl TraceEvent {
             TraceEvent::ChaosAbort { .. } => 10,
             TraceEvent::ChaosBurst { .. } => 11,
             TraceEvent::ControllerDiscard { .. } => 12,
-            TraceEvent::TaskFailed { .. } => 13,
-            TraceEvent::LeaseGranted { .. } => 14,
-            TraceEvent::LeaseExpired { .. } => 15,
-            TraceEvent::TaskReassigned { .. } => 16,
-            TraceEvent::WorkerReconnect { .. } => 17,
         }
     }
 
     /// Number of distinct event kinds.
-    pub const KINDS: usize = 18;
+    pub const KINDS: usize = 13;
 
     /// Stable short name of a kind index.
     pub fn kind_name(kind: usize) -> &'static str {
@@ -197,11 +153,6 @@ impl TraceEvent {
             "chaos_abort",
             "chaos_burst",
             "controller_discard",
-            "task_failed",
-            "lease_granted",
-            "lease_expired",
-            "task_reassigned",
-            "worker_reconnect",
         ][kind]
     }
 }
@@ -340,6 +291,8 @@ mod tests {
         );
         assert_eq!(s.by_kind[TraceEvent::Commit { txn: 0, t: 0.0 }.kind()], 2);
         assert_eq!(TraceEvent::kind_name(7), "commit");
+        assert_eq!(TraceEvent::KINDS, 13);
+        assert_eq!(TraceEvent::kind_name(12), "controller_discard");
     }
 
     #[test]
