@@ -166,7 +166,6 @@ fn main() {
         timings: timings_sink.clone(),
         obs: obs.clone(),
         progress: args.progress,
-        subruns: args.subruns,
         faults,
     };
     let rc = if args.quick { quick_rc() } else { full_rc() };

@@ -3,9 +3,9 @@
 //! A small hand-rolled parser (the build environment has no crates.io
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
-//! `--shard`, `--merge`, `--metrics`, `--progress`, `--subruns`,
-//! `--keep-going`, `--task-timeout`, `--serve`, `--worker`, `--lease`,
-//! `--list`, `--help`, and positional experiment names. A killed run is
+//! `--shard`, `--merge`, `--metrics`, `--progress`, `--keep-going`,
+//! `--task-timeout`, `--serve`, `--worker`, `--lease`, `--list`,
+//! `--help`, and positional experiment names. A killed run is
 //! simply run again: every cell is pure in `(scenario, seed)` and the
 //! whole quick study takes well under a minute. Parsing is pure and
 //! errors are **typed** ([`ArgError`]) so the binary can render a clean
@@ -13,6 +13,7 @@
 //! string.
 
 use std::fmt;
+use std::time::Duration;
 
 /// A user-input problem with the argument vector. Every variant renders a
 /// one-line message through `Display`; the binary prints it with usage and
@@ -83,12 +84,6 @@ pub struct FiguresArgs {
     pub metrics_out: Option<String>,
     /// Print a per-task progress ticker to stderr while sweeps run.
     pub progress: bool,
-    /// Split each splittable cell's measurement into this many
-    /// independently-seeded sub-runs combined by batch means (`0` or `1`
-    /// = off, the golden-pinned default). Changes result values (they
-    /// become replication means), so every shard of one sweep — and its
-    /// merge — must use the same value.
-    pub subruns: u32,
     /// Degrade failed sweep tasks to marked `FAILED` cells and keep
     /// sweeping instead of aborting on the first failure.
     pub keep_going: bool,
@@ -146,14 +141,6 @@ OPTIONS:
                              queue/latency time series
         --progress           print a per-task completion ticker to stderr
                              while sweeps run (stdout stays table-only)
-        --subruns K          split each fixed-MPL cell's measurement into
-                             K independently-seeded sub-runs executed in
-                             parallel and combined by batch means —
-                             intra-cell parallelism for long cells. Cell
-                             values become K-replication means, so tables
-                             differ from an unsplit run (CIs shrink);
-                             every shard of one sweep and its merge must
-                             use the same K [default: off]
         --keep-going         degrade failed sweep tasks (panics, watchdog
                              timeouts) to marked FAILED cells and keep
                              sweeping; failed cells render as FAILED in
@@ -240,7 +227,6 @@ fn parse_u64_list(flag: &str, v: &str) -> Result<Vec<u64>, ArgError> {
 pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
     let mut out = FiguresArgs::default();
     let mut replications: Option<usize> = None;
-    let mut subruns: Option<u32> = None;
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_for = |flag: &str| {
@@ -280,27 +266,13 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             "--shard" => out.shard = Some(parse_shard(&value_for(arg)?)?),
             "--metrics" => out.metrics_out = Some(value_for(arg)?),
             "--progress" => out.progress = true,
-            "--subruns" => {
-                let v = value_for(arg)?;
-                let n: u32 = v.parse().map_err(|_| ArgError::InvalidValue {
-                    flag: arg.to_string(),
-                    value: v.clone(),
-                    want: "a sub-run count ≥ 2",
-                })?;
-                if n < 2 {
-                    return Err(ArgError::InvalidValue {
-                        flag: arg.to_string(),
-                        value: v,
-                        want: "a sub-run count ≥ 2",
-                    });
-                }
-                subruns = Some(n);
-            }
             "--keep-going" => out.keep_going = true,
             "--task-timeout" => {
                 let v = value_for(arg)?;
                 let secs: f64 = v.parse().unwrap_or(f64::NAN);
-                if !(secs > 0.0 && secs.is_finite()) {
+                // The watchdog waits on a `Duration`, so the deadline must
+                // also be one `Duration` can hold.
+                if !(secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok()) {
                     return Err(ArgError::InvalidValue {
                         flag: arg.to_string(),
                         value: v,
@@ -361,7 +333,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             "--lease requires --serve (the coordinator owns the leases)",
         ));
     }
-    out.subruns = subruns.unwrap_or(0);
     Ok(out)
 }
 
@@ -468,8 +439,9 @@ mod tests {
     }
 
     /// Shard balancing, cost calibration, timing dumps, explicit
-    /// defaults, task retries, fault injection and checkpoint/resume are
-    /// not options: each is a typed unknown-option error.
+    /// defaults, task retries, fault injection, checkpoint/resume and
+    /// sub-run splitting are not options: each is a typed unknown-option
+    /// error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -484,6 +456,7 @@ mod tests {
             vec!["--wire-faults", "1234"],
             vec!["--checkpoint", "j.log"],
             vec!["--resume"],
+            vec!["--subruns", "3"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -506,22 +479,6 @@ mod tests {
             parse_args(&["--metrics"]).unwrap_err(),
             ArgError::MissingValue("--metrics".into())
         );
-    }
-
-    #[test]
-    fn subruns_parse() {
-        // Off by default.
-        assert_eq!(parse_args::<&str>(&[]).unwrap().subruns, 0);
-        assert_eq!(parse_args(&["--subruns", "4"]).unwrap().subruns, 4);
-        for bad in ["0", "1", "x", "-2"] {
-            assert!(
-                matches!(
-                    parse_args(&["--subruns", bad]).unwrap_err(),
-                    ArgError::InvalidValue { .. }
-                ),
-                "`{bad}`"
-            );
-        }
     }
 
     #[test]
@@ -552,6 +509,7 @@ mod tests {
             vec!["--task-timeout", "0"],
             vec!["--task-timeout", "-1"],
             vec!["--task-timeout", "nope"],
+            vec!["--task-timeout", "1e30"],
         ] {
             assert!(
                 matches!(parse_args(&bad).unwrap_err(), ArgError::InvalidValue { .. }),
@@ -646,7 +604,7 @@ mod tests {
     /// in USAGE, and USAGE's OPTIONS section names no other `--flag`.
     #[test]
     fn usage_lists_exactly_the_parsed_options() {
-        let options: [&[&str]; 16] = [
+        let options: [&[&str]; 15] = [
             &["--quick"],
             &["--seeds", "7,8"],
             &["--replications", "2"],
@@ -654,7 +612,6 @@ mod tests {
             &["--shard", "1/2"],
             &["--metrics", "m.json"],
             &["--progress"],
-            &["--subruns", "3"],
             &["--keep-going"],
             &["--task-timeout", "5"],
             &["--merge", "s.txt"],

@@ -191,11 +191,6 @@ pub struct SweepOpts {
     pub obs: Option<Arc<SweepObs>>,
     /// Print a per-task completion ticker to stderr while sweeps run.
     pub progress: bool,
-    /// Split each splittable cell into this many independently-seeded
-    /// sub-runs on the worker pool (`0`/`1` = run cells whole — the
-    /// default, whose output bytes the goldens pin). Participates in the
-    /// plan fingerprint, so shards and merges must agree on it.
-    pub subruns: u32,
     /// Failure handling for every executed sweep: panic isolation, an
     /// optional watchdog, keep-going degradation. The default policy
     /// fails fast.
@@ -204,12 +199,7 @@ pub struct SweepOpts {
 
 impl SweepOpts {
     /// Execute `scenarios` under these options.
-    pub fn run(&self, mut scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
-        if self.subruns >= 2 {
-            for s in &mut scenarios {
-                s.rc.subruns = self.subruns;
-            }
-        }
+    pub fn run(&self, scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
         let plan = SweepPlan::new(scenarios).with_seeds(self.seeds.clone());
         let mut executor = SweepExecutor::parallel(self.threads)
             .with_progress(self.progress)

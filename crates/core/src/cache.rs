@@ -28,15 +28,9 @@ use xsched_workload::Setup;
 
 type Slot = Arc<Mutex<Option<Arc<RunResult>>>>;
 
-/// What a cached measurement measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MeasurementKind {
-    /// The MPL-less capacity run of [`Driver::reference`](crate::Driver::reference).
-    Reference,
-}
-
-/// Typed memoization key: measurement kind, structural setup fingerprint,
-/// and every run-config field verbatim (floats as IEEE bit patterns).
+/// Typed memoization key of a reference (capacity) measurement: setup
+/// id, structural setup fingerprint, and every run-config field verbatim
+/// (floats as IEEE bit patterns).
 ///
 /// This replaces the original `format!("reference|{:?}|{:?}", ...)`
 /// string key, which silently aliased whenever two configurations shared
@@ -46,7 +40,6 @@ pub enum MeasurementKind {
 /// constructor until it is added to the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeasurementKey {
-    kind: MeasurementKind,
     setup_id: u32,
     /// 128-bit structural fingerprint of the full setup (workload,
     /// hardware, DBMS config) — distinguishes `map_cfg` variants sharing
@@ -66,8 +59,7 @@ impl MeasurementKey {
     /// (capacity) measurement under `setup` and `rc`.
     pub fn reference(setup: &Setup, rc: &RunConfig) -> MeasurementKey {
         // Exhaustive destructuring (no `..`): adding a `RunConfig` field
-        // fails to compile here until it joins the key (or is excluded
-        // deliberately, like `subruns`).
+        // fails to compile here until it joins the key.
         let RunConfig {
             warmup_txns,
             measured_txns,
@@ -76,14 +68,8 @@ impl MeasurementKey {
             min_warmup_time,
             warm_pool,
             high_fraction,
-            // Deliberately NOT part of the key: sub-run splitting is a
-            // sweep-executor concern — a reference run is always one
-            // whole simulation, identical whatever `subruns` says, so
-            // configs differing only there must share the cache entry.
-            subruns: _,
         } = *rc;
         MeasurementKey {
-            kind: MeasurementKind::Reference,
             setup_id: setup.id,
             setup_fp: setup.stable_fingerprint(),
             warmup_txns,
@@ -98,7 +84,7 @@ impl MeasurementKey {
 }
 
 /// Memoizes reference/capacity runs keyed by [`MeasurementKey`] —
-/// `(measurement kind, setup fingerprint, run config, seed)`.
+/// `(setup fingerprint, run config, seed)`.
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
     slots: Mutex<HashMap<MeasurementKey, Slot>>,

@@ -30,7 +30,7 @@ use xsched_dbms::{Completion, DbmsMetrics, DbmsSim, StepOutcome, Toggler};
 use xsched_obs::{
     ControllerSeries, ControllerTick, LogHistogram, NoopTrace, TraceEvent, TraceSink,
 };
-use xsched_sim::{BatchMeans, Replications, SampleSet, SimRng, SimTime, Welford};
+use xsched_sim::{BatchMeans, SampleSet, SimRng, SimTime, Welford};
 use xsched_workload::{ArrivalProcess, ChaosSpec, FlashSpec, Setup, TxnGen};
 
 /// Length and bookkeeping of one simulation run.
@@ -53,14 +53,6 @@ pub struct RunConfig {
     pub warm_pool: bool,
     /// Fraction of transactions tagged high-priority (paper: 10%).
     pub high_fraction: f64,
-    /// Number of independently-seeded batch-means sub-runs the *sweep
-    /// executor* splits a plain fixed-MPL measurement into (see
-    /// [`combine_subruns`]). `0` and `1` both mean "one run" — the
-    /// default, whose output bytes are pinned by the golden tables. The
-    /// [`Driver`] itself never reads this: a direct `Driver::run` (and
-    /// every reference/capacity measurement) is always a single whole
-    /// run, so enabling sub-runs never perturbs cached references.
-    pub subruns: u32,
 }
 
 impl Default for RunConfig {
@@ -73,7 +65,6 @@ impl Default for RunConfig {
             min_warmup_time: 0.0,
             warm_pool: true,
             high_fraction: 0.10,
-            subruns: 1,
         }
     }
 }
@@ -167,114 +158,6 @@ impl RunResult {
         }
         u.push(self.metrics.log_utilization());
         u
-    }
-}
-
-/// Combine K independently-seeded sub-runs of one steady-state
-/// measurement into a single [`RunResult`] — the reduction behind
-/// `RunConfig::subruns` (see the sweep executor, which runs the sub-runs
-/// on its worker pool and calls this in sub-run order).
-///
-/// Estimators, through the existing machinery:
-///
-/// * `mean_rt` and its companion `rt_bm_half_width` come from a
-///   [`Replications`] accumulator over the sub-run means — each sub-run
-///   is one replication, so the half-width is the Student-t CI on K−1
-///   degrees of freedom (infinite for K = 1, like a too-short batch-means
-///   run). `throughput` is the same replication mean over sub-run rates.
-/// * Class means (`rt_high`, `rt_low`), wait times, percentile estimates,
-///   and `aborts_per_txn` are completion-count-weighted means — for the
-///   quantiles that is the mean-of-sub-run-quantiles estimator (each
-///   sub-run's quantile is sample-exact; the combination is not, which is
-///   the usual batch-quantile trade).
-/// * `c2_rt` pools the per-sub-run moments: `Σnᵢ(vᵢ + mᵢ²)/n − m²`
-///   over the pooled mean `m`, then divided by `m²`.
-/// * Counters (`count_high`, `count_low`, every [`DbmsMetrics`] counter,
-///   busy-seconds, `elapsed`) are summed, so utilization ratios remain
-///   busy/elapsed over the union of the sub-runs.
-///
-/// Panics on an empty slice; a single part is returned unchanged (an
-/// unsplit cell never even calls this).
-pub fn combine_subruns(parts: &[RunResult]) -> RunResult {
-    assert!(!parts.is_empty(), "combine_subruns needs at least one part");
-    if parts.len() == 1 {
-        return parts[0].clone();
-    }
-    let counts: Vec<f64> = parts
-        .iter()
-        .map(|p| (p.count_high + p.count_low) as f64)
-        .collect();
-    let n: f64 = counts.iter().sum::<f64>().max(1.0);
-    let weighted = |f: &dyn Fn(&RunResult) -> f64| -> f64 {
-        parts
-            .iter()
-            .zip(&counts)
-            .map(|(p, c)| f(p) * c)
-            .sum::<f64>()
-            / n
-    };
-    let class_mean = |rt: &dyn Fn(&RunResult) -> f64, cnt: &dyn Fn(&RunResult) -> u64| -> f64 {
-        let total: u64 = parts.iter().map(cnt).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        parts.iter().map(|p| rt(p) * cnt(p) as f64).sum::<f64>() / total as f64
-    };
-
-    let mut reps = Replications::new();
-    for p in parts {
-        reps.push("mean_rt", p.mean_rt);
-        reps.push("throughput", p.throughput);
-    }
-    let rt_ci = reps.ci("mean_rt", 0.95);
-
-    // Pooled second moment → pooled variance → squared CV.
-    let pooled_mean = weighted(&|p| p.mean_rt);
-    let ex2 = weighted(&|p| p.c2_rt * p.mean_rt * p.mean_rt + p.mean_rt * p.mean_rt);
-    let pooled_var = (ex2 - pooled_mean * pooled_mean).max(0.0);
-    let c2_rt = if pooled_mean > 0.0 {
-        pooled_var / (pooled_mean * pooled_mean)
-    } else {
-        0.0
-    };
-
-    let mut metrics = parts[0].metrics.clone();
-    for p in &parts[1..] {
-        let m = &p.metrics;
-        metrics.commits += m.commits;
-        metrics.aborts += m.aborts;
-        metrics.deadlock_aborts += m.deadlock_aborts;
-        metrics.pow_aborts += m.pow_aborts;
-        metrics.timeout_aborts += m.timeout_aborts;
-        metrics.group_commits += m.group_commits;
-        metrics.writebacks += m.writebacks;
-        metrics.bp_hits += m.bp_hits;
-        metrics.bp_misses += m.bp_misses;
-        metrics.cpu_busy += m.cpu_busy;
-        for (a, b) in metrics.disk_busy.iter_mut().zip(&m.disk_busy) {
-            *a += b;
-        }
-        metrics.log_busy += m.log_busy;
-        metrics.elapsed += m.elapsed;
-    }
-
-    RunResult {
-        mpl: parts[0].mpl,
-        throughput: reps.mean("throughput"),
-        mean_rt: rt_ci.mean,
-        rt_high: class_mean(&|p| p.rt_high, &|p| p.count_high),
-        rt_low: class_mean(&|p| p.rt_low, &|p| p.count_low),
-        count_high: parts.iter().map(|p| p.count_high).sum(),
-        count_low: parts.iter().map(|p| p.count_low).sum(),
-        p95_rt: weighted(&|p| p.p95_rt),
-        rt_p95: weighted(&|p| p.rt_p95),
-        rt_p99: weighted(&|p| p.rt_p99),
-        c2_rt,
-        rt_bm_half_width: rt_ci.half_width,
-        mean_external_wait: weighted(&|p| p.mean_external_wait),
-        mean_lock_wait: weighted(&|p| p.mean_lock_wait),
-        aborts_per_txn: weighted(&|p| p.aborts_per_txn),
-        metrics,
     }
 }
 

@@ -15,7 +15,7 @@
 //!   locks, so one caught panic cannot cascade into poisoning every
 //!   worker that touches the same slot.
 //!
-//! Every unit runs exactly once. A task is a pure function of
+//! Every task runs exactly once. A task is a pure function of
 //! `(scenario, seed)`, so running a failed one again would fail the same
 //! way: a failed cell fails once.
 
@@ -23,7 +23,7 @@ use crate::scenario::ScenarioOutcome;
 use serde::Serialize;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Why one sweep task (or one of its sub-run units) failed.
+/// Why one sweep task failed.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TaskError {
     /// The task panicked; carries the panic message (lossy: non-string
@@ -74,7 +74,7 @@ impl TaskOutcome {
     }
 }
 
-/// How the sweep executor treats task failures. Every unit runs once,
+/// How the sweep executor treats task failures. Every task runs once,
 /// panic-isolated, whatever the policy; the default has no watchdog and
 /// fails fast — the first failed task aborts the sweep with a typed
 /// panic.
@@ -83,7 +83,7 @@ pub struct FaultPolicy {
     /// Degrade failed tasks to marked failed cells and keep sweeping.
     /// Off = fail fast: the failure propagates as a panic.
     pub keep_going: bool,
-    /// Per-task watchdog deadline in seconds: a unit still running past
+    /// Per-task watchdog deadline in seconds: a task still running past
     /// it is abandoned on a detached thread and scored
     /// [`TaskError::Timeout`].
     pub task_timeout_secs: Option<f64>,
@@ -102,12 +102,12 @@ pub(crate) fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> TaskErro
 /// Lock a mutex, recovering from poisoning instead of cascading the
 /// panic.
 ///
-/// Sound for the executor's bookkeeping locks (result slots, sub-run
-/// accumulators, cache slots, telemetry series): task code runs *inside*
-/// `catch_unwind`, so by the time these locks are taken the protected
-/// data is either fully written or untouched — a poisoned flag only
-/// means some thread panicked while holding the guard across a plain
-/// field write, which cannot leave torn state. Recovering keeps one
+/// Sound for the executor's bookkeeping locks (result slots, cache
+/// slots, telemetry series): task code runs *inside* `catch_unwind`, so
+/// by the time these locks are taken the protected data is either fully
+/// written or untouched — a poisoned flag only means some thread
+/// panicked while holding the guard across a plain field write, which
+/// cannot leave torn state. Recovering keeps one
 /// failed task from wedging every worker that shares the structure.
 pub fn relock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

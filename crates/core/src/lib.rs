@@ -24,13 +24,12 @@
 //!   a [`Scenario`] is one cell of a figure (setup × execution shape ×
 //!   run configuration), pure in `(scenario, seed)`;
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the
-//!   [`SweepExecutor`]: one execution core that expands tasks into work
-//!   units (sub-runs included), claims them in task order across worker
-//!   threads, runs each panic-isolated under the fault policy, and hands
-//!   finished cells in task order to a sink — batch assembly, the
-//!   streaming fold, and the coordinator worker's per-lease call are
-//!   each just a sink. Bit-identical to serial execution, feeding
-//!   Student-t confidence intervals from replications;
+//!   [`SweepExecutor`]: one execution core that claims tasks in task
+//!   order across worker threads, runs each once, panic-isolated under
+//!   the fault policy, and hands finished cells in task order to a sink
+//!   — batch assembly, the streaming fold, and the coordinator worker's
+//!   per-lease call are each just a sink. Bit-identical to serial
+//!   execution, feeding Student-t confidence intervals from replications;
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
 //!   capacity exactly once;
@@ -44,7 +43,7 @@
 //! * [`fault`] — the sweep's failure handling: typed
 //!   [`TaskError`]/[`TaskOutcome`] and the [`FaultPolicy`] (panic
 //!   isolation, an optional watchdog deadline, keep-going degradation);
-//!   every unit runs once, since a pure task that failed would fail the
+//!   every task runs once, since a pure task that failed would fail the
 //!   same way again;
 //! * [`coord`] — the cross-host work-stealing layer: a [`Coordinator`]
 //!   handing out task leases over a line-based wire protocol, worker
@@ -67,23 +66,20 @@ pub mod scheduler;
 pub mod shard;
 pub mod sweep;
 
-pub use cache::{MeasurementCache, MeasurementKey, MeasurementKind};
+pub use cache::{MeasurementCache, MeasurementKey};
 pub use controller::{ControllerConfig, Decision, MplController, Reference, Targets};
 pub use coord::{
     call, run_worker, serve_line, CoordConfig, CoordServer, Coordinator, LocalTransport, Request,
     Response, TcpTransport, Transport, WorkerConfig, WorkerError, WorkerSummary,
 };
 pub use driver::{
-    combine_subruns, ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome,
-    RunConfig, RunResult,
+    ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult,
 };
 pub use fault::{relock, FaultPolicy, TaskError, TaskOutcome};
 pub use gate::MplGate;
 pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
-pub use scenario::{
-    ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost, UnitOutcome,
-};
+pub use scenario::{ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost};
 pub use scheduler::ExternalScheduler;
 pub use shard::{DecodeError, ShardResult};
 pub use sweep::{FoldStats, ScenarioResult, SweepExecutor, SweepPlan};

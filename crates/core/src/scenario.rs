@@ -20,7 +20,6 @@ use crate::driver::{
 use crate::observe::SweepObs;
 use serde::Serialize;
 use std::sync::Arc;
-use xsched_sim::SimRng;
 use xsched_workload::{ArrivalProcess, ChaosSpec, Setup};
 
 /// How a run's MPL is chosen.
@@ -152,38 +151,24 @@ impl Scenario {
     /// Execute this scenario under `seed`. Pure: identical `(self, seed)`
     /// always produce an identical outcome, bit for bit.
     pub fn run(&self, seed: u64) -> ScenarioOutcome {
-        self.run_cached(seed, None)
+        self.run_timed(seed, None, None).0
     }
 
-    /// Execute this scenario under `seed`, serving capacity (reference)
-    /// measurements through `cache` when one is supplied. The sweep
-    /// executor shares one cache across a whole plan so open-load grids
-    /// measure each `(setup, run config, seed)` capacity exactly once.
-    /// Purity is preserved: cached and uncached runs are bit-identical.
-    pub fn run_cached(&self, seed: u64, cache: Option<&Arc<MeasurementCache>>) -> ScenarioOutcome {
-        self.run_observed(seed, cache, None)
-    }
-
-    /// Execute this scenario under `seed`, optionally recording telemetry
-    /// into a shared [`SweepObs`]. With `obs` attached, controller cells
-    /// additionally capture their per-reaction time series (keyed by this
-    /// cell's label and seed). The outcome is bit-identical with or
-    /// without `obs` — observability never changes a result.
-    pub fn run_observed(
-        &self,
-        seed: u64,
-        cache: Option<&Arc<MeasurementCache>>,
-        obs: Option<&SweepObs>,
-    ) -> ScenarioOutcome {
-        self.run_timed(seed, cache, obs).0
-    }
-
-    /// [`Scenario::run_observed`] plus the cell's cost telemetry
-    /// ([`UnitCost`]): the wall-clock seconds spent *computing* reference
-    /// (capacity) runs along the way — zero when every reference lookup
-    /// hit the cache — and the deterministic simulator event counts. The
-    /// sweep executor separates reference cost from the cell's own so
-    /// timing telemetry bills capacity runs to a distinct `ref/` bucket.
+    /// Execute this scenario under `seed` and return its outcome plus
+    /// its cost telemetry ([`UnitCost`]).
+    ///
+    /// With `cache`, capacity (reference) measurements are served through
+    /// it: the sweep executor shares one cache across a whole plan so
+    /// open-load grids measure each `(setup, run config, seed)` capacity
+    /// exactly once. With `obs`, controller cells also record their
+    /// per-reaction time series, keyed by this cell's label and seed. The
+    /// outcome is bit-identical with or without either.
+    ///
+    /// The cost is the wall-clock seconds spent *computing* reference
+    /// runs along the way — zero when every reference lookup hit the
+    /// cache — and the deterministic simulator event counts. The sweep
+    /// executor separates reference cost from the cell's own so timing
+    /// telemetry bills capacity runs to a distinct `ref/` bucket.
     pub fn run_timed(
         &self,
         seed: u64,
@@ -234,98 +219,12 @@ impl Scenario {
                 None => ScenarioOutcome::Chaos(driver.run_chaos(chaos, *targets, *start)),
             },
         };
-        (outcome, UnitCost::from_drivers(&[&driver]))
-    }
-
-    /// Number of sub-runs the sweep executor splits this cell into: the
-    /// configured `rc.subruns` for plain fixed-MPL (or MPL-less) runs, 1
-    /// for everything else. `AtLoss`, priority, and controller cells are
-    /// multi-phase searches, not one steady-state measurement — splitting
-    /// them would re-run the search per sub-run.
-    pub fn subrun_count(&self) -> u32 {
-        match &self.exec {
-            ExecSpec::Run {
-                mpl: MplSpec::Fixed(_) | MplSpec::Unlimited,
-                ..
-            } => self.rc.subruns.max(1),
-            _ => 1,
-        }
-    }
-
-    /// Execute sub-run `k` of `of` for this cell (only valid for the
-    /// shapes [`Scenario::subrun_count`] splits). Returns the sub-run's
-    /// result plus cost telemetry (see [`Scenario::run_timed`]).
-    ///
-    /// The split discipline: arrival/MPL specs resolve against the
-    /// *parent* seed (so an open-load cell's capacity reference is the
-    /// same cached measurement sub-runs share with the unsplit cell), and
-    /// each sub-run then simulates `⌈measured/of⌉` transactions — with
-    /// its own full warmup — under a seed drawn from the xoshiro256++
-    /// stream `derive(seed, "subrun/k/of")`. Sub-runs are therefore
-    /// mutually independent and independent of the parent stream, and the
-    /// whole expansion is a pure function of `(scenario, seed)` — claim
-    /// order on the worker pool cannot change a byte.
-    pub fn run_subrun(
-        &self,
-        seed: u64,
-        k: u32,
-        of: u32,
-        cache: Option<&Arc<MeasurementCache>>,
-    ) -> (RunResult, UnitCost) {
-        let ExecSpec::Run {
-            mpl,
-            policy,
-            arrivals,
-        } = &self.exec
-        else {
-            panic!("run_subrun on a non-splittable execution shape");
+        let cost = UnitCost {
+            ref_secs: driver.reference_compute_secs(),
+            events: driver.events_processed(),
+            ref_events: driver.reference_compute_events(),
         };
-        let rc = RunConfig {
-            seed,
-            ..self.rc.clone()
-        };
-        let mut parent = Driver::new(self.setup.clone()).with_config(rc);
-        if let Some(cache) = cache {
-            parent = parent.with_cache(Arc::clone(cache));
-        }
-        let arr = arrivals.resolve(&parent);
-        let m = mpl.resolve(&parent);
-        let sub_seed = SimRng::derive(seed, &format!("subrun/{k}/{of}")).next_u64();
-        let sub_rc = RunConfig {
-            seed: sub_seed,
-            measured_txns: self.rc.measured_txns.div_ceil(u64::from(of.max(1))),
-            subruns: 1,
-            ..self.rc.clone()
-        };
-        let mut sub = Driver::new(self.setup.clone()).with_config(sub_rc);
-        if let Some(cache) = cache {
-            sub = sub.with_cache(Arc::clone(cache));
-        }
-        let result = sub.run(m, *policy, &arr);
-        (result, UnitCost::from_drivers(&[&parent, &sub]))
-    }
-
-    /// Execute one work *unit* of this cell: the whole scenario when it
-    /// does not split (`of <= 1`), or sub-run `k` of `of` when it does.
-    /// This is the single dispatch point the sweep executor's guarded
-    /// path runs under `catch_unwind` and the watchdog — one function
-    /// owning "run exactly this unit" keeps that path shape-agnostic. Returns the unit's outcome plus cost telemetry
-    /// (see [`Scenario::run_timed`]).
-    pub fn run_unit(
-        &self,
-        seed: u64,
-        k: u32,
-        of: u32,
-        cache: Option<&Arc<MeasurementCache>>,
-        obs: Option<&SweepObs>,
-    ) -> (UnitOutcome, UnitCost) {
-        if of <= 1 {
-            let (outcome, cost) = self.run_timed(seed, cache, obs);
-            (UnitOutcome::Whole(outcome), cost)
-        } else {
-            let (result, cost) = self.run_subrun(seed, k, of, cache);
-            (UnitOutcome::Part(result), cost)
-        }
+        (outcome, cost)
     }
 
     /// This cell's label in telemetry documents: row, column (when the
@@ -339,19 +238,9 @@ impl Scenario {
     }
 }
 
-/// What one executed work unit produced: a whole cell's outcome, or one
-/// sub-run's slice of a split cell (see [`Scenario::run_unit`]).
-#[derive(Debug, Clone)]
-pub enum UnitOutcome {
-    /// The unit was the entire cell.
-    Whole(ScenarioOutcome),
-    /// The unit was one sub-run of a split cell.
-    Part(RunResult),
-}
-
-/// Observational cost telemetry of one executed unit. `ref_secs` is
+/// Observational cost telemetry of one executed cell. `ref_secs` is
 /// host- and cache-dependent wall clock; the event counts are
-/// deterministic in the runs the unit performed (which runs those are —
+/// deterministic in the runs the cell performed (which runs those are —
 /// i.e. whether a reference computed or hit the cache — still depends on
 /// claim order, which is why the sweep layer reports the cache-stable
 /// `events - ref_events` difference per cell). Never part of a result.
@@ -359,23 +248,10 @@ pub enum UnitOutcome {
 pub struct UnitCost {
     /// Wall-clock seconds spent computing reference (capacity) runs.
     pub ref_secs: f64,
-    /// Total simulator events processed by the unit.
+    /// Total simulator events processed by the cell.
     pub events: u64,
     /// The share of `events` spent computing reference runs.
     pub ref_events: u64,
-}
-
-impl UnitCost {
-    /// Sum the cost telemetry of the drivers a unit executed through.
-    fn from_drivers(drivers: &[&Driver]) -> UnitCost {
-        let mut cost = UnitCost::default();
-        for d in drivers {
-            cost.ref_secs += d.reference_compute_secs();
-            cost.events += d.events_processed();
-            cost.ref_events += d.reference_compute_events();
-        }
-        cost
-    }
 }
 
 /// The measured outcome of one scenario replication.
@@ -542,7 +418,6 @@ mod tests {
             },
             rc: rc.clone(),
         };
-        assert_eq!(sc.subrun_count(), 1, "chaos cells never split");
         let out = sc.run(rc.seed);
         let chaos = out.as_chaos().expect("chaos outcome");
         assert!(chaos.post_onset_windows > 0);

@@ -13,16 +13,15 @@
 //! Every entry point — batch [`SweepExecutor::run`] /
 //! [`SweepExecutor::run_shard`], streaming [`SweepExecutor::run_fold`],
 //! and the coordinator worker's per-lease `SweepExecutor::run_task` —
-//! is a thin caller of one private core. The core expands tasks into work
-//! units (sub-runs included), claims units in task order from one atomic
-//! counter, runs each once under the guarded path, and hands every
-//! finished cell to a sink on the calling thread, in task order.
+//! is a thin caller of one private core. The core claims tasks in task
+//! order from one atomic counter, runs each once under the guarded path,
+//! and hands every finished cell to a sink on the calling thread, in task
+//! order.
 
 use crate::cache::MeasurementCache;
-use crate::driver::combine_subruns;
 use crate::fault::{classify_panic, relock, FaultPolicy, TaskError, TaskOutcome};
 use crate::observe::SweepObs;
-use crate::scenario::{Scenario, ScenarioOutcome, UnitCost, UnitOutcome};
+use crate::scenario::{Scenario, ScenarioOutcome, UnitCost};
 use crate::shard::ShardResult;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -225,7 +224,7 @@ impl SweepExecutor {
     }
 
     /// Set the fault policy: an optional watchdog deadline and/or
-    /// keep-going degradation (see [`FaultPolicy`]). Every unit runs
+    /// keep-going degradation (see [`FaultPolicy`]). Every task runs
     /// once, panic-isolated, whatever the policy; the default policy
     /// fails fast.
     pub fn with_faults(mut self, faults: FaultPolicy) -> SweepExecutor {
@@ -317,9 +316,9 @@ impl SweepExecutor {
     /// reaches them, so the fold sees task indices `0, 1, 2, …` **always
     /// in task order**, whatever the thread count. With the same plan the
     /// folded values are bit-identical to pulling outcomes out of
-    /// [`SweepExecutor::run`] (sub-run cells included); only the
-    /// peak-memory profile differs. Returns the final accumulator plus
-    /// [`FoldStats`] recording the parked-cell high-water mark.
+    /// [`SweepExecutor::run`]; only the peak-memory profile differs.
+    /// Returns the final accumulator plus [`FoldStats`] recording the
+    /// parked-cell high-water mark.
     ///
     /// Fault tolerance applies per task exactly as in
     /// [`SweepExecutor::run_shard`] (the fold sees [`TaskOutcome::Failed`]
@@ -353,13 +352,11 @@ impl SweepExecutor {
     /// on the calling thread, strictly in the order of `mine`. Returns the
     /// largest number of finished cells ever parked ahead of the cursor.
     ///
-    /// Each task expands into [`Scenario::subrun_count`] units — one long
-    /// steady-state measurement can occupy several workers at once — and
-    /// units are claimed in task order from one atomic counter by
+    /// Tasks are claimed in task order from one atomic counter by
     /// `threads` workers: the calling thread plus `threads − 1` scoped
-    /// helpers. A cell is finished when its last unit lands;
-    /// [`combine_subruns`] folds sub-run parts in k order, so worker
-    /// scheduling cannot change a result byte.
+    /// helpers. Each claimed task is one whole run, and a run is a pure
+    /// function of `(scenario, seed)`, so worker scheduling cannot change
+    /// a result byte.
     ///
     /// A fail-fast failure stops further claims and re-raises as a typed
     /// `sweep task {t} failed: …` panic on the calling thread once the
@@ -375,16 +372,6 @@ impl SweepExecutor {
         let tasks = plan.tasks();
         let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
         let obs = self.obs.as_deref();
-        let subs: Vec<u32> = mine
-            .iter()
-            .map(|&t| plan.scenarios[tasks[t].0].subrun_count())
-            .collect();
-        let units: Vec<(usize, u32)> = subs
-            .iter()
-            .enumerate()
-            .flat_map(|(pos, &n)| (0..n).map(move |k| (pos, k)))
-            .collect();
-        let accs: Vec<Mutex<SubAcc>> = subs.iter().map(|&n| Mutex::new(SubAcc::new(n))).collect();
         let parked: Mutex<BTreeMap<usize, Cell>> = Mutex::new(BTreeMap::new());
         let ready = Condvar::new();
         let next = AtomicUsize::new(0);
@@ -392,42 +379,42 @@ impl SweepExecutor {
         let hits_before = cache.hits();
         let misses_before = cache.misses();
 
-        // Claim and run the next unit as `worker`, parking its cell if the
-        // unit finished it. False once nothing is left to claim.
+        // Claim and run the next task as `worker` and park its cell. False
+        // once nothing is left to claim.
         let work = |worker: usize| -> bool {
             if abort.load(Ordering::Relaxed) {
                 return false;
             }
-            let Some(&(pos, k)) = units.get(next.fetch_add(1, Ordering::Relaxed)) else {
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&t) = mine.get(pos) else {
                 return false;
             };
-            let t = mine[pos];
             let (si, seed) = tasks[t];
             let started = Instant::now();
-            let result = self.run_unit_guarded(&plan.scenarios[si], seed, k, subs[pos], &cache);
+            let result = self.run_guarded(&plan.scenarios[si], seed, &cache);
             let secs = started.elapsed().as_secs_f64();
-            let finished = match result {
-                // Fail fast: park the failure at once and stop claiming —
-                // the cell's remaining units may never run.
-                Err(error) if !self.faults.keep_going => {
-                    abort.store(true, Ordering::Relaxed);
-                    Some((TaskOutcome::Failed(error), secs, UnitCost::default()))
+            let (outcome, cost) = match result {
+                Ok((outcome, cost)) => (TaskOutcome::Ok(outcome), cost),
+                Err(error) => {
+                    // Fail fast: stop claiming once a task fails.
+                    if !self.faults.keep_going {
+                        abort.store(true, Ordering::Relaxed);
+                    }
+                    (TaskOutcome::Failed(error), UnitCost::default())
                 }
-                result => relock(&accs[pos]).land(k, result, secs),
             };
-            if let Some((outcome, secs, cost)) = finished {
-                relock(&parked).entry(pos).or_insert(Cell {
-                    outcome,
-                    secs,
-                    cost,
-                    worker,
-                });
-                ready.notify_all();
-            }
+            let cell = Cell {
+                outcome,
+                secs,
+                cost,
+                worker,
+            };
+            relock(&parked).insert(pos, cell);
+            ready.notify_all();
             true
         };
 
-        let helpers = self.threads.min(units.len()).saturating_sub(1);
+        let helpers = self.threads.min(mine.len()).saturating_sub(1);
         let live = AtomicUsize::new(helpers);
         let mut peak = 0usize;
         let mut actual_secs = 0.0;
@@ -441,7 +428,7 @@ impl SweepExecutor {
             }
             // The calling thread is worker 0 and the in-order consumer:
             // deliver the cursor's cell when it is parked, otherwise run
-            // the next unit, otherwise wait for a helper to finish one.
+            // the next task, otherwise wait for a helper to finish one.
             for (pos, &t) in mine.iter().enumerate() {
                 let cell = loop {
                     {
@@ -474,10 +461,8 @@ impl SweepExecutor {
                     if cell.outcome.as_failed().is_some() {
                         r.counter_add("sweep.task_failures", 1);
                     }
-                    // Telemetry counts *cells* (the plan's task unit),
-                    // credited to the worker that finished the cell, so
-                    // the counters sum to the task count whatever the
-                    // sub-run fan-out.
+                    // Telemetry counts cells, credited to the worker that
+                    // ran the cell, so the counters sum to the task count.
                     r.counter_add("sweep.tasks_done", 1);
                     r.counter_add(&format!("sweep.worker{}.tasks", cell.worker), 1);
                     r.hist_record("sweep.task_secs", cell.secs);
@@ -509,24 +494,22 @@ impl SweepExecutor {
         peak
     }
 
-    /// Run one task unit once, panic-isolated, optionally under the
-    /// watchdog deadline. Returns the unit's outcome plus its
+    /// Run one `(scenario, seed)` task once, panic-isolated, optionally
+    /// under the watchdog deadline. Returns the cell's outcome plus its
     /// [`UnitCost`], or the error that failed it. Without a deadline the
-    /// unit runs inline under `catch_unwind`; with one it runs on a
-    /// detached monitor-pattern thread — if the deadline passes, the
-    /// runaway thread is abandoned (its eventual result discarded) and
-    /// the unit scores [`TaskError::Timeout`].
-    fn run_unit_guarded(
+    /// run is inline under `catch_unwind`; with one it is on a detached
+    /// monitor-pattern thread — if the deadline passes, the runaway
+    /// thread is abandoned (its eventual result discarded) and the task
+    /// scores [`TaskError::Timeout`].
+    fn run_guarded(
         &self,
         scenario: &Scenario,
         seed: u64,
-        k: u32,
-        of: u32,
         cache: &Arc<MeasurementCache>,
-    ) -> Result<(UnitOutcome, UnitCost), TaskError> {
+    ) -> Result<(ScenarioOutcome, UnitCost), TaskError> {
         let Some(limit) = self.faults.task_timeout_secs else {
             return catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_unit(seed, k, of, Some(cache), self.obs.as_deref())
+                scenario.run_timed(seed, Some(cache), self.obs.as_deref())
             }))
             .map_err(classify_panic);
         };
@@ -535,12 +518,12 @@ impl SweepExecutor {
         let obs = self.obs.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         // Detached on purpose: joining a runaway thread would defeat the
-        // deadline. An abandoned unit keeps its CPU until it finishes, but
+        // deadline. An abandoned run keeps its CPU until it finishes, but
         // its result is discarded and its panic (if any) is caught here,
         // not propagated.
         std::thread::spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_unit(seed, k, of, Some(&cache), obs.as_deref())
+                scenario.run_timed(seed, Some(&cache), obs.as_deref())
             }));
             let _ = tx.send(result);
         });
@@ -571,10 +554,10 @@ pub struct FoldStats {
 /// One finished cell, as the execution core hands it to a sink.
 struct Cell {
     outcome: TaskOutcome,
-    /// Wall-clock seconds of the cell's units, summed.
+    /// Wall-clock seconds of the cell's run.
     secs: f64,
     cost: UnitCost,
-    /// The worker that finished the cell's last unit (0 = calling thread).
+    /// The worker that ran the cell (0 = calling thread).
     worker: usize,
 }
 
@@ -595,66 +578,6 @@ impl Drop for WorkerExit<'_> {
         self.0.fetch_sub(1, Ordering::SeqCst);
         drop(guard);
         self.2.notify_all();
-    }
-}
-
-/// Accumulates a cell's unit results until the last one lands.
-#[derive(Debug)]
-struct SubAcc {
-    parts: Vec<Option<Result<UnitOutcome, TaskError>>>,
-    secs: f64,
-    cost: UnitCost,
-    done: usize,
-}
-
-impl SubAcc {
-    fn new(units: u32) -> SubAcc {
-        SubAcc {
-            parts: vec![None; units as usize],
-            secs: 0.0,
-            cost: UnitCost::default(),
-            done: 0,
-        }
-    }
-
-    /// Record unit `k`'s result. Once every unit has landed, returns the
-    /// cell's outcome with its summed seconds and cost: the whole outcome
-    /// of an unsplit cell, the k-ordered [`combine_subruns`] of a split
-    /// one, or — if any unit failed — the lowest-k failure, which is
-    /// deterministic in the unit grid rather than in worker scheduling.
-    fn land(
-        &mut self,
-        k: u32,
-        result: Result<(UnitOutcome, UnitCost), TaskError>,
-        secs: f64,
-    ) -> Option<(TaskOutcome, f64, UnitCost)> {
-        self.secs += secs;
-        let part = result.map(|(unit, cost)| {
-            self.cost.ref_secs += cost.ref_secs;
-            self.cost.events += cost.events;
-            self.cost.ref_events += cost.ref_events;
-            unit
-        });
-        self.parts[k as usize] = Some(part);
-        self.done += 1;
-        if self.done < self.parts.len() {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(self.parts.len());
-        let mut outcome = None;
-        for part in std::mem::take(&mut self.parts) {
-            match part.expect("every unit lands before the cell completes") {
-                Err(error) => {
-                    outcome = Some(TaskOutcome::Failed(error));
-                    break;
-                }
-                Ok(UnitOutcome::Whole(whole)) => outcome = Some(TaskOutcome::Ok(whole)),
-                Ok(UnitOutcome::Part(run)) => runs.push(run),
-            }
-        }
-        let outcome = outcome
-            .unwrap_or_else(|| TaskOutcome::Ok(ScenarioOutcome::Run(combine_subruns(&runs))));
-        Some((outcome, self.secs, self.cost))
     }
 }
 
@@ -906,79 +829,28 @@ mod tests {
         );
     }
 
-    /// Sub-run expansion is invisible to determinism: a plan whose cells
-    /// split into K sub-runs produces bit-identical outcomes at every
-    /// thread count, each cell equal to the hand-rolled expansion
-    /// (`run_subrun` × K combined in k order) — worker claim order can
-    /// move sub-runs between threads but never changes a byte.
-    #[test]
-    fn subrun_cells_are_bit_identical_across_thread_counts_and_match_the_manual_combine() {
-        let rc = RunConfig {
-            warmup_txns: 30,
-            measured_txns: 240,
-            subruns: 3,
-            ..Default::default()
-        };
-        let scenarios = vec![
-            Scenario::tput("s1", setup(1), 2, rc.clone()),
-            Scenario::tput("s2", setup(2), 6, rc),
-        ];
-        let plan = SweepPlan::new(scenarios).replicated(2, 42);
-        let serial = SweepExecutor::serial().run(&plan);
-        for threads in [2usize, 4] {
-            let wide = SweepExecutor::parallel(threads).run(&plan);
-            for (s, p) in serial.iter().zip(&wide) {
-                for (a, b) in s.outcomes.iter().zip(&p.outcomes) {
-                    assert_eq!(encode_outcome(a), encode_outcome(b));
-                }
-            }
-        }
-        // The executor's combined cell is exactly the manual expansion.
-        let parts: Vec<_> = (0..3)
-            .map(|k| plan.scenarios[0].run_subrun(42, k, 3, None).0)
-            .collect();
-        let manual = ScenarioOutcome::Run(crate::driver::combine_subruns(&parts));
-        assert_eq!(
-            encode_outcome(&serial[0].outcomes[0]),
-            encode_outcome(&manual)
-        );
-        // And the split changes the estimator relative to an unsplit run
-        // — the golden-pinned default path really is `subruns: 1`.
-        let unsplit = plan.scenarios[0].run(42);
-        assert_ne!(
-            encode_outcome(&serial[0].outcomes[0]),
-            encode_outcome(&unsplit)
-        );
-    }
-
     /// The streaming executor folds every outcome exactly once, strictly
     /// in task order, and the folded stream is bit-identical to the
     /// batch path at any thread count. `peak_parked` bounds the
     /// out-of-order window: at least 1, never more than the plan.
     #[test]
     fn run_fold_streams_in_task_order_and_matches_the_batch_run() {
-        let mut split = quick_plan();
-        for s in &mut split.scenarios {
-            s.rc.subruns = 3;
-        }
-        for plan in [quick_plan(), split] {
-            let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
-            let expected: Vec<String> = reference
-                .entries
-                .iter()
-                .map(|(_, o)| encode_outcome(o))
-                .collect();
-            for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
-                let (folded, stats) =
-                    exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
-                        assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
-                        acc.push(encode_outcome(o.as_ok().expect("no faults engaged")));
-                        acc
-                    });
-                assert_eq!(stats.tasks, plan.task_count());
-                assert!(stats.peak_parked >= 1 && stats.peak_parked <= plan.task_count());
-                assert_eq!(folded, expected);
-            }
+        let plan = quick_plan();
+        let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
+        let expected: Vec<String> = reference
+            .entries
+            .iter()
+            .map(|(_, o)| encode_outcome(o))
+            .collect();
+        for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
+            let (folded, stats) = exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
+                assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
+                acc.push(encode_outcome(o.as_ok().expect("no faults engaged")));
+                acc
+            });
+            assert_eq!(stats.tasks, plan.task_count());
+            assert!(stats.peak_parked >= 1 && stats.peak_parked <= plan.task_count());
+            assert_eq!(folded, expected);
         }
     }
 
@@ -1131,40 +1003,6 @@ mod tests {
             .expect("the panic carries a message");
         assert!(msg.contains("sweep task 0 failed: "), "{msg}");
         assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
-    }
-
-    /// A split cell's units can land in any order; the cell's failure is
-    /// the lowest-k one, whatever order the units landed in, and its
-    /// seconds and cost still add up over every unit.
-    #[test]
-    fn sub_acc_keeps_the_lowest_k_failure_whatever_the_landing_order() {
-        let rc = RunConfig {
-            warmup_txns: 10,
-            measured_txns: 60,
-            subruns: 3,
-            ..Default::default()
-        };
-        let part = Scenario::tput("s1", setup(1), 2, rc)
-            .run_subrun(42, 0, 3, None)
-            .0;
-        let cost = UnitCost {
-            ref_secs: 0.5,
-            events: 100,
-            ref_events: 40,
-        };
-        let fail = |k: u32| TaskError::Panic(format!("unit {k}"));
-        let mut acc = SubAcc::new(3);
-        assert!(acc.land(2, Err(fail(2)), 0.25).is_none());
-        assert!(acc.land(1, Err(fail(1)), 0.25).is_none());
-        let (outcome, secs, total) = acc
-            .land(0, Ok((UnitOutcome::Part(part), cost)), 0.5)
-            .expect("the last unit finishes the cell");
-        assert_eq!(outcome.as_failed(), Some(&fail(1)));
-        assert_eq!(secs, 1.0);
-        assert_eq!(
-            (total.ref_secs, total.events, total.ref_events),
-            (0.5, 100, 40)
-        );
     }
 
     /// run_fold under keep-going: failed tasks arrive at the fold as

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use xsched_core::shard::encode_outcome;
 use xsched_core::{
-    combine_subruns, ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig,
-    RunResult, Scenario, ScenarioOutcome, ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
+    ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario,
+    ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -145,94 +145,5 @@ proptest! {
             .collect();
         let merged = ShardResult::merge(&plan, &decoded).unwrap();
         prop_assert_eq!(bits(&direct), bits(&merged));
-    }
-
-    /// Splitting one steady-state cell into K independently-seeded
-    /// batch-means sub-runs and combining them yields a confidence
-    /// interval that brackets the single whole-run mean, and conserves
-    /// the counting statistics exactly. The test RNG is deterministic
-    /// (name-seeded), so every case is a pinned regression rather than a
-    /// random draw; the bracket uses the Student-t half-width widened 3×
-    /// with a 25%-of-mean floor, so it trips on structural errors in the
-    /// combine (wrong scale, wrong weighting, dropped parts) and not on
-    /// the expected ~5% miss rate of a literal 95% interval.
-    #[test]
-    fn subrun_split_cis_bracket_the_single_run_mean(
-        k in 2u32..6,
-        mpl in 1u32..9,
-        arrival in 0u8..3,
-        seed in 0u64..1_000_000,
-    ) {
-        // Only cells with a steady state are quantified over: closed
-        // shapes (saturated, think-time) are always stationary, and open
-        // load is paired with an unlimited MPL so the offered 60% of
-        // capacity is actually servable. Open load *behind a tight fixed
-        // MPL* can be unstable — the queue and mean RT then grow with run
-        // length by design, so a shorter sub-run measures a genuinely
-        // different transient and no split estimator can bracket it.
-        let (arrivals, mpl_spec) = match arrival {
-            0 => (ArrivalSpec::Saturated, MplSpec::Fixed(mpl)),
-            1 => (ArrivalSpec::OpenLoad(0.6), MplSpec::Unlimited),
-            _ => (ArrivalSpec::ClosedThink(0.05), MplSpec::Fixed(mpl)),
-        };
-        let scenario = Scenario {
-            row: "subrun".to_string(),
-            col: "bracket".to_string(),
-            setup: setup(1),
-            exec: ExecSpec::Run {
-                mpl: mpl_spec,
-                policy: PolicyKind::Fifo,
-                arrivals,
-            },
-            // Warmup must outlast the closed system's queue ramp: all
-            // 100 clients arrive at t = 0, so under a tight MPL the
-            // external wait climbs for ~clients completions before the
-            // stationary backlog forms. Each sub-run re-warms in full.
-            rc: RunConfig {
-                warmup_txns: 150,
-                measured_txns: 400,
-                subruns: k,
-                ..Default::default()
-            },
-        };
-        // The whole-cell reference: pre-split semantics (Scenario::run
-        // never splits; only the sweep executor expands sub-runs).
-        let ScenarioOutcome::Run(single) = scenario.run(seed) else {
-            panic!("a Run scenario yields a Run outcome");
-        };
-        // The same expansion the executor performs, combined in k order.
-        let parts: Vec<RunResult> = (0..k)
-            .map(|i| scenario.run_subrun(seed, i, k, None).0)
-            .collect();
-        let combined = combine_subruns(&parts);
-
-        // Counting statistics are conserved exactly: each sub-run
-        // measures ⌈measured/K⌉ completions, and the combine sums.
-        let per_sub = 400u64.div_ceil(u64::from(k));
-        prop_assert_eq!(
-            combined.count_high + combined.count_low,
-            per_sub * u64::from(k)
-        );
-        prop_assert_eq!(
-            combined.metrics.commits,
-            parts.iter().map(|p| p.metrics.commits).sum::<u64>()
-        );
-
-        // The bracket. K−1 degrees of freedom makes the t half-width
-        // wide already; 3× covers far beyond 99.9%.
-        let hw = combined.rt_bm_half_width;
-        prop_assert!(hw.is_finite() && hw > 0.0, "half-width {hw} for k={k}");
-        let band = (3.0 * hw).max(0.25 * single.mean_rt);
-        prop_assert!(
-            (combined.mean_rt - single.mean_rt).abs() <= band,
-            "combined {} vs single {} exceeds band {} (hw {hw}, k={k}, mpl={mpl}, seed={seed})",
-            combined.mean_rt,
-            single.mean_rt,
-            band
-        );
-        // Throughput agrees to the same coarse tolerance.
-        prop_assert!(single.throughput > 0.0);
-        let rel = (combined.throughput - single.throughput).abs() / single.throughput;
-        prop_assert!(rel < 0.25, "throughput off by {rel} (k={k}, mpl={mpl})");
     }
 }
