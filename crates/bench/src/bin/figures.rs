@@ -41,7 +41,7 @@ use std::time::Duration;
 use xsched_bench::cli::{parse_args, USAGE};
 use xsched_bench::*;
 use xsched_core::shard::decode_payloads;
-use xsched_core::{CoordServer, FaultPolicy, SweepObs, TcpTransport, WorkerConfig};
+use xsched_core::{CoordServer, SweepObs, TcpTransport, WorkerConfig};
 
 const EXPERIMENTS: &[&str] = &[
     "table1",
@@ -153,12 +153,6 @@ fn main() {
         .is_some()
         .then(|| Arc::new(Mutex::new(Vec::new())));
     let obs = args.metrics_out.as_ref().map(|_| Arc::new(SweepObs::new()));
-    // Every task runs once, panic-isolated; these flags add keep-going
-    // degradation and a watchdog.
-    let faults = FaultPolicy {
-        keep_going: args.keep_going,
-        task_timeout_secs: args.task_timeout,
-    };
     let opts = SweepOpts {
         seeds: args.seeds.clone(),
         threads: args.threads,
@@ -166,7 +160,7 @@ fn main() {
         timings: timings_sink.clone(),
         obs: obs.clone(),
         progress: args.progress,
-        faults,
+        keep_going: args.keep_going,
     };
     let rc = if args.quick { quick_rc() } else { full_rc() };
     // Controller sessions and MPL searches run many inner sims per

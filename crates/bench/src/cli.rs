@@ -4,16 +4,17 @@
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
 //! `--shard`, `--merge`, `--metrics`, `--progress`, `--keep-going`,
-//! `--task-timeout`, `--serve`, `--worker`, `--lease`, `--list`,
-//! `--help`, and positional experiment names. A killed run is
-//! simply run again: every cell is pure in `(scenario, seed)` and the
-//! whole quick study takes well under a minute. Parsing is pure and
+//! `--serve`, `--worker`, `--lease`, `--list`, `--help`, and positional
+//! experiment names. A killed run is simply run again: every cell is
+//! pure in `(scenario, seed)` and the whole quick study takes well under
+//! a minute. No cell can hang (a stalled simulator or a non-converging
+//! solve panics, and every run loop ends at a completion budget), so
+//! there is no per-task deadline either. Parsing is pure and
 //! errors are **typed** ([`ArgError`]) so the binary can render a clean
 //! one-liner and the unit tests can assert on the exact failure, not a
 //! string.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A user-input problem with the argument vector. Every variant renders a
 /// one-line message through `Display`; the binary prints it with usage and
@@ -87,9 +88,6 @@ pub struct FiguresArgs {
     /// Degrade failed sweep tasks to marked `FAILED` cells and keep
     /// sweeping instead of aborting on the first failure.
     pub keep_going: bool,
-    /// Per-task watchdog deadline in seconds; a task running past it is
-    /// abandoned and scored a timeout.
-    pub task_timeout: Option<f64>,
     /// Shard payload files to merge instead of simulating.
     pub merge: Vec<String>,
     /// Serve every sweep as a task-queue coordinator on this TCP address
@@ -141,17 +139,12 @@ OPTIONS:
                              queue/latency time series
         --progress           print a per-task completion ticker to stderr
                              while sweeps run (stdout stays table-only)
-        --keep-going         degrade failed sweep tasks (panics, watchdog
-                             timeouts) to marked FAILED cells and keep
-                             sweeping; failed cells render as FAILED in
-                             the tables and carry typed failure records
-                             through shard payloads and merges;
-                             without it the first failed task aborts the
-                             run
-        --task-timeout SECS  per-task watchdog deadline: a task still
-                             running after SECS wall-clock seconds is
-                             abandoned and scored a timeout (a FAILED
-                             cell under --keep-going, else an abort)
+        --keep-going         degrade failed (panicked) sweep tasks to
+                             marked FAILED cells and keep sweeping;
+                             failed cells render as FAILED in the tables
+                             and carry typed failure records through
+                             shard payloads and merges; without it the
+                             first failed task aborts the run
         --merge FILES        comma-separated shard payload files; merge
                              them (running no sweep tasks) and print the
                              tables, byte-identical to an unsharded run
@@ -167,7 +160,10 @@ OPTIONS:
                              workers are detected by lease expiry and
                              their tasks reassigned; a restarted
                              coordinator serves every sweep from the
-                             start
+                             start, and every worker must be restarted
+                             with it (a surviving worker stops with
+                             `protocol error: unexpected record
+                             response: Wait`)
         --worker ADDR        run as a worker of the coordinator at ADDR:
                              claim task leases, execute, heartbeat,
                              stream outcomes back; reconnect with
@@ -267,20 +263,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             "--metrics" => out.metrics_out = Some(value_for(arg)?),
             "--progress" => out.progress = true,
             "--keep-going" => out.keep_going = true,
-            "--task-timeout" => {
-                let v = value_for(arg)?;
-                let secs: f64 = v.parse().unwrap_or(f64::NAN);
-                // The watchdog waits on a `Duration`, so the deadline must
-                // also be one `Duration` can hold.
-                if !(secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok()) {
-                    return Err(ArgError::InvalidValue {
-                        flag: arg.to_string(),
-                        value: v,
-                        want: "a positive deadline in seconds",
-                    });
-                }
-                out.task_timeout = Some(secs);
-            }
             "--merge" => out
                 .merge
                 .extend(value_for(arg)?.split(',').map(|p| p.trim().to_string())),
@@ -439,9 +421,9 @@ mod tests {
     }
 
     /// Shard balancing, cost calibration, timing dumps, explicit
-    /// defaults, task retries, fault injection, checkpoint/resume and
-    /// sub-run splitting are not options: each is a typed unknown-option
-    /// error.
+    /// defaults, task retries, fault injection, checkpoint/resume,
+    /// sub-run splitting and the per-task watchdog are not options: each
+    /// is a typed unknown-option error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -457,6 +439,7 @@ mod tests {
             vec!["--checkpoint", "j.log"],
             vec!["--resume"],
             vec!["--subruns", "3"],
+            vec!["--task-timeout", "5"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -497,29 +480,15 @@ mod tests {
 
     #[test]
     fn fault_tolerance_flags_parse() {
-        let a = parse_args(&["--keep-going", "--task-timeout", "1.5", "fig2"]).unwrap();
+        let a = parse_args(&["--keep-going", "fig2"]).unwrap();
         assert!(a.keep_going);
-        assert_eq!(a.task_timeout, Some(1.5));
-        // Defaults: everything off.
-        let d = parse_args::<&str>(&[]).unwrap();
-        assert!(!d.keep_going);
-        assert_eq!(d.task_timeout, None);
-        // Bad values are typed.
-        for bad in [
-            vec!["--task-timeout", "0"],
-            vec!["--task-timeout", "-1"],
-            vec!["--task-timeout", "nope"],
-            vec!["--task-timeout", "1e30"],
-        ] {
-            assert!(
-                matches!(parse_args(&bad).unwrap_err(), ArgError::InvalidValue { .. }),
-                "{bad:?}"
-            );
-        }
+        assert_eq!(a.experiments, ["fig2"]);
+        // Default: off.
+        assert!(!parse_args::<&str>(&[]).unwrap().keep_going);
     }
 
-    /// The fault-tolerance flags conflict with no execution mode, and
-    /// they do not mask the typed conflicts between the modes themselves.
+    /// `--keep-going` conflicts with no execution mode, and it does not
+    /// mask the typed conflicts between the modes themselves.
     #[test]
     fn fault_tolerance_conflicts_are_typed() {
         for mode in [
@@ -528,10 +497,9 @@ mod tests {
             vec!["--shard", "1/2"],
             vec!["--merge", "s.txt"],
         ] {
-            let mut args = vec!["--keep-going", "--task-timeout", "2"];
+            let mut args = vec!["--keep-going"];
             args.extend(&mode);
-            let a = parse_args(&args).unwrap();
-            assert!(a.keep_going && a.task_timeout == Some(2.0), "{args:?}");
+            assert!(parse_args(&args).unwrap().keep_going, "{args:?}");
         }
         assert_eq!(
             parse_args(&["--keep-going", "--shard", "1/2", "--merge", "a"]).unwrap_err(),
@@ -604,7 +572,7 @@ mod tests {
     /// in USAGE, and USAGE's OPTIONS section names no other `--flag`.
     #[test]
     fn usage_lists_exactly_the_parsed_options() {
-        let options: [&[&str]; 15] = [
+        let options: [&[&str]; 14] = [
             &["--quick"],
             &["--seeds", "7,8"],
             &["--replications", "2"],
@@ -613,7 +581,6 @@ mod tests {
             &["--metrics", "m.json"],
             &["--progress"],
             &["--keep-going"],
-            &["--task-timeout", "5"],
             &["--merge", "s.txt"],
             &["--serve", "a:1"],
             &["--worker", "a:1"],

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xsched_core::{
     run_worker, ArrivalSpec, CellTiming, CoordConfig, CoordServer, Coordinator, ExecSpec,
-    FaultPolicy, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario, ScenarioResult,
-    ShardResult, SweepExecutor, SweepObs, SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
+    MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario, ScenarioResult, ShardResult,
+    SweepExecutor, SweepObs, SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
 };
 use xsched_dbms::{CpuPolicy, FaultSpec, LockPriorityPolicy, SpikeSpec, StallSpec};
 use xsched_queueing::{flex::FlexServer, mg1, recommend, ClosedNetwork, ThroughputModel, H2};
@@ -179,9 +179,10 @@ pub struct SweepOpts {
     pub threads: usize,
     /// Full, sharded, or merge execution.
     pub mode: SweepMode,
-    /// When set, per-cell telemetry from every executed sweep is appended
-    /// here ([`CellTiming`]: bucket, seconds, simulator events) — the
-    /// `timings` section of `figures --metrics`.
+    /// When set, per-cell telemetry from every cell this process executes
+    /// is appended here ([`CellTiming`]: bucket, seconds, simulator
+    /// events), a coordinator worker's leases included — the `timings`
+    /// section of `figures --metrics`.
     pub timings: Option<Arc<Mutex<Vec<CellTiming>>>>,
     /// When set, every executed sweep records execution telemetry
     /// (worker/shard progress, cache hits/misses, task-time histogram,
@@ -191,10 +192,10 @@ pub struct SweepOpts {
     pub obs: Option<Arc<SweepObs>>,
     /// Print a per-task completion ticker to stderr while sweeps run.
     pub progress: bool,
-    /// Failure handling for every executed sweep: panic isolation, an
-    /// optional watchdog, keep-going degradation. The default policy
-    /// fails fast.
-    pub faults: FaultPolicy,
+    /// Degrade failed tasks to marked failed cells and keep sweeping.
+    /// Off (the default) fails fast. Every task runs once, panic-isolated,
+    /// either way.
+    pub keep_going: bool,
 }
 
 impl SweepOpts {
@@ -203,21 +204,17 @@ impl SweepOpts {
         let plan = SweepPlan::new(scenarios).with_seeds(self.seeds.clone());
         let mut executor = SweepExecutor::parallel(self.threads)
             .with_progress(self.progress)
-            .with_faults(self.faults.clone());
+            .with_keep_going(self.keep_going);
         if let Some(obs) = &self.obs {
             executor = executor.with_obs(Arc::clone(obs));
         }
+        if let Some(timings) = &self.timings {
+            executor = executor.with_timings(Arc::clone(timings));
+        }
         match &self.mode {
-            SweepMode::Run => {
-                // The degenerate one-shard run, so the telemetry path is
-                // the same as a split run's; assembly is unchanged.
-                let shard = executor.run_shard(&plan, 0, 1);
-                self.record_timings(&plan, &shard);
-                shard.partial_results(&plan)
-            }
+            SweepMode::Run => executor.run(&plan),
             SweepMode::Shard { index, of, sink } => {
                 let shard = executor.run_shard(&plan, *index, *of);
-                self.record_timings(&plan, &shard);
                 sink.lock().unwrap().push(shard.encode());
                 shard.partial_results(&plan)
             }
@@ -289,10 +286,6 @@ impl SweepOpts {
                             task_count: plan.task_count(),
                             entries: Vec::new(),
                             failures: Vec::new(),
-                            timings: Vec::new(),
-                            ref_timings: Vec::new(),
-                            events: Vec::new(),
-                            ref_events: Vec::new(),
                         }
                         .partial_results(&plan)
                     }
@@ -303,39 +296,11 @@ impl SweepOpts {
                              degrading to a local run",
                             config.id
                         );
-                        let shard = executor.run_shard(&plan, 0, 1);
-                        self.record_timings(&plan, &shard);
-                        shard.partial_results(&plan)
+                        executor.run(&plan)
                     }
                     Err(e) => panic!("worker {} failed on sweep {ep}: {e}", config.id),
                 }
             }
-        }
-    }
-
-    /// Append this shard's per-task telemetry to the timing sink, tagged
-    /// with each cell's bucket.
-    fn record_timings(&self, plan: &SweepPlan, shard: &ShardResult) {
-        let Some(sink) = &self.timings else { return };
-        let tasks = plan.tasks();
-        let refs: std::collections::HashMap<usize, f64> =
-            shard.ref_timings.iter().copied().collect();
-        let events: std::collections::HashMap<usize, u64> = shard.events.iter().copied().collect();
-        let ref_events: std::collections::HashMap<usize, u64> =
-            shard.ref_events.iter().copied().collect();
-        let mut sink = sink.lock().unwrap();
-        for &(t, secs) in &shard.timings {
-            let scenario = &plan.scenarios[tasks[t].0];
-            let ref_secs = refs.get(&t).copied().unwrap_or(0.0);
-            // Cells that paid for a capacity run split into their own cost
-            // and a `ref/` cell carrying the reference run.
-            sink.extend(CellTiming::split(
-                scenario,
-                secs,
-                ref_secs,
-                events.get(&t).copied().unwrap_or(0),
-                ref_events.get(&t).copied().unwrap_or(0),
-            ));
         }
     }
 }
@@ -1230,10 +1195,7 @@ mod tests {
         let obs = Arc::new(SweepObs::new());
         let keep_going = SweepOpts {
             obs: Some(Arc::clone(&obs)),
-            faults: FaultPolicy {
-                keep_going: true,
-                ..Default::default()
-            },
+            keep_going: true,
             ..Default::default()
         };
         let report = fig2_report(&rc, &keep_going);

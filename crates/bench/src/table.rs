@@ -115,7 +115,7 @@ pub fn pivot_table(stub: &str, results: &[ScenarioResult], cols: &[Col]) -> Stri
 mod tests {
     use super::*;
     use crate::fmt::f1;
-    use xsched_core::{FaultPolicy, RunConfig, Scenario, SweepExecutor, SweepPlan, TaskError};
+    use xsched_core::{RunConfig, Scenario, SweepExecutor, SweepPlan, TaskError};
     use xsched_workload::setup;
 
     fn tiny_results(seeds: usize) -> Vec<ScenarioResult> {
@@ -170,10 +170,6 @@ mod tests {
 
     #[test]
     fn fully_failed_cells_render_failed() {
-        let policy = FaultPolicy {
-            keep_going: true,
-            ..Default::default()
-        };
         // A high-priority fraction of 2.0 fails every replication of the
         // MPL 1 cell; the MPL 5 cell beside it is fine.
         let rc = RunConfig {
@@ -185,7 +181,7 @@ mod tests {
         broken.rc.high_fraction = 2.0;
         let scenarios = vec![broken, Scenario::tput("curve", setup(1), 5, rc)];
         let results = SweepExecutor::serial()
-            .with_faults(policy)
+            .with_keep_going(true)
             .run(&SweepPlan::new(scenarios).replicated(2, 42));
         let t = pivot_table(
             "curve",
@@ -207,7 +203,7 @@ mod tests {
     #[test]
     fn partially_failed_cells_are_marked() {
         let mut results = tiny_results(2);
-        results[0].failures.push(TaskError::Timeout(1.0));
+        results[0].failures.push(TaskError("boom".into()));
         let t = pivot_table(
             "curve",
             &results,

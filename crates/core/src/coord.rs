@@ -32,7 +32,10 @@
 //!    coordinator reports [`WorkerError::Unreachable`]; the CLI falls
 //!    back to plain local execution. The coordinator keeps its outcomes
 //!    in memory only: a restarted coordinator serves the sweep from the
-//!    start, since every task is pure and cheap to run again.
+//!    start, since every task is pure and cheap to run again, and every
+//!    worker has to be restarted with it — a surviving worker that
+//!    records into the new coordinator's earlier sweep gets `wait` and
+//!    stops with a protocol error.
 //!
 //! The protocol is line-based (one request line, one response line per
 //! connection) so a frame is atomic at the transport layer and the
@@ -467,8 +470,9 @@ impl Coordinator {
     /// The recorded outcomes as a single full-coverage [`ShardResult`]
     /// (shard 0 of 1), ready for [`ShardResult::merge`] — which validates
     /// that every task is covered and assembles tables byte-identical to
-    /// a direct run. Timing telemetry stays with the workers that
-    /// measured it; the coordinator reports none.
+    /// a direct run. Per-cell timing telemetry stays with the workers
+    /// that measured it (each worker's executor records its leases'
+    /// [`CellTiming`](crate::CellTiming)s); the coordinator reports none.
     pub fn into_shard_result(self) -> ShardResult {
         let mut entries = Vec::new();
         let mut failures = Vec::new();
@@ -485,10 +489,6 @@ impl Coordinator {
             task_count: self.task_count,
             entries,
             failures,
-            timings: Vec::new(),
-            ref_timings: Vec::new(),
-            events: Vec::new(),
-            ref_events: Vec::new(),
         }
     }
 
@@ -887,14 +887,16 @@ pub struct WorkerSummary {
 /// so a coordinated sweep's outcomes are bit-identical to a direct one
 /// whatever the claim interleaving.
 ///
-/// `executor` carries the worker's thread/fault/cache/obs configuration.
+/// `executor` carries the worker's thread, keep-going, cache, obs and
+/// timings configuration; every executed lease lands in its timings sink.
 ///
 /// If the coordinator goes away, every request is retried up to
 /// [`WorkerConfig::max_retries`] times with exponential backoff and a
 /// re-hello before each retry; past that budget the worker gives up with
 /// [`WorkerError::Unreachable`] (before the handshake) or
 /// [`WorkerError::Lost`] (mid-sweep). A restarted coordinator keeps
-/// none of the old one's outcomes and serves its sweeps from the start.
+/// none of the old one's outcomes and serves its sweeps from the start,
+/// so its workers must be restarted with it.
 pub fn run_worker(
     plan: &SweepPlan,
     epoch: u64,
@@ -1438,7 +1440,7 @@ mod tests {
         let mut coord = Coordinator::new(0, &plan, CoordConfig { lease_secs: 1.0 });
         let (si, seed) = plan.tasks()[0];
         let real = TaskOutcome::Ok(plan.scenarios[si].run(seed));
-        let fake = TaskOutcome::Failed(TaskError::Panic("late loser".into()));
+        let fake = TaskOutcome::Failed(TaskError("late loser".into()));
         let rec = |outcome: TaskOutcome| Request::Record {
             worker: "w0".into(),
             epoch: 0,
@@ -1526,14 +1528,17 @@ mod tests {
             CoordConfig { lease_secs: 30.0 },
         )));
         let transport = LocalTransport::new(Arc::clone(&coord));
+        let sinks: Vec<Arc<Mutex<Vec<crate::CellTiming>>>> =
+            (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
         // Two workers race over the in-process transport.
         let summaries: Vec<WorkerSummary> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|i| {
                     let transport = &transport;
                     let plan = &plan;
+                    let sink = Arc::clone(&sinks[i]);
                     scope.spawn(move || {
-                        let executor = SweepExecutor::serial();
+                        let executor = SweepExecutor::serial().with_timings(sink);
                         run_worker(
                             plan,
                             0,
@@ -1549,6 +1554,18 @@ mod tests {
         });
         let executed: usize = summaries.iter().map(|s| s.tasks_executed).sum();
         assert_eq!(executed, plan.task_count());
+        // Every lease went through the executor's timings sink: one own
+        // row per task across the two workers.
+        let own_rows: usize = sinks
+            .iter()
+            .map(|s| {
+                relock(s)
+                    .iter()
+                    .filter(|c| !c.bucket.starts_with("ref/"))
+                    .count()
+            })
+            .sum();
+        assert_eq!(own_rows, plan.task_count());
 
         drop(transport);
         let coord = Arc::into_inner(coord).unwrap().into_inner().unwrap();

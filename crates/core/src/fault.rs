@@ -4,41 +4,34 @@
 //! function, which also makes tasks the natural fault isolation
 //! boundary. This module supplies the pieces:
 //!
-//! * [`TaskError`] — the typed cause of a failed task (caught panic or
-//!   watchdog timeout), carried through the shard wire codec bit-exactly;
+//! * [`TaskError`] — why a task failed: the message of the panic the
+//!   executor caught, carried through the shard wire codec exactly;
 //! * [`TaskOutcome`] — a task slot's value: either a [`ScenarioOutcome`]
 //!   or a typed failure;
-//! * [`FaultPolicy`] — what the executor does about a failure: fail fast
-//!   (the default), or degrade to a marked failed cell under keep-going
-//!   mode, optionally under a per-task watchdog deadline;
 //! * [`relock`] — poisoned-`Mutex` recovery for executor bookkeeping
 //!   locks, so one caught panic cannot cascade into poisoning every
 //!   worker that touches the same slot.
 //!
-//! Every task runs exactly once. A task is a pure function of
-//! `(scenario, seed)`, so running a failed one again would fail the same
-//! way: a failed cell fails once.
+//! Every task runs exactly once, inline under `catch_unwind`. A task is a
+//! pure function of `(scenario, seed)`, so running a failed one again
+//! would fail the same way: a failed cell fails once. No task can hang —
+//! a stalled simulator and a non-converging solve both panic, and every
+//! run loop ends at a completion budget — so no watchdog guards it. What
+//! the executor does about a failure is one switch, `keep_going`: fail
+//! fast (the default), or degrade to a marked failed cell.
 
 use crate::scenario::ScenarioOutcome;
 use serde::Serialize;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Why one sweep task failed.
+/// Why one sweep task failed: the message of the panic it raised (lossy:
+/// non-string payloads record a placeholder).
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum TaskError {
-    /// The task panicked; carries the panic message (lossy: non-string
-    /// payloads record a placeholder).
-    Panic(String),
-    /// The task exceeded the watchdog deadline, in seconds.
-    Timeout(f64),
-}
+pub struct TaskError(pub String);
 
 impl std::fmt::Display for TaskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TaskError::Panic(msg) => write!(f, "panicked: {msg}"),
-            TaskError::Timeout(limit) => write!(f, "exceeded the {limit}s task deadline"),
-        }
+        write!(f, "panicked: {}", self.0)
     }
 }
 
@@ -74,29 +67,14 @@ impl TaskOutcome {
     }
 }
 
-/// How the sweep executor treats task failures. Every task runs once,
-/// panic-isolated, whatever the policy; the default has no watchdog and
-/// fails fast — the first failed task aborts the sweep with a typed
-/// panic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPolicy {
-    /// Degrade failed tasks to marked failed cells and keep sweeping.
-    /// Off = fail fast: the failure propagates as a panic.
-    pub keep_going: bool,
-    /// Per-task watchdog deadline in seconds: a task still running past
-    /// it is abandoned on a detached thread and scored
-    /// [`TaskError::Timeout`].
-    pub task_timeout_secs: Option<f64>,
-}
-
-/// Render a caught panic payload as a [`TaskError::Panic`] message.
+/// Render a caught panic payload as a [`TaskError`] message.
 pub(crate) fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> TaskError {
     let msg = payload
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "non-string panic payload".to_string());
-    TaskError::Panic(msg)
+    TaskError(msg)
 }
 
 /// Lock a mutex, recovering from poisoning instead of cascading the
@@ -118,13 +96,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_inactive_and_preserves_fail_fast() {
-        let p = FaultPolicy::default();
-        assert!(!p.keep_going);
-        assert_eq!(p.task_timeout_secs, None);
-    }
-
-    #[test]
     fn relock_recovers_a_poisoned_mutex() {
         let m = Mutex::new(0u32);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -140,15 +111,15 @@ mod tests {
     fn classify_panic_renders_every_payload_as_a_message() {
         assert_eq!(
             classify_panic(Box::new("boom")),
-            TaskError::Panic("boom".to_string())
+            TaskError("boom".to_string())
         );
         assert_eq!(
             classify_panic(Box::new(String::from("kaboom"))),
-            TaskError::Panic("kaboom".to_string())
+            TaskError("kaboom".to_string())
         );
         assert_eq!(
             classify_panic(Box::new(17u32)),
-            TaskError::Panic("non-string panic payload".to_string())
+            TaskError("non-string panic payload".to_string())
         );
     }
 }

@@ -25,10 +25,10 @@
 //!   run configuration), pure in `(scenario, seed)`;
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the
 //!   [`SweepExecutor`]: one execution core that claims tasks in task
-//!   order across worker threads, runs each once, panic-isolated under
-//!   the fault policy, and hands finished cells in task order to a sink
-//!   — batch assembly, the streaming fold, and the coordinator worker's
-//!   per-lease call are each just a sink. Bit-identical to serial
+//!   order across worker threads, runs each once, panic-isolated, and
+//!   hands finished cells in task order to a sink — batch assembly, the
+//!   streaming fold, and the coordinator worker's per-lease call are each
+//!   just a sink, and the same in-order step records per-cell timings. Bit-identical to serial
 //!   execution, feeding Student-t confidence intervals from replications;
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
@@ -41,10 +41,10 @@
 //!   behind `figures --metrics`; strictly observational, never changes a
 //!   result byte;
 //! * [`fault`] — the sweep's failure handling: typed
-//!   [`TaskError`]/[`TaskOutcome`] and the [`FaultPolicy`] (panic
-//!   isolation, an optional watchdog deadline, keep-going degradation);
-//!   every task runs once, since a pure task that failed would fail the
-//!   same way again;
+//!   [`TaskError`]/[`TaskOutcome`] (a failure is the message of a caught
+//!   panic; fail fast or keep going is one executor switch); every task
+//!   runs once, since a pure task that failed would fail the same way
+//!   again, and no task can hang, so none runs under a watchdog;
 //! * [`coord`] — the cross-host work-stealing layer: a [`Coordinator`]
 //!   handing out task leases over a line-based wire protocol, worker
 //!   clients with heartbeats and deterministic reconnect backoff, and
@@ -75,7 +75,7 @@ pub use coord::{
 pub use driver::{
     ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult,
 };
-pub use fault::{relock, FaultPolicy, TaskError, TaskOutcome};
+pub use fault::{relock, TaskError, TaskOutcome};
 pub use gate::MplGate;
 pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};

@@ -76,8 +76,8 @@ impl CellTiming {
 
     /// Split one executed cell's telemetry: the cell's own cost (`secs`
     /// minus the reference seconds, and `events` already net of
-    /// reference events, as shard payloads carry them) in the scenario's
-    /// bucket, plus — when the cell paid for a capacity
+    /// reference events, as the sweep executor passes them) in the
+    /// scenario's bucket, plus — when the cell paid for a capacity
     /// run — a separate `ref/` cell carrying exactly the reference
     /// seconds and events.
     pub fn split(

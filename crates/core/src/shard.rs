@@ -86,30 +86,6 @@ pub struct ShardResult {
     /// carries a typed [`TaskError`] instead of an outcome. Empty on
     /// every fail-fast run.
     pub failures: Vec<(usize, TaskError)>,
-    /// `(global task index, wall-clock seconds)` telemetry for the tasks
-    /// this shard executed. Observational only: it rides the wire format
-    /// as an optional trailing section and never participates in merge
-    /// validation or result assembly, so runs with different timings
-    /// still merge to byte-identical tables. Empty for decoded payloads
-    /// that carried no timings.
-    pub timings: Vec<(usize, f64)>,
-    /// `(global task index, seconds spent *computing* reference runs)`
-    /// for the tasks whose execution paid for a capacity measurement —
-    /// sparse: cells served from the measurement cache contribute
-    /// nothing. Like [`ShardResult::timings`], purely observational
-    /// (timing telemetry bills these to a `ref/` bucket) and an optional
-    /// trailing wire section older payloads lack.
-    pub ref_timings: Vec<(usize, f64)>,
-    /// `(global task index, simulation events processed)` for the tasks
-    /// this shard executed, *net of* any reference-run events (those are
-    /// reported separately below). Unlike wall-clock [`ShardResult::timings`]
-    /// this signal is deterministic in `(scenario, seed)`. Observational
-    /// only; an optional trailing wire section older payloads lack.
-    pub events: Vec<(usize, u64)>,
-    /// `(global task index, simulation events spent computing reference
-    /// runs)` — the event-currency counterpart of
-    /// [`ShardResult::ref_timings`]: sparse, deterministic, observational.
-    pub ref_events: Vec<(usize, u64)>,
 }
 
 impl ShardResult {
@@ -180,11 +156,12 @@ impl ShardResult {
         assemble(plan, self.entries.clone(), self.failures.clone())
     }
 
-    /// Serialize to the plain-text wire format (one header line, one line
-    /// per task). Floats are written as IEEE-754 bit patterns, so
-    /// `decode(encode(x))` reproduces every field of every outcome
-    /// bit for bit. Per-task timings follow the entries as `timing`
-    /// lines — an optional section older payloads simply lack.
+    /// Serialize to the plain-text wire format: one header line, one line
+    /// per outcome, then one `failed` line per failed task. Floats are
+    /// written as IEEE-754 bit patterns, so `decode(encode(x))`
+    /// reproduces every field of every outcome bit for bit. Per-cell
+    /// timing telemetry never travels here: the executor records it
+    /// where the cell ran.
     pub fn encode(&self) -> String {
         let mut out = format!(
             "xsched-shard v1 plan={:016x} tasks={} shard={} of={} entries={}\n",
@@ -199,18 +176,6 @@ impl ShardResult {
         }
         for (t, failure) in &self.failures {
             out.push_str(&format!("failed {t} {}\n", encode_failure(failure)));
-        }
-        for (t, secs) in &self.timings {
-            out.push_str(&format!("timing {t} {}\n", fh(*secs)));
-        }
-        for (t, secs) in &self.ref_timings {
-            out.push_str(&format!("reftiming {t} {}\n", fh(*secs)));
-        }
-        for (t, n) in &self.events {
-            out.push_str(&format!("events {t} {n}\n"));
-        }
-        for (t, n) in &self.ref_events {
-            out.push_str(&format!("refevents {t} {n}\n"));
         }
         out
     }
@@ -258,48 +223,8 @@ impl ShardResult {
 
         let mut entries = Vec::with_capacity(entries_len);
         let mut failures = Vec::new();
-        let mut timings = Vec::new();
-        let mut ref_timings = Vec::new();
-        let mut events = Vec::new();
-        let mut ref_events = Vec::new();
-        let parse_events = |rest: &str| -> Result<(usize, u64), String> {
-            let (idx, count) = rest
-                .split_once(' ')
-                .ok_or_else(|| "malformed events line".to_string())?;
-            let t: usize = idx.parse().map_err(|e| format!("bad events index: {e}"))?;
-            let n: u64 = count
-                .parse()
-                .map_err(|e| format!("bad event count `{count}`: {e}"))?;
-            Ok((t, n))
-        };
-        let parse_timing = |rest: &str| -> Result<(usize, f64), String> {
-            let (idx, bits) = rest
-                .split_once(' ')
-                .ok_or_else(|| "malformed timing line".to_string())?;
-            let t: usize = idx.parse().map_err(|e| format!("bad timing index: {e}"))?;
-            let secs = u64::from_str_radix(bits, 16)
-                .map(f64::from_bits)
-                .map_err(|e| format!("bad timing bits `{bits}`: {e}"))?;
-            Ok((t, secs))
-        };
         for &(no, line) in &lines[1..] {
             let fail = |msg: String| DecodeError::at(no, line, msg);
-            if let Some(rest) = line.strip_prefix("timing ") {
-                timings.push(parse_timing(rest).map_err(&fail)?);
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("reftiming ") {
-                ref_timings.push(parse_timing(rest).map_err(&fail)?);
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("events ") {
-                events.push(parse_events(rest).map_err(&fail)?);
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("refevents ") {
-                ref_events.push(parse_events(rest).map_err(&fail)?);
-                continue;
-            }
             if let Some(rest) = line.strip_prefix("failed ") {
                 let (idx, spec) = rest
                     .split_once(' ')
@@ -331,10 +256,6 @@ impl ShardResult {
             task_count,
             entries,
             failures,
-            timings,
-            ref_timings,
-            events,
-            ref_events,
         })
     }
 }
@@ -650,15 +571,11 @@ pub fn decode_outcome(line: &str) -> Result<ScenarioOutcome, String> {
     }
 }
 
-/// Encode a [`TaskError`] as wire tokens: `<kind> <detail>`. Panic
-/// messages are percent-escaped into a single token so arbitrary text
-/// (spaces, newlines, non-ASCII) survives the line-based format; timeout
-/// deadlines travel as IEEE bits like every other float.
+/// Encode a [`TaskError`] as wire tokens: `panic <message>`. The panic
+/// message is percent-escaped into a single token so arbitrary text
+/// (spaces, newlines, non-ASCII) survives the line-based format.
 pub fn encode_failure(e: &TaskError) -> String {
-    match e {
-        TaskError::Panic(msg) => format!("panic {}", esc(msg)),
-        TaskError::Timeout(limit) => format!("timeout {}", fh(*limit)),
-    }
+    format!("panic {}", esc(&e.0))
 }
 
 /// Decode the tokens produced by [`encode_failure`].
@@ -667,10 +584,7 @@ pub fn decode_failure(s: &str) -> Result<TaskError, String> {
     let kind = t.next()?.to_string();
     let detail = t.next()?.to_string();
     match kind.as_str() {
-        "panic" => Ok(TaskError::Panic(unesc(&detail)?)),
-        "timeout" => u64::from_str_radix(&detail, 16)
-            .map(|bits| TaskError::Timeout(f64::from_bits(bits)))
-            .map_err(|e| format!("bad timeout bits `{detail}`: {e}")),
+        "panic" => Ok(TaskError(unesc(&detail)?)),
         other => Err(format!("unknown failure kind `{other}`")),
     }
 }
@@ -760,12 +674,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_payloads() {
         let plan = tiny_plan();
-        let mut shard = SweepExecutor::serial().run_shard(&plan, 1, 2);
-        // Saturated cells never pay for a reference run, so inject a
-        // reference timing (and its event-currency twin) to exercise the
-        // sparse `reftiming`/`refevents` sections.
-        shard.ref_timings.push((3, 0.125));
-        shard.ref_events.push((3, 777));
+        let shard = SweepExecutor::serial().run_shard(&plan, 1, 2);
         let decoded = ShardResult::decode(&shard.encode()).unwrap();
         assert_eq!(decoded.shard, 1);
         assert_eq!(decoded.of, 2);
@@ -776,20 +685,6 @@ mod tests {
             assert_eq!(ta, tb);
             assert_eq!(encode_outcome(a), encode_outcome(b));
         }
-        // The timing telemetry rides along bit-exactly, one line per
-        // executed task.
-        assert_eq!(decoded.timings.len(), shard.entries.len());
-        for ((ta, a), (tb, b)) in shard.timings.iter().zip(&decoded.timings) {
-            assert_eq!(ta, tb);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(decoded.ref_timings, vec![(3, 0.125)]);
-        // The deterministic event counts ride along exactly, one per
-        // executed task, plus the injected sparse reference entry.
-        assert_eq!(decoded.events, shard.events);
-        assert_eq!(decoded.events.len(), shard.entries.len());
-        assert!(decoded.events.iter().all(|&(_, n)| n > 0));
-        assert_eq!(decoded.ref_events, vec![(3, 777)]);
     }
 
     #[test]
@@ -812,25 +707,6 @@ mod tests {
         let chaos = back.as_chaos().expect("chaos outcome");
         assert_eq!(chaos.peak_mpl, 19);
         assert_eq!(chaos.reference_tput.to_bits(), 1234.5678f64.to_bits());
-    }
-
-    #[test]
-    fn payloads_without_timings_still_decode() {
-        let plan = tiny_plan();
-        let shard = SweepExecutor::serial().run_shard(&plan, 0, 2);
-        let stripped: String = shard
-            .encode()
-            .lines()
-            .filter(|l| !l.starts_with("timing "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let decoded = ShardResult::decode(&stripped).unwrap();
-        assert_eq!(decoded.entries.len(), shard.entries.len());
-        assert!(decoded.timings.is_empty());
-        // And the timing section never affects the merge.
-        let other = SweepExecutor::serial().run_shard(&plan, 1, 2);
-        let merged = ShardResult::merge(&plan, [&decoded, &other]).unwrap();
-        assert_eq!(merged.len(), plan.scenarios.len());
     }
 
     #[test]
@@ -875,10 +751,10 @@ mod tests {
     #[test]
     fn failures_round_trip_through_the_codec() {
         let cases = [
-            TaskError::Panic("index out of bounds: the len is 3".to_string()),
-            TaskError::Panic(String::new()),
-            TaskError::Panic("smörgåsbord\n% weird %%".to_string()),
-            TaskError::Timeout(1.5),
+            TaskError("index out of bounds: the len is 3".to_string()),
+            TaskError(String::new()),
+            TaskError("smörgåsbord\n% weird %%".to_string()),
+            TaskError("attempt to divide by zero".to_string()),
         ];
         for f in &cases {
             let spec = encode_failure(f);
@@ -898,8 +774,7 @@ mod tests {
         // Move one of s1's tasks into the failed set, as a keep-going
         // run with a panicking cell would report it.
         let (t, _) = s1.entries.pop().unwrap();
-        s1.failures
-            .push((t, TaskError::Panic("boom at task".to_string())));
+        s1.failures.push((t, TaskError("boom at task".to_string())));
         let decoded = ShardResult::decode(&s1.encode()).unwrap();
         assert_eq!(decoded.failures, s1.failures);
         assert_eq!(decoded.entries.len(), s1.entries.len());
@@ -907,10 +782,11 @@ mod tests {
         // partition and surfaces the failure on the right cell.
         let merged = ShardResult::merge(&plan, [&s0, &decoded]).unwrap();
         let failed: Vec<&TaskError> = merged.iter().flat_map(|r| r.failures.iter()).collect();
-        assert_eq!(failed, [&TaskError::Panic("boom at task".to_string())]);
+        assert_eq!(failed, [&TaskError("boom at task".to_string())]);
         // But a task reported as BOTH an outcome and a failure is a
         // duplicate, same as appearing in two shards.
-        s0.failures.push((s0.entries[0].0, TaskError::Timeout(0.5)));
+        s0.failures
+            .push((s0.entries[0].0, TaskError("late duplicate".to_string())));
         let err = ShardResult::merge(&plan, [&s0, &s1]).unwrap_err();
         assert!(err.contains("more than one shard"), "{err}");
     }
@@ -937,6 +813,14 @@ mod tests {
         assert_eq!(err.line, 3);
         assert_eq!(err.context, "failed 0 2 panic boom");
         assert!(err.msg.contains("unknown failure kind `2`"), "{err}");
+
+        // A telemetry line from an older build's payload is malformed
+        // here, on its own line, never skipped.
+        let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+        lines.insert(2, "timing 3 3ff0000000000000".to_string());
+        let err = ShardResult::decode(&lines.join("\n")).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.context, "timing 3 3ff0000000000000");
 
         // Header errors point at line 1.
         let err = ShardResult::decode("xsched-shard v1 plan=zzzz tasks=1 shard=0 of=1 entries=0")

@@ -14,13 +14,15 @@
 //! [`SweepExecutor::run_shard`], streaming [`SweepExecutor::run_fold`],
 //! and the coordinator worker's per-lease `SweepExecutor::run_task` —
 //! is a thin caller of one private core. The core claims tasks in task
-//! order from one atomic counter, runs each once under the guarded path,
-//! and hands every finished cell to a sink on the calling thread, in task
-//! order.
+//! order from one atomic counter, runs each once inline under
+//! `catch_unwind`, and hands every finished cell to a sink on the calling
+//! thread, in task order. That in-order sink is also where every entry
+//! point's per-cell [`CellTiming`]s are recorded (see
+//! [`SweepExecutor::with_timings`]).
 
 use crate::cache::MeasurementCache;
-use crate::fault::{classify_panic, relock, FaultPolicy, TaskError, TaskOutcome};
-use crate::observe::SweepObs;
+use crate::fault::{classify_panic, relock, TaskError, TaskOutcome};
+use crate::observe::{CellTiming, SweepObs};
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost};
 use crate::shard::ShardResult;
 use serde::Serialize;
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xsched_sim::{ConfidenceInterval, Replications};
 
 /// Scenarios × replication seeds: the unit of execution.
@@ -170,7 +172,8 @@ pub struct SweepExecutor {
     cache: Option<Arc<MeasurementCache>>,
     obs: Option<Arc<SweepObs>>,
     progress: bool,
-    faults: FaultPolicy,
+    keep_going: bool,
+    timings: Option<Arc<Mutex<Vec<CellTiming>>>>,
 }
 
 impl SweepExecutor {
@@ -181,7 +184,8 @@ impl SweepExecutor {
             cache: None,
             obs: None,
             progress: false,
-            faults: FaultPolicy::default(),
+            keep_going: false,
+            timings: None,
         }
     }
 
@@ -223,12 +227,20 @@ impl SweepExecutor {
         self
     }
 
-    /// Set the fault policy: an optional watchdog deadline and/or
-    /// keep-going degradation (see [`FaultPolicy`]). Every task runs
-    /// once, panic-isolated, whatever the policy; the default policy
-    /// fails fast.
-    pub fn with_faults(mut self, faults: FaultPolicy) -> SweepExecutor {
-        self.faults = faults;
+    /// Degrade failed tasks to marked [`TaskOutcome::Failed`] cells and
+    /// keep sweeping. Off (the default) = fail fast: the first failed
+    /// task aborts the sweep with a typed panic. Every task runs once,
+    /// panic-isolated, either way.
+    pub fn with_keep_going(mut self, keep_going: bool) -> SweepExecutor {
+        self.keep_going = keep_going;
+        self
+    }
+
+    /// Append every executed cell's [`CellTiming`]s to `sink`, in task
+    /// order, from every entry point (a coordinator worker's leases
+    /// included). Observational only: result bytes never change.
+    pub fn with_timings(mut self, sink: Arc<Mutex<Vec<CellTiming>>>) -> SweepExecutor {
+        self.timings = Some(sink);
         self
     }
 
@@ -250,8 +262,7 @@ impl SweepExecutor {
     }
 
     /// Execute shard `index` of `of` — the strided slice
-    /// [`SweepPlan::shard`] — and return its task-indexed outcomes plus
-    /// per-task wall-clock timings.
+    /// [`SweepPlan::shard`] — and return its task-indexed outcomes.
     ///
     /// Shards are independent: split a plan across processes or hosts,
     /// ship each [`ShardResult`] back (see [`ShardResult::encode`]), and
@@ -266,32 +277,16 @@ impl SweepExecutor {
             task_count: plan.task_count(),
             entries: Vec::new(),
             failures: Vec::new(),
-            timings: Vec::new(),
-            ref_timings: Vec::new(),
-            events: Vec::new(),
-            ref_events: Vec::new(),
         };
-        self.execute(plan, &plan.shard(index, of), (index, of), |t, cell| {
-            let cost = cell.cost;
-            shard.timings.push((t, cell.secs));
-            if cost.ref_secs > 0.0 {
-                shard.ref_timings.push((t, cost.ref_secs));
-            }
-            // Per-cell events are charged net of the shared reference
-            // run so the signal is stable under cache claim order.
-            if cost.events > 0 {
-                shard
-                    .events
-                    .push((t, cost.events.saturating_sub(cost.ref_events)));
-            }
-            if cost.ref_events > 0 {
-                shard.ref_events.push((t, cost.ref_events));
-            }
-            match cell.outcome {
+        self.execute(
+            plan,
+            &plan.shard(index, of),
+            (index, of),
+            |t, cell| match cell.outcome {
                 TaskOutcome::Ok(outcome) => shard.entries.push((t, outcome)),
                 TaskOutcome::Failed(failure) => shard.failures.push((t, failure)),
-            }
-        });
+            },
+        );
         shard
     }
 
@@ -391,13 +386,16 @@ impl SweepExecutor {
             };
             let (si, seed) = tasks[t];
             let started = Instant::now();
-            let result = self.run_guarded(&plan.scenarios[si], seed, &cache);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                plan.scenarios[si].run_timed(seed, Some(&cache), obs)
+            }))
+            .map_err(classify_panic);
             let secs = started.elapsed().as_secs_f64();
             let (outcome, cost) = match result {
                 Ok((outcome, cost)) => (TaskOutcome::Ok(outcome), cost),
                 Err(error) => {
                     // Fail fast: stop claiming once a task fails.
-                    if !self.faults.keep_going {
+                    if !self.keep_going {
                         abort.store(true, Ordering::Relaxed);
                     }
                     (TaskOutcome::Failed(error), UnitCost::default())
@@ -452,7 +450,7 @@ impl SweepExecutor {
                         return;
                     }
                 };
-                if let (false, Some(error)) = (self.faults.keep_going, cell.outcome.as_failed()) {
+                if let (false, Some(error)) = (self.keep_going, cell.outcome.as_failed()) {
                     abort.store(true, Ordering::Relaxed);
                     panic!("sweep task {t} failed: {error}");
                 }
@@ -478,6 +476,19 @@ impl SweepExecutor {
                         cell.worker
                     );
                 }
+                if let Some(timings) = &self.timings {
+                    // Per-cell events are charged net of the shared
+                    // reference run so the signal is stable under cache
+                    // claim order.
+                    let cost = cell.cost;
+                    relock(timings).extend(CellTiming::split(
+                        &plan.scenarios[tasks[t].0],
+                        cell.secs,
+                        cost.ref_secs,
+                        cost.events.saturating_sub(cost.ref_events),
+                        cost.ref_events,
+                    ));
+                }
                 actual_secs += cell.secs;
                 sink(t, cell);
             }
@@ -492,50 +503,6 @@ impl SweepExecutor {
             r.gauge_add(&format!("sweep.shard{index}.actual_secs"), actual_secs);
         }
         peak
-    }
-
-    /// Run one `(scenario, seed)` task once, panic-isolated, optionally
-    /// under the watchdog deadline. Returns the cell's outcome plus its
-    /// [`UnitCost`], or the error that failed it. Without a deadline the
-    /// run is inline under `catch_unwind`; with one it is on a detached
-    /// monitor-pattern thread — if the deadline passes, the runaway
-    /// thread is abandoned (its eventual result discarded) and the task
-    /// scores [`TaskError::Timeout`].
-    fn run_guarded(
-        &self,
-        scenario: &Scenario,
-        seed: u64,
-        cache: &Arc<MeasurementCache>,
-    ) -> Result<(ScenarioOutcome, UnitCost), TaskError> {
-        let Some(limit) = self.faults.task_timeout_secs else {
-            return catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_timed(seed, Some(cache), self.obs.as_deref())
-            }))
-            .map_err(classify_panic);
-        };
-        let scenario = scenario.clone();
-        let cache = Arc::clone(cache);
-        let obs = self.obs.clone();
-        let (tx, rx) = std::sync::mpsc::channel();
-        // Detached on purpose: joining a runaway thread would defeat the
-        // deadline. An abandoned run keeps its CPU until it finishes, but
-        // its result is discarded and its panic (if any) is caught here,
-        // not propagated.
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_timed(seed, Some(&cache), obs.as_deref())
-            }));
-            let _ = tx.send(result);
-        });
-        match rx.recv_timeout(Duration::from_secs_f64(limit)) {
-            Ok(result) => result.map_err(classify_panic),
-            Err(_) => {
-                if let Some(obs) = &self.obs {
-                    obs.registry().counter_add("sweep.task_timeouts", 1);
-                }
-                Err(TaskError::Timeout(limit))
-            }
-        }
     }
 }
 
@@ -672,6 +639,9 @@ mod tests {
     /// OpenLoad grid with S setups × L loads × R seeds performs exactly
     /// S×R capacity measurements — every additional load cell is a cache
     /// hit — and the cached results are bit-identical to uncached runs.
+    /// The per-cell `(bucket, events)` timing rows (summed into a
+    /// simulated-events rate by the benchmark harness) are the same at
+    /// every thread count, with one `ref/` row per capacity measurement.
     #[test]
     fn open_load_grid_measures_capacity_once_per_setup_and_seed() {
         let rc = RunConfig {
@@ -700,12 +670,28 @@ mod tests {
             .collect();
         let plan = SweepPlan::new(scenarios).replicated(2, 42); // R = 2
 
-        let cache = MeasurementCache::shared();
-        let cached = SweepExecutor::parallel(4)
-            .with_cache(Arc::clone(&cache))
-            .run(&plan);
-        assert_eq!(cache.misses(), 4, "exactly S×R capacity measurements");
-        assert_eq!(cache.hits(), 8, "the other S×(L−1)×R lookups are hits");
+        let mut rows_by_threads = Vec::new();
+        let mut cached = Vec::new();
+        for threads in [1, 4] {
+            let cache = MeasurementCache::shared();
+            let timings = Arc::new(Mutex::new(Vec::new()));
+            cached = SweepExecutor::parallel(threads)
+                .with_cache(Arc::clone(&cache))
+                .with_timings(Arc::clone(&timings))
+                .run(&plan);
+            assert_eq!(cache.misses(), 4, "exactly S×R capacity measurements");
+            assert_eq!(cache.hits(), 8, "the other S×(L−1)×R lookups are hits");
+            let mut rows: Vec<(String, u64)> = relock(&timings)
+                .iter()
+                .map(|c| (c.bucket.clone(), c.events))
+                .collect();
+            rows.sort_unstable();
+            let refs = rows.iter().filter(|(b, _)| b.starts_with("ref/")).count();
+            assert_eq!(refs as u64, cache.misses(), "{threads} thread(s)");
+            assert_eq!(rows.len() - refs, plan.task_count());
+            rows_by_threads.push(rows);
+        }
+        assert_eq!(rows_by_threads[0], rows_by_threads[1]);
 
         // Bit-identical to the uncached path, outcome field by field.
         for (si, result) in cached.iter().enumerate() {
@@ -865,7 +851,7 @@ mod tests {
 
     /// The panic a `high_fraction = 2.0` cell fails with.
     fn bad_fraction() -> TaskError {
-        TaskError::Panic("assertion failed: (0.0..=1.0).contains(&f)".into())
+        TaskError("assertion failed: (0.0..=1.0).contains(&f)".into())
     }
 
     /// A plan whose every task fails must not abort a keep-going sweep:
@@ -877,10 +863,7 @@ mod tests {
         for s in &mut plan.scenarios {
             s.rc.high_fraction = 2.0;
         }
-        let exec = SweepExecutor::parallel(4).with_faults(FaultPolicy {
-            keep_going: true,
-            ..Default::default()
-        });
+        let exec = SweepExecutor::parallel(4).with_keep_going(true);
         let obs = Arc::new(SweepObs::new());
         let results = exec.with_obs(Arc::clone(&obs)).run(&plan);
         let total: usize = results.iter().map(|r| r.failures.len()).sum();
@@ -905,10 +888,6 @@ mod tests {
             .map(|(t, o)| (*t, encode_outcome(o)))
             .collect();
         let plan = mixed_plan();
-        let policy = FaultPolicy {
-            keep_going: true,
-            ..Default::default()
-        };
         let render = |s: &ShardResult| -> Vec<(usize, String)> {
             s.entries
                 .iter()
@@ -916,7 +895,7 @@ mod tests {
                 .collect()
         };
         let serial = SweepExecutor::serial()
-            .with_faults(policy.clone())
+            .with_keep_going(true)
             .run_shard(&plan, 0, 1);
         let failed: Vec<usize> = serial.failures.iter().map(|(t, _)| *t).collect();
         assert_eq!(failed, [3, 4, 5], "scenario 1's three replications");
@@ -926,33 +905,10 @@ mod tests {
             assert_eq!(encode_outcome(o), by_task[t], "task {t}");
         }
         let wide = SweepExecutor::parallel(4)
-            .with_faults(policy)
+            .with_keep_going(true)
             .run_shard(&plan, 0, 1);
         assert_eq!(serial.failures, wide.failures);
         assert_eq!(render(&serial), render(&wide));
-    }
-
-    /// The watchdog scores a cell that outlives its deadline as a
-    /// timeout: a real 20k-transaction cell under a 1 ms deadline fails by
-    /// `TaskError::Timeout` without hanging the sweep.
-    #[test]
-    fn watchdog_times_out_stalled_tasks() {
-        let rc = RunConfig {
-            warmup_txns: 1_000,
-            measured_txns: 20_000,
-            ..Default::default()
-        };
-        let plan = SweepPlan::new(vec![Scenario::tput("s1", setup(1), 3, rc)]);
-        let obs = Arc::new(SweepObs::new());
-        let results = SweepExecutor::serial()
-            .with_faults(FaultPolicy {
-                keep_going: true,
-                task_timeout_secs: Some(0.001),
-            })
-            .with_obs(Arc::clone(&obs))
-            .run(&plan);
-        assert_eq!(results[0].failures, [TaskError::Timeout(0.001)]);
-        assert_eq!(obs.registry().counter("sweep.task_timeouts"), 1);
     }
 
     /// Fail-fast (the default) still aborts: a failing cell without
@@ -996,7 +952,7 @@ mod tests {
             let _ = tx.send(result.map_err(|e| e.downcast::<String>().map(|m| *m)));
         });
         let result = rx
-            .recv_timeout(Duration::from_secs(60))
+            .recv_timeout(std::time::Duration::from_secs(60))
             .expect("run_fold returns within 60 s");
         let msg = result
             .expect_err("the failed first cell aborts the fold")
@@ -1010,10 +966,6 @@ mod tests {
     /// successful outcomes match the fault-free stream.
     #[test]
     fn run_fold_keep_going_folds_failures_in_order() {
-        let policy = FaultPolicy {
-            keep_going: true,
-            ..Default::default()
-        };
         let reference = SweepExecutor::serial().run_shard(&quick_plan(), 0, 1);
         let expected: Vec<String> = reference
             .entries
@@ -1023,7 +975,7 @@ mod tests {
         let plan = mixed_plan();
         let mut streams = Vec::new();
         for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
-            let (folded, stats) = exec.with_faults(policy.clone()).run_fold(
+            let (folded, stats) = exec.with_keep_going(true).run_fold(
                 &plan,
                 Vec::new(),
                 |mut acc: Vec<(usize, Option<String>)>, t, o| {
