@@ -12,20 +12,10 @@
 //! `mean ±95% CI half-width` over the replications; sweeps always fan out
 //! across the worker pool (`--threads`, default one per core).
 //!
-//! Sweeps can additionally be split **across processes or hosts**: each
-//! `--shard i/n` invocation simulates only its strided slice of every
-//! task grid and prints encoded shard payloads, and `--merge f1,f2,…`
-//! reassembles them into tables byte-identical to an unsharded run:
-//!
-//! ```text
-//! figures --quick --shard 1/2 fig3 > s1.txt   # host A
-//! figures --quick --shard 2/2 fig3 > s2.txt   # host B
-//! figures --quick --merge s1.txt,s2.txt fig3  # anywhere
-//! ```
-//!
-//! Or **coordinated** (work-stealing with lease-based fault recovery):
-//! one `--serve host:port` process hands out task leases and prints the
-//! merged tables; any number of `--worker host:port` processes (same
+//! Sweeps can additionally be split **across processes or hosts**, by
+//! coordination (work-stealing with lease-based fault recovery): one
+//! `--serve host:port` process hands out task leases and prints the
+//! tables; any number of `--worker host:port` processes (same
 //! experiment flags) claim, execute, and stream outcomes back. Kill a
 //! worker mid-sweep and its leases expire and reassign — the tables do
 //! not change a byte:
@@ -38,34 +28,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use xsched_bench::cli::{parse_args, USAGE};
+use xsched_bench::cli::{parse_args, EXPERIMENTS, USAGE};
 use xsched_bench::*;
-use xsched_core::shard::decode_payloads;
 use xsched_core::{CoordServer, SweepObs, TcpTransport, WorkerConfig};
-
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "c2",
-    "rt_open",
-    "fig7",
-    "fig9",
-    "fig10",
-    "controller",
-    "chaos",
-    "ablation_jumpstart",
-    "fig11a",
-    "fig11b",
-    "fig12",
-    "fig13",
-    "ablation_policy",
-    "ablation_dbms",
-    "crosscheck",
-];
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -93,9 +58,6 @@ fn main() {
             args.experiments.iter().map(String::as_str).collect()
         };
 
-    // The shard sink collects encoded payloads; in shard mode they are
-    // what goes to stdout (tables are suppressed until the merge).
-    let sink = Arc::new(Mutex::new(Vec::new()));
     // Raised by worker mode when the coordinator was unreachable and a
     // sweep fell back to local execution — then this process owns real
     // results and must print them.
@@ -122,27 +84,6 @@ fn main() {
             epoch: Arc::new(AtomicU64::new(0)),
             config: Arc::new(WorkerConfig::new(&format!("w{}", std::process::id()))),
             degraded: Arc::clone(&degraded),
-        }
-    } else if let Some((i, n)) = args.shard {
-        SweepMode::Shard {
-            index: i - 1, // CLI is 1-based, the executor 0-based
-            of: n,
-            sink: Arc::clone(&sink),
-        }
-    } else if !args.merge.is_empty() {
-        let mut pool = Vec::new();
-        for path in &args.merge {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read shard file `{path}`: {e}");
-                std::process::exit(2);
-            });
-            pool.extend(decode_payloads(&text).unwrap_or_else(|e| {
-                eprintln!("error: bad shard payload in `{path}`: {e}");
-                std::process::exit(2);
-            }));
-        }
-        SweepMode::Merge {
-            pool: Arc::new(pool),
         }
     } else {
         SweepMode::Run
@@ -172,17 +113,9 @@ fn main() {
         full_rc_heavy()
     };
 
-    // In merge mode a shard-payload mismatch surfaces as a panic from
-    // `SweepOpts::run`; turn it into the same clean one-line error + exit 2
-    // every other user-input failure uses (and silence the panic hook so
-    // no backtrace noise precedes it).
-    if !args.merge.is_empty() {
-        std::panic::set_hook(Box::new(|_| {}));
-    }
-
     for name in names {
         let started = std::time::Instant::now();
-        let build_report = || match name {
+        let report = match name {
             "table1" => table1_report(),
             "table2" => table2_report(),
             "fig2" => fig2_report(&rc, &opts),
@@ -208,53 +141,12 @@ fn main() {
             "ablation_policy" => policy_ablation_report(&rc_heavy, &opts),
             "ablation_dbms" => dbms_ablation_report(&rc_heavy, &opts),
             "crosscheck" => qbd_crosscheck_report(),
-            other => {
-                eprintln!("unknown experiment `{other}`; known: {EXPERIMENTS:?}");
-                std::process::exit(2);
-            }
+            other => unreachable!("parse_args rejects unknown experiment `{other}`"),
         };
-        let report = if args.merge.is_empty() {
-            build_report()
-        } else {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build_report)) {
-                Ok(report) => report,
-                Err(payload) => {
-                    // Only typed shard-validation failures are user-input
-                    // errors; anything else is a genuine bug and must not
-                    // masquerade as one.
-                    if let Some(MergeError(msg)) = payload.downcast_ref::<MergeError>() {
-                        eprintln!("error: {msg}");
-                        std::process::exit(2);
-                    }
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "unknown panic".to_string());
-                    eprintln!("internal error (not a shard-file problem): {msg}");
-                    std::process::exit(101);
-                }
-            }
-        };
-        if args.shard.is_some() {
-            // Shard mode: stdout carries the machine-readable payloads
-            // (one per sweep this experiment executed); the rendered
-            // table fragments are partial and stay unprinted. An empty
-            // sink means the experiment ran no sweep (analytic/static) —
-            // it renders at merge time.
-            let payloads: Vec<String> = sink.lock().unwrap().drain(..).collect();
-            if payloads.is_empty() {
-                eprintln!("[{name} ran no sweep; it renders at merge time]");
-            }
-            for payload in payloads {
-                println!("# experiment {name}");
-                print!("{payload}");
-            }
-        } else if args.worker.is_some() && !degraded.load(Ordering::SeqCst) {
-            // Worker mode: the coordinator holds the merged outcomes and
-            // prints the tables; this side's partial renderings stay
-            // unprinted. (A degraded worker ran the sweep itself and
-            // prints normally.)
+        if args.worker.is_some() && !degraded.load(Ordering::SeqCst) {
+            // Worker mode: the coordinator holds the outcomes and prints
+            // the tables; this side's empty renderings stay unprinted. (A
+            // degraded worker ran the sweep itself and prints normally.)
             eprintln!("[{name}: tables render on the coordinator]");
         } else {
             println!("{report}");

@@ -3,9 +3,11 @@
 //! A small hand-rolled parser (the build environment has no crates.io
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
-//! `--shard`, `--merge`, `--metrics`, `--progress`, `--keep-going`,
-//! `--serve`, `--worker`, `--lease`, `--list`, `--help`, and positional
-//! experiment names. A killed run is simply run again: every cell is
+//! `--metrics`, `--progress`, `--keep-going`, `--serve`, `--worker`,
+//! `--lease`, `--list`, `--help`, and positional experiment names, each
+//! checked against [`EXPERIMENTS`] before anything runs. One sweep is
+//! split across processes or hosts one way: a `--serve` coordinator and
+//! its `--worker`s. A killed run is simply run again: every cell is
 //! pure in `(scenario, seed)` and the whole quick study takes well under
 //! a minute. No cell can hang (a stalled simulator or a non-converging
 //! solve panics, and every run loop ends at a completion budget), so
@@ -15,6 +17,31 @@
 //! string.
 
 use std::fmt;
+
+/// Every experiment `figures` can run, in the order `all` runs them.
+pub const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "c2",
+    "rt_open",
+    "fig7",
+    "fig9",
+    "fig10",
+    "controller",
+    "chaos",
+    "ablation_jumpstart",
+    "fig11a",
+    "fig11b",
+    "fig12",
+    "fig13",
+    "ablation_policy",
+    "ablation_dbms",
+    "crosscheck",
+];
 
 /// A user-input problem with the argument vector. Every variant renders a
 /// one-line message through `Display`; the binary prints it with usage and
@@ -32,17 +59,10 @@ pub enum ArgError {
         /// Human description of the expected shape.
         want: &'static str,
     },
-    /// `--shard i/n` with `i` or `n` outside `1 ≤ i ≤ n` — rejected here
-    /// with a typed error instead of whatever a downstream assert would
-    /// have produced.
-    ShardOutOfRange {
-        /// 1-based shard index as given.
-        index: usize,
-        /// Total shard count as given.
-        of: usize,
-    },
     /// An option the parser does not know.
     UnknownOption(String),
+    /// An experiment name not in [`EXPERIMENTS`] (nor `all`).
+    UnknownExperiment(String),
     /// Two flags that cannot be combined.
     Conflict(&'static str),
 }
@@ -54,11 +74,10 @@ impl fmt::Display for ArgError {
             ArgError::InvalidValue { flag, value, want } => {
                 write!(f, "invalid value `{value}` for {flag} (want {want})")
             }
-            ArgError::ShardOutOfRange { index, of } => write!(
-                f,
-                "shard index out of range in `{index}/{of}` (want 1 ≤ i ≤ n, n ≥ 1)"
-            ),
             ArgError::UnknownOption(opt) => write!(f, "unknown option `{opt}` (see --help)"),
+            ArgError::UnknownExperiment(name) => {
+                write!(f, "unknown experiment `{name}` (see --list)")
+            }
             ArgError::Conflict(msg) => write!(f, "{msg}"),
         }
     }
@@ -69,7 +88,8 @@ impl std::error::Error for ArgError {}
 /// Parsed command line for the `figures` binary.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FiguresArgs {
-    /// Experiment names to run (empty = caller's default set).
+    /// Experiment names to run, each in [`EXPERIMENTS`] or `all` (empty
+    /// = caller's default set).
     pub experiments: Vec<String>,
     /// Shorter runs for smoke-testing.
     pub quick: bool,
@@ -77,9 +97,6 @@ pub struct FiguresArgs {
     pub seeds: Vec<u64>,
     /// Worker threads; `0` = one per core.
     pub threads: usize,
-    /// Run only shard `i` of `n` of every sweep (1-based `i`), printing
-    /// encoded shard payloads instead of tables.
-    pub shard: Option<(usize, usize)>,
     /// Write the full observability snapshot (metrics registry, timings,
     /// controller telemetry series) to this JSON file after the run.
     pub metrics_out: Option<String>,
@@ -88,11 +105,9 @@ pub struct FiguresArgs {
     /// Degrade failed sweep tasks to marked `FAILED` cells and keep
     /// sweeping instead of aborting on the first failure.
     pub keep_going: bool,
-    /// Shard payload files to merge instead of simulating.
-    pub merge: Vec<String>,
     /// Serve every sweep as a task-queue coordinator on this TCP address
     /// (`host:port`): workers claim task leases, this process records
-    /// their outcomes and prints the merged tables.
+    /// their outcomes and prints the tables.
     pub serve: Option<String>,
     /// Run as a worker client of the coordinator at this TCP address:
     /// claim task leases, execute, stream outcomes back. Prints no
@@ -127,13 +142,9 @@ OPTIONS:
                              (base = first --seeds value, or 42); tables
                              then print mean ±95% CI half-width per cell
     -t, --threads N          worker threads, 0 = one per core [default: 0]
-        --shard I/N          run only the I-th of N task slices (I is
-                             1-based) and print encoded shard payloads to
-                             stdout instead of tables; redirect each
-                             shard's stdout to a file
         --metrics FILE       after the run, write the full observability
-                             snapshot as JSON: metrics registry (worker/
-                             shard progress, cache hits/misses, task-time
+                             snapshot as JSON: metrics registry (worker
+                             progress, cache hits/misses, task-time
                              histogram), per-cell wall-clock and event
                              timings, and every controller session's MPL/
                              queue/latency time series
@@ -141,21 +152,13 @@ OPTIONS:
                              while sweeps run (stdout stays table-only)
         --keep-going         degrade failed (panicked) sweep tasks to
                              marked FAILED cells and keep sweeping;
-                             failed cells render as FAILED in the tables
-                             and carry typed failure records through
-                             shard payloads and merges; without it the
-                             first failed task aborts the run
-        --merge FILES        comma-separated shard payload files; merge
-                             them (running no sweep tasks) and print the
-                             tables, byte-identical to an unsharded run
-                             under the same flags; repeatable. Reports
-                             that resolve MPLs while building their plan
-                             (fig11-13, ablation_policy) repeat that
-                             deterministic search locally
+                             failed cells render as FAILED in the tables;
+                             without it the first failed task aborts the
+                             run
         --serve ADDR         coordinate every sweep over TCP at ADDR
                              (host:port): hand out task leases to
                              --worker clients, record their outcomes in
-                             memory, and print merged tables
+                             memory, and print the tables
                              byte-identical to a direct run. Dead
                              workers are detected by lease expiry and
                              their tasks reassigned; a restarted
@@ -178,13 +181,6 @@ OPTIONS:
     -l, --list               list experiment names and exit
     -h, --help               print this help and exit
 
-Sharded sweeps: run each `--shard i/N` (same flags otherwise) on any
-mix of processes or hosts, collect the outputs, then `--merge` them:
-
-    figures --quick --shard 1/2 fig3 > s1.txt
-    figures --quick --shard 2/2 fig3 > s2.txt
-    figures --quick --merge s1.txt,s2.txt fig3
-
 Coordinated sweeps (work-stealing across hosts; kill a worker mid-run
 and its leased tasks are reassigned — the tables do not change a byte):
 
@@ -192,31 +188,24 @@ and its leased tasks are reassigned — the tables do not change a byte):
     figures --quick --worker hostA:7070 fig3         # any number of these
 ";
 
-fn parse_shard(v: &str) -> Result<(usize, usize), ArgError> {
-    let invalid = || ArgError::InvalidValue {
-        flag: "--shard".into(),
-        value: v.to_string(),
-        want: "I/N, e.g. `2/8` (1-based)",
-    };
-    let (i, n) = v.split_once('/').ok_or_else(invalid)?;
-    let i: usize = i.trim().parse().map_err(|_| invalid())?;
-    let n: usize = n.trim().parse().map_err(|_| invalid())?;
-    if i == 0 || n == 0 || i > n {
-        return Err(ArgError::ShardOutOfRange { index: i, of: n });
-    }
-    Ok((i, n))
-}
-
 fn parse_u64_list(flag: &str, v: &str) -> Result<Vec<u64>, ArgError> {
-    let seeds: Result<Vec<u64>, _> = v.split(',').map(|s| s.trim().parse::<u64>()).collect();
-    match seeds {
-        Ok(s) if !s.is_empty() => Ok(s),
-        _ => Err(ArgError::InvalidValue {
-            flag: flag.to_string(),
-            value: v.to_string(),
-            want: "a comma-separated seed list, e.g. `42,43,44`",
-        }),
+    let invalid = |want| ArgError::InvalidValue {
+        flag: flag.to_string(),
+        value: v.to_string(),
+        want,
+    };
+    let seeds: Vec<u64> = v
+        .split(',')
+        .map(|s| s.trim().parse::<u64>())
+        .collect::<Result<_, _>>()
+        .map_err(|_| invalid("a comma-separated seed list, e.g. `42,43,44`"))?;
+    // A repeated seed reruns the same replication bit for bit, and
+    // counting it twice would shrink the confidence interval for free.
+    let mut seen = std::collections::HashSet::new();
+    if !seeds.iter().all(|s| seen.insert(s)) {
+        return Err(invalid("distinct seeds"));
     }
+    Ok(seeds)
 }
 
 /// Parse the argument vector (without the program name).
@@ -259,13 +248,9 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
                     want: "a thread count (0 = one per core)",
                 })?;
             }
-            "--shard" => out.shard = Some(parse_shard(&value_for(arg)?)?),
             "--metrics" => out.metrics_out = Some(value_for(arg)?),
             "--progress" => out.progress = true,
             "--keep-going" => out.keep_going = true,
-            "--merge" => out
-                .merge
-                .extend(value_for(arg)?.split(',').map(|p| p.trim().to_string())),
             "--serve" => out.serve = Some(value_for(arg)?),
             "--worker" => out.worker = Some(value_for(arg)?),
             "--lease" => {
@@ -283,31 +268,19 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             other if other.starts_with('-') => {
                 return Err(ArgError::UnknownOption(other.to_string()));
             }
-            name => out.experiments.push(name.to_string()),
+            name if name == "all" || EXPERIMENTS.contains(&name) => {
+                out.experiments.push(name.to_string());
+            }
+            name => return Err(ArgError::UnknownExperiment(name.to_string())),
         }
     }
     if let Some(n) = replications {
         let base = out.seeds.first().copied().unwrap_or(42);
         out.seeds = (0..n as u64).map(|i| base.wrapping_add(i)).collect();
     }
-    if out.shard.is_some() && !out.merge.is_empty() {
-        return Err(ArgError::Conflict(
-            "--shard and --merge are mutually exclusive",
-        ));
-    }
     if out.serve.is_some() && out.worker.is_some() {
         return Err(ArgError::Conflict(
             "--serve and --worker are mutually exclusive (one process is one side)",
-        ));
-    }
-    if (out.serve.is_some() || out.worker.is_some()) && out.shard.is_some() {
-        return Err(ArgError::Conflict(
-            "--serve/--worker and --shard are mutually exclusive (the coordinator replaces static sharding)",
-        ));
-    }
-    if (out.serve.is_some() || out.worker.is_some()) && !out.merge.is_empty() {
-        return Err(ArgError::Conflict(
-            "--serve/--worker and --merge are mutually exclusive",
         ));
     }
     if out.lease.is_some() && out.serve.is_none() {
@@ -369,6 +342,14 @@ mod tests {
             ArgError::InvalidValue { .. }
         ));
         assert_eq!(
+            parse_args(&["--seeds", "42,42"]).unwrap_err(),
+            ArgError::InvalidValue {
+                flag: "--seeds".into(),
+                value: "42,42".into(),
+                want: "distinct seeds",
+            }
+        );
+        assert_eq!(
             parse_args(&["--bogus"]).unwrap_err(),
             ArgError::UnknownOption("--bogus".into())
         );
@@ -376,54 +357,37 @@ mod tests {
         for args in [
             vec!["--seeds"],
             vec!["--seeds", "x"],
+            vec!["--seeds", "42,42"],
             vec!["--bogus"],
-            vec!["--shard", "0/4"],
-            vec!["--shard", "1/2", "--merge", "a"],
+            vec!["bogus"],
+            vec!["--serve", "a:1", "--worker", "b:1"],
         ] {
             let msg = parse_args(&args).unwrap_err().to_string();
             assert!(!msg.is_empty() && !msg.contains('\n'), "{msg}");
         }
     }
 
+    /// Experiment names are checked against [`EXPERIMENTS`] while
+    /// parsing, so a typo anywhere on the line fails before the first
+    /// experiment runs; `all` is the one name outside the list.
     #[test]
-    fn shard_spec_parses_one_based() {
-        let a = parse_args(&["--shard", "2/8", "fig3"]).unwrap();
-        assert_eq!(a.shard, Some((2, 8)));
-        assert_eq!(parse_args(&["--shard", "8/8"]).unwrap().shard, Some((8, 8)));
-    }
-
-    /// The satellite contract: out-of-range shard indices (i = 0, i > n,
-    /// n = 0) are rejected *here*, with a typed error carrying the
-    /// offending values, never reaching the executor's asserts.
-    #[test]
-    fn shard_out_of_range_is_a_typed_error() {
+    fn unknown_experiments_are_rejected_before_anything_runs() {
         assert_eq!(
-            parse_args(&["--shard", "0/8"]).unwrap_err(),
-            ArgError::ShardOutOfRange { index: 0, of: 8 }
+            parse_args(&["table1", "bogus"]).unwrap_err(),
+            ArgError::UnknownExperiment("bogus".into())
         );
         assert_eq!(
-            parse_args(&["--shard", "9/8"]).unwrap_err(),
-            ArgError::ShardOutOfRange { index: 9, of: 8 }
+            parse_args(&["all", "fig2x"]).unwrap_err(),
+            ArgError::UnknownExperiment("fig2x".into())
         );
-        assert_eq!(
-            parse_args(&["--shard", "1/0"]).unwrap_err(),
-            ArgError::ShardOutOfRange { index: 1, of: 0 }
-        );
-        for malformed in ["2", "a/b", "", "1/2/3", "-1/2"] {
-            assert!(
-                matches!(
-                    parse_args(&["--shard", malformed]).unwrap_err(),
-                    ArgError::InvalidValue { .. }
-                ),
-                "`{malformed}`"
-            );
-        }
+        let every: Vec<&str> = EXPERIMENTS.iter().copied().chain(["all"]).collect();
+        assert_eq!(parse_args(&every).unwrap().experiments, every);
     }
 
     /// Shard balancing, cost calibration, timing dumps, explicit
     /// defaults, task retries, fault injection, checkpoint/resume,
-    /// sub-run splitting and the per-task watchdog are not options: each
-    /// is a typed unknown-option error.
+    /// sub-run splitting, the per-task watchdog and static sharding are
+    /// not options: each is a typed unknown-option error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -440,6 +404,8 @@ mod tests {
             vec!["--resume"],
             vec!["--subruns", "3"],
             vec!["--task-timeout", "5"],
+            vec!["--shard", "1/2"],
+            vec!["--merge", "s.txt"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -465,20 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_files_accumulate_across_flags_and_commas() {
-        let a = parse_args(&["--merge", "a.txt,b.txt", "--merge", "c.txt"]).unwrap();
-        assert_eq!(a.merge, ["a.txt", "b.txt", "c.txt"]);
-    }
-
-    #[test]
-    fn shard_and_merge_are_mutually_exclusive() {
-        assert_eq!(
-            parse_args(&["--shard", "1/2", "--merge", "a.txt"]).unwrap_err(),
-            ArgError::Conflict("--shard and --merge are mutually exclusive")
-        );
-    }
-
-    #[test]
     fn fault_tolerance_flags_parse() {
         let a = parse_args(&["--keep-going", "fig2"]).unwrap();
         assert!(a.keep_going);
@@ -491,19 +443,16 @@ mod tests {
     /// mask the typed conflicts between the modes themselves.
     #[test]
     fn fault_tolerance_conflicts_are_typed() {
-        for mode in [
-            vec!["--serve", "a:1"],
-            vec!["--worker", "a:1"],
-            vec!["--shard", "1/2"],
-            vec!["--merge", "s.txt"],
-        ] {
+        for mode in [vec!["--serve", "a:1"], vec!["--worker", "a:1"]] {
             let mut args = vec!["--keep-going"];
             args.extend(&mode);
             assert!(parse_args(&args).unwrap().keep_going, "{args:?}");
         }
         assert_eq!(
-            parse_args(&["--keep-going", "--shard", "1/2", "--merge", "a"]).unwrap_err(),
-            ArgError::Conflict("--shard and --merge are mutually exclusive")
+            parse_args(&["--keep-going", "--serve", "a:1", "--worker", "b:1"]).unwrap_err(),
+            ArgError::Conflict(
+                "--serve and --worker are mutually exclusive (one process is one side)"
+            )
         );
     }
 
@@ -541,9 +490,8 @@ mod tests {
         );
     }
 
-    /// The coordinated-mode contract: role and sharding flags that
-    /// cannot be combined are typed conflicts, and dependent flags name
-    /// their prerequisite.
+    /// The coordinated-mode contract: role flags that cannot be combined
+    /// are typed conflicts, and dependent flags name their prerequisite.
     #[test]
     fn coordinator_conflicts_are_typed() {
         for (args, needle) in [
@@ -551,9 +499,6 @@ mod tests {
                 vec!["--serve", "a:1", "--worker", "b:1"],
                 "--serve and --worker",
             ),
-            (vec!["--serve", "a:1", "--shard", "1/2"], "--shard"),
-            (vec!["--worker", "a:1", "--shard", "1/2"], "--shard"),
-            (vec!["--serve", "a:1", "--merge", "s.txt"], "--merge"),
             (vec!["--lease", "5"], "--lease requires --serve"),
             (
                 vec!["--worker", "a:1", "--lease", "5"],
@@ -572,16 +517,14 @@ mod tests {
     /// in USAGE, and USAGE's OPTIONS section names no other `--flag`.
     #[test]
     fn usage_lists_exactly_the_parsed_options() {
-        let options: [&[&str]; 14] = [
+        let options: [&[&str]; 12] = [
             &["--quick"],
             &["--seeds", "7,8"],
             &["--replications", "2"],
             &["--threads", "2"],
-            &["--shard", "1/2"],
             &["--metrics", "m.json"],
             &["--progress"],
             &["--keep-going"],
-            &["--merge", "s.txt"],
             &["--serve", "a:1"],
             &["--worker", "a:1"],
             &["--lease", "5", "--serve", "a:1"],

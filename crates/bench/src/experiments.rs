@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xsched_core::{
     run_worker, ArrivalSpec, CellTiming, CoordConfig, CoordServer, Coordinator, ExecSpec,
-    MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario, ScenarioResult, ShardResult,
-    SweepExecutor, SweepObs, SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
+    MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario, ScenarioResult, SweepExecutor,
+    SweepObs, SweepPlan, Targets, Transport, WorkerConfig, WorkerError,
 };
 use xsched_dbms::{CpuPolicy, FaultSpec, LockPriorityPolicy, SpikeSpec, StallSpec};
 use xsched_queueing::{flex::FlexServer, mg1, recommend, ClosedNetwork, ThroughputModel, H2};
@@ -67,44 +67,17 @@ pub fn full_rc_heavy() -> RunConfig {
     }
 }
 
-/// Raised through `std::panic::panic_any` when merge-mode shard
-/// validation fails — a *user-input* problem (wrong files, mixed flags),
-/// not a bug. The `figures` binary downcasts the panic payload to this
-/// type to report a clean one-line error, so the contract is typed
-/// rather than a string-prefix match.
-#[derive(Debug)]
-pub struct MergeError(pub String);
-
-/// How a report's sweep executes: in full, as one shard of a split run,
-/// by merging previously recorded shard payloads, or coordinated across
-/// hosts (serving task leases, or working a coordinator's queue).
+/// How a report's sweep executes: in full in this process, or
+/// coordinated across processes or hosts (serving task leases, or
+/// working a coordinator's queue).
 #[derive(Clone, Default)]
 pub enum SweepMode {
     /// Run every task in this process (the default).
     #[default]
     Run,
-    /// Run only the strided task slice `index` of `of` and append the
-    /// encoded [`ShardResult`] to `sink`; the returned results aggregate
-    /// just this shard's share (cells the shard skipped stay empty).
-    Shard {
-        /// 0-based shard index.
-        index: usize,
-        /// Total shard count.
-        of: usize,
-        /// Collects one encoded payload per executed sweep.
-        sink: Arc<Mutex<Vec<String>>>,
-    },
-    /// Run nothing: reassemble each sweep from decoded shard payloads,
-    /// matched to the plan by fingerprint. Panics if the pool does not
-    /// exactly partition the plan — shards must come from the same
-    /// figures flags (`--quick`, `--seeds`, ...).
-    Merge {
-        /// Decoded payloads from every shard file.
-        pool: Arc<Vec<ShardResult>>,
-    },
     /// Serve each sweep as a task-queue coordinator: hand out leases to
     /// `--worker` clients over TCP, record their outcomes in memory,
-    /// reassign expired leases, and return the merged results —
+    /// reassign expired leases, and return the assembled results —
     /// byte-identical to a direct run.
     Serve {
         /// The bound TCP listener, shared across the run's sweeps.
@@ -141,14 +114,6 @@ impl std::fmt::Debug for SweepMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepMode::Run => f.debug_struct("Run").finish(),
-            SweepMode::Shard { index, of, .. } => f
-                .debug_struct("Shard")
-                .field("index", index)
-                .field("of", of)
-                .finish_non_exhaustive(),
-            SweepMode::Merge { pool } => {
-                f.debug_struct("Merge").field("pool", &pool.len()).finish()
-            }
             SweepMode::Serve {
                 epoch, lease_secs, ..
             } => f
@@ -166,7 +131,7 @@ impl std::fmt::Debug for SweepMode {
 }
 
 /// How a report executes its sweep: replication seeds, worker threads,
-/// the execution mode (full, sharded, merge, or coordinated), and
+/// the execution mode (direct or coordinated), and
 /// optional per-cell timing telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOpts {
@@ -177,7 +142,7 @@ pub struct SweepOpts {
     pub seeds: Vec<u64>,
     /// Worker threads (`0` = one per available core).
     pub threads: usize,
-    /// Full, sharded, or merge execution.
+    /// Direct or coordinated execution.
     pub mode: SweepMode,
     /// When set, per-cell telemetry from every cell this process executes
     /// is appended here ([`CellTiming`]: bucket, seconds, simulator
@@ -185,7 +150,7 @@ pub struct SweepOpts {
     /// section of `figures --metrics`.
     pub timings: Option<Arc<Mutex<Vec<CellTiming>>>>,
     /// When set, every executed sweep records execution telemetry
-    /// (worker/shard progress, cache hits/misses, task-time histogram,
+    /// (worker progress, cache hits/misses, task-time histogram,
     /// controller series) into this shared sink — the feed for
     /// `figures --metrics`. Observational only: result bytes never
     /// change.
@@ -213,23 +178,6 @@ impl SweepOpts {
         }
         match &self.mode {
             SweepMode::Run => executor.run(&plan),
-            SweepMode::Shard { index, of, sink } => {
-                let shard = executor.run_shard(&plan, *index, *of);
-                sink.lock().unwrap().push(shard.encode());
-                shard.partial_results(&plan)
-            }
-            SweepMode::Merge { pool } => {
-                let fp = plan.fingerprint();
-                let mine = pool.iter().filter(|s| s.plan_fingerprint == fp);
-                match ShardResult::merge(&plan, mine) {
-                    Ok(results) => results,
-                    Err(e) => std::panic::panic_any(MergeError(format!(
-                        "cannot merge shard payloads for this sweep: {e}\n\
-                         (were all shards produced by the same figures \
-                         flags — --quick, --seeds, --replications?)"
-                    ))),
-                }
-            }
             SweepMode::Serve {
                 server,
                 epoch,
@@ -254,11 +202,9 @@ impl SweepOpts {
                 server
                     .serve_sweep(&mut coord, *linger_secs)
                     .unwrap_or_else(|e| panic!("coordinator server failed: {e}"));
-                let shard = coord.into_shard_result();
                 // The coordinator refuses to finish below full coverage,
-                // so this merge can only fail on a genuine bug.
-                ShardResult::merge(&plan, [&shard])
-                    .unwrap_or_else(|e| panic!("coordinated sweep failed to merge: {e}"))
+                // so this can only panic on a genuine bug.
+                coord.into_results(&plan)
             }
             SweepMode::Worker {
                 transport,
@@ -278,16 +224,17 @@ impl SweepOpts {
                             config.id, summary.tasks_executed, summary.reconnects
                         );
                         // The coordinator holds the outcomes and renders
-                        // the tables; this side has nothing to show.
-                        ShardResult {
-                            shard: 0,
-                            of: 1,
-                            plan_fingerprint: plan.fingerprint(),
-                            task_count: plan.task_count(),
-                            entries: Vec::new(),
-                            failures: Vec::new(),
-                        }
-                        .partial_results(&plan)
+                        // the tables; this side returns one empty result
+                        // per scenario, since reports index into them.
+                        plan.scenarios
+                            .iter()
+                            .map(|scenario| ScenarioResult {
+                                scenario: scenario.clone(),
+                                outcomes: Vec::new(),
+                                failures: Vec::new(),
+                                reps: Default::default(),
+                            })
+                            .collect()
                     }
                     Err(WorkerError::Unreachable(e)) => {
                         degraded.store(true, Ordering::SeqCst);
@@ -420,8 +367,7 @@ pub fn throughput_curves(
 
 /// The `(curve label, setup id)` rows of Fig. 2 — a deliberately
 /// heterogeneous grid: the browsing setups run 5× the transactions of the
-/// inventory ones (see [`rc_for`]), which is what makes it the
-/// shard-balancing benchmark's test bed.
+/// inventory ones (see [`rc_for`]).
 pub const FIG2_LABELS: [(&str, u32); 4] = [
     ("W_CPU-inventory 1 CPU", 1),
     ("W_CPU-inventory 2 CPUs", 2),

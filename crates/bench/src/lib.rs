@@ -14,9 +14,9 @@
 //! regenerate everything (takes a few minutes), or name individual
 //! experiments (`fig2`, `fig7`, `fig11`, ...). `--quick` shortens runs,
 //! `--replications 5` adds error bars, `--threads N` caps the worker
-//! pool, and `--shard i/n` / `--merge files` split a sweep across
-//! processes or hosts and reassemble it byte-identically (see
-//! [`experiments::SweepMode`]).
+//! pool, and `--serve addr` / `--worker addr` split a sweep across
+//! processes or hosts through a lease-based coordinator whose tables are
+//! byte-identical to a direct run (see [`experiments::SweepMode`]).
 
 pub mod cli;
 pub mod experiments;

@@ -1,14 +1,13 @@
 //! Cross-host work-stealing sweep coordination with lease-based fault
 //! recovery.
 //!
-//! Sharded execution (`figures --shard i/n`) fixes each host's slice up
-//! front, so one dead host strands its share of the plan. This module
-//! replaces the static slice with a small **task-queue coordinator**: a
-//! server that hands out global task indices from a [`SweepPlan`] under
-//! **time-bounded leases**, and worker clients that claim a task, execute
-//! it through the exact [`SweepExecutor`] code path a shard would use,
-//! and stream the outcome back through the same bit-exact codec shard
-//! payloads travel on.
+//! A sweep split across processes or hosts is served by a small
+//! **task-queue coordinator**: a server that hands out global task
+//! indices from a [`SweepPlan`] under **time-bounded leases**, and worker
+//! clients that claim a task, execute it through the exact
+//! [`SweepExecutor`] code path a direct run uses, and stream the outcome
+//! back through the bit-exact [`wire`](crate::wire) codec. Work goes to
+//! whichever worker asks next, so one dead host strands nothing.
 //!
 //! Robustness model, in order of line of defense:
 //!
@@ -21,8 +20,8 @@
 //!    original worker may have been slow, not dead. Tasks are pure in
 //!    `(scenario, seed)`, the coordinator keeps the **first** recorded
 //!    outcome per task, and late duplicates are acknowledged and
-//!    discarded, so a double-assigned sweep still merges byte-identical
-//!    to a direct run.
+//!    discarded, so a double-assigned sweep still assembles
+//!    byte-identical to a direct run.
 //! 3. **Worker reconnect.** Transport failures (coordinator restart,
 //!    dropped frames) are retried with deterministic exponential backoff;
 //!    the worker re-introduces itself with `hello` so the coordinator
@@ -48,10 +47,8 @@
 
 use crate::fault::{relock, TaskOutcome};
 use crate::observe::SweepObs;
-use crate::shard::{
-    decode_failure, decode_outcome, encode_failure, encode_outcome, DecodeError, ShardResult,
-};
-use crate::sweep::{SweepExecutor, SweepPlan};
+use crate::sweep::{assemble, ScenarioResult, SweepExecutor, SweepPlan};
+use crate::wire::{decode_failure, decode_outcome, encode_failure, encode_outcome, DecodeError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -108,7 +105,7 @@ pub enum Request {
     /// Report a completed task:
     /// `record <worker> <epoch> <task> ok <outcome>` or
     /// `record <worker> <epoch> <task> failed <failure>`, with the
-    /// payload in the bit-exact shard outcome codec.
+    /// payload in the bit-exact [`wire`](crate::wire) codec.
     Record {
         /// Worker name.
         worker: String,
@@ -407,7 +404,7 @@ struct LeaseState {
 /// function of the plan — tasks are handed out in ascending index order
 /// (expired tasks re-queue in ascending order too) and the first
 /// recorded outcome per task wins, so worker count, claim interleaving,
-/// lease timing, and duplicated frames never change a merged byte.
+/// lease timing, and duplicated frames never change a result byte.
 #[derive(Debug)]
 pub struct Coordinator {
     epoch: u64,
@@ -467,14 +464,30 @@ impl Coordinator {
         self.task_count - self.outcomes.len()
     }
 
-    /// The recorded outcomes as a single full-coverage [`ShardResult`]
-    /// (shard 0 of 1), ready for [`ShardResult::merge`] — which validates
-    /// that every task is covered and assembles tables byte-identical to
-    /// a direct run. Per-cell timing telemetry stays with the workers
-    /// that measured it (each worker's executor records its leases'
+    /// The recorded outcomes assembled into per-scenario results of
+    /// `plan`, byte-identical to [`SweepExecutor::run`] on the same plan.
+    /// Per-cell timing telemetry stays with the workers that measured it
+    /// (each worker's executor records its leases'
     /// [`CellTiming`](crate::CellTiming)s); the coordinator reports none.
-    pub fn into_shard_result(self) -> ShardResult {
-        let mut entries = Vec::new();
+    ///
+    /// # Panics
+    ///
+    /// If `plan` is not the plan this coordinator served (fingerprint or
+    /// task count differ), or if a task has no recorded outcome — the
+    /// message names the mismatch or the first uncovered task.
+    pub fn into_results(self, plan: &SweepPlan) -> Vec<ScenarioResult> {
+        assert!(
+            self.fingerprint == plan.fingerprint() && self.task_count == plan.task_count(),
+            "coordinator served a different plan (fingerprint {:016x}, {} tasks; want {:016x}, {} tasks)",
+            self.fingerprint,
+            self.task_count,
+            plan.fingerprint(),
+            plan.task_count()
+        );
+        if let Some(t) = (0..self.task_count).find(|t| !self.outcomes.contains_key(t)) {
+            panic!("coordinated sweep is incomplete: task {t} has no recorded outcome");
+        }
+        let mut entries = Vec::with_capacity(self.task_count);
         let mut failures = Vec::new();
         for (t, outcome) in self.outcomes {
             match outcome {
@@ -482,14 +495,7 @@ impl Coordinator {
                 TaskOutcome::Failed(f) => failures.push((t, f)),
             }
         }
-        ShardResult {
-            shard: 0,
-            of: 1,
-            plan_fingerprint: self.fingerprint,
-            task_count: self.task_count,
-            entries,
-            failures,
-        }
+        assemble(plan, entries, failures)
     }
 
     fn counter(&self, name: &str) {
@@ -883,7 +889,7 @@ pub struct WorkerSummary {
 
 /// Run one worker against one sweep: hello, then claim → execute →
 /// record until the coordinator says `done`. Tasks execute through
-/// `SweepExecutor::run_task`, the execution core a sharded run uses,
+/// `SweepExecutor::run_task`, the execution core a direct run uses,
 /// so a coordinated sweep's outcomes are bit-identical to a direct one
 /// whatever the claim interleaving.
 ///
@@ -1095,7 +1101,7 @@ mod tests {
     use crate::driver::RunConfig;
     use crate::fault::TaskError;
     use crate::scenario::Scenario;
-    use crate::shard::encode_outcome;
+    use crate::wire::encode_outcome;
     use std::sync::atomic::AtomicU64;
     use xsched_sim::SimRng;
     use xsched_workload::setup;
@@ -1177,7 +1183,7 @@ mod tests {
     /// idempotent (keep-first records, re-extendable heartbeats), delays
     /// at worst expire a lease (reassignment), truncations draw a typed
     /// `error` response — so a sweep under an arbitrarily faulty wire
-    /// still merges byte-identical, it just takes longer.
+    /// still assembles byte-identical, it just takes longer.
     struct FaultyTransport<T> {
         inner: T,
         injector: WireFaultInjector,
@@ -1451,13 +1457,33 @@ mod tests {
         // The duplicate (different payload — a late double-assigned
         // loser) is acknowledged but discarded.
         assert_eq!(coord.handle(&rec(fake), 0.1), Response::Ok);
-        let shard = coord.into_shard_result();
-        assert_eq!(shard.entries.len(), 1);
-        assert!(shard.failures.is_empty());
+        assert_eq!(coord.remaining(), plan.task_count() - 1);
         let TaskOutcome::Ok(kept) = real else {
             unreachable!()
         };
-        assert_eq!(encode_outcome(&shard.entries[0].1), encode_outcome(&kept));
+        let recorded = coord.outcomes[&0].as_ok().expect("the first record won");
+        assert_eq!(encode_outcome(recorded), encode_outcome(&kept));
+    }
+
+    /// Assembling before every task has an outcome is a bug in the
+    /// caller: it panics and names the first uncovered task.
+    #[test]
+    fn into_results_on_an_unfinished_coordinator_names_the_uncovered_task() {
+        let plan = tiny_plan();
+        let mut coord = Coordinator::new(0, &plan, CoordConfig::default());
+        let (si, seed) = plan.tasks()[0];
+        let record = Request::Record {
+            worker: "w0".into(),
+            epoch: 0,
+            task: 0,
+            outcome: TaskOutcome::Ok(plan.scenarios[si].run(seed)),
+        };
+        assert_eq!(coord.handle(&record, 0.0), Response::Ok);
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coord.into_results(&plan)))
+                .expect_err("an unfinished coordinator cannot assemble");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("task 1 has no recorded outcome"), "{msg}");
     }
 
     #[test]
@@ -1570,9 +1596,8 @@ mod tests {
         drop(transport);
         let coord = Arc::into_inner(coord).unwrap().into_inner().unwrap();
         assert!(coord.finished());
-        let shard = coord.into_shard_result();
-        let merged = ShardResult::merge(&plan, [&shard]).unwrap();
-        assert_eq!(outcome_bits(&direct), outcome_bits(&merged));
+        let assembled = coord.into_results(&plan);
+        assert_eq!(outcome_bits(&direct), outcome_bits(&assembled));
     }
 
     #[test]
@@ -1602,8 +1627,8 @@ mod tests {
 
         drop(transport);
         let coord = Arc::into_inner(coord).unwrap().into_inner().unwrap();
-        let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
-        assert_eq!(outcome_bits(&direct), outcome_bits(&merged));
+        let assembled = coord.into_results(&plan);
+        assert_eq!(outcome_bits(&direct), outcome_bits(&assembled));
     }
 
     #[test]
@@ -1642,8 +1667,8 @@ mod tests {
 
         drop(transport);
         let coord = Arc::into_inner(coord).unwrap().into_inner().unwrap();
-        let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
-        assert_eq!(outcome_bits(&direct), outcome_bits(&merged));
+        let assembled = coord.into_results(&plan);
+        assert_eq!(outcome_bits(&direct), outcome_bits(&assembled));
     }
 
     #[test]
@@ -1728,10 +1753,10 @@ mod tests {
             } else {
                 assert_eq!(summary.tasks_executed, plan.task_count());
             }
-            let merged = ShardResult::merge(&plan, [&coord.into_shard_result()]).unwrap();
+            let assembled = coord.into_results(&plan);
             assert_eq!(
                 outcome_bits(&direct),
-                outcome_bits(&merged),
+                outcome_bits(&assembled),
                 "faulty={faulty}"
             );
         }

@@ -5,7 +5,7 @@
 //! boundary. This module supplies the pieces:
 //!
 //! * [`TaskError`] — why a task failed: the message of the panic the
-//!   executor caught, carried through the shard wire codec exactly;
+//!   executor caught, carried through the coordinator's wire codec exactly;
 //! * [`TaskOutcome`] — a task slot's value: either a [`ScenarioOutcome`]
 //!   or a typed failure;
 //! * [`relock`] — poisoned-`Mutex` recovery for executor bookkeeping

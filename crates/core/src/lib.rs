@@ -33,9 +33,9 @@
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
 //!   capacity exactly once;
-//! * [`shard`] — [`ShardResult`] and its bit-exact merge/codec, so a
-//!   sweep's flat task grid can be split across processes or hosts and
-//!   reassembled identically to an unsharded run;
+//! * [`wire`] — the bit-exact text codec a coordinator worker's
+//!   `record` frames carry outcomes and failures in, also the canonical
+//!   key for bitwise outcome comparison in tests;
 //! * [`observe`] — [`SweepObs`], the shared observability sink (metrics
 //!   registry, controller telemetry series, per-cell [`CellTiming`]s)
 //!   behind `figures --metrics`; strictly observational, never changes a
@@ -49,7 +49,7 @@
 //!   handing out task leases over a line-based wire protocol, worker
 //!   clients with heartbeats and deterministic reconnect backoff, and
 //!   lease expiry + reassignment for dead workers — all under the
-//!   invariant that a coordinated sweep merges byte-identical to a
+//!   invariant that a coordinated sweep assembles byte-identical to a
 //!   direct run. A killed run is simply run again: every cell is pure in
 //!   `(scenario, seed)`.
 
@@ -63,8 +63,8 @@ pub mod observe;
 pub mod policy;
 pub mod scenario;
 pub mod scheduler;
-pub mod shard;
 pub mod sweep;
+pub mod wire;
 
 pub use cache::{MeasurementCache, MeasurementKey};
 pub use controller::{ControllerConfig, Decision, MplController, Reference, Targets};
@@ -81,5 +81,5 @@ pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
 pub use scenario::{ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost};
 pub use scheduler::ExternalScheduler;
-pub use shard::{DecodeError, ShardResult};
 pub use sweep::{FoldStats, ScenarioResult, SweepExecutor, SweepPlan};
+pub use wire::DecodeError;

@@ -2,7 +2,7 @@
 //!
 //! A [`SweepObs`] is the shared sink one `figures` invocation records
 //! into: a [`MetricsRegistry`] of counters, gauges and histograms
-//! (per-worker task counts, cache hits/misses, per-shard seconds,
+//! (per-worker task counts, cache hits/misses, summed cell seconds,
 //! straggler watermarks) plus every captured controller telemetry
 //! series, keyed by experiment cell. [`SweepObs::snapshot`] renders all
 //! of it, together with the run's per-cell [`CellTiming`]s, as one

@@ -10,21 +10,19 @@
 //! [`Replications`] accumulator so reports can print Student-t confidence
 //! intervals next to every mean.
 //!
-//! Every entry point — batch [`SweepExecutor::run`] /
-//! [`SweepExecutor::run_shard`], streaming [`SweepExecutor::run_fold`],
-//! and the coordinator worker's per-lease `SweepExecutor::run_task` —
-//! is a thin caller of one private core. The core claims tasks in task
-//! order from one atomic counter, runs each once inline under
-//! `catch_unwind`, and hands every finished cell to a sink on the calling
-//! thread, in task order. That in-order sink is also where every entry
-//! point's per-cell [`CellTiming`]s are recorded (see
-//! [`SweepExecutor::with_timings`]).
+//! Every entry point — batch [`SweepExecutor::run`], streaming
+//! [`SweepExecutor::run_fold`], and the coordinator worker's per-lease
+//! `SweepExecutor::run_task` — is a thin caller of one private core.
+//! The core claims tasks in task order from one atomic counter, runs
+//! each once inline under `catch_unwind`, and hands every finished cell
+//! to a sink on the calling thread, in task order. That in-order sink is
+//! also where every entry point's per-cell [`CellTiming`]s are recorded
+//! (see [`SweepExecutor::with_timings`]).
 
 use crate::cache::MeasurementCache;
 use crate::fault::{classify_panic, relock, TaskError, TaskOutcome};
 use crate::observe::{CellTiming, SweepObs};
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost};
-use crate::shard::ShardResult;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,9 +69,9 @@ impl SweepPlan {
     }
 
     /// The `(scenario index, seed)` tasks this plan expands to, in the
-    /// canonical order every executor and shard uses: row-major over
-    /// scenarios × seeds. Task *index* in this list is the unit of
-    /// sharding and result placement.
+    /// canonical order every executor and the coordinator use: row-major
+    /// over scenarios × seeds. Task *index* in this list is the unit of
+    /// leasing and result placement.
     pub fn tasks(&self) -> Vec<(usize, u64)> {
         if self.seeds.is_empty() {
             self.scenarios
@@ -97,23 +95,15 @@ impl SweepPlan {
         self.tasks().len()
     }
 
-    /// The task indices shard `index` of `of` executes: the strided slice
-    /// `index, index + of, index + 2·of, …`, which balances load when
-    /// neighbouring grid cells have similar cost.
-    pub fn shard(&self, index: usize, of: usize) -> Vec<usize> {
-        assert!(of > 0, "a sweep splits into at least one shard");
-        assert!(index < of, "shard index {index} out of range for {of}");
-        (index..self.task_count()).step_by(of).collect()
-    }
-
     /// Order-sensitive fingerprint of everything execution depends on
-    /// (scenarios and seed list). Shard payloads carry it so a merge can
-    /// refuse results produced from a different plan.
+    /// (scenarios and seed list). The coordinator handshake compares it,
+    /// so a worker that built a different plan is refused.
     ///
     /// The hash covers the Debug rendering, which is platform-independent
     /// but only guaranteed stable for binaries built by the *same Rust
-    /// toolchain* — build the shard and merge binaries from the same
-    /// commit and toolchain (a mismatch fails safe: the merge refuses).
+    /// toolchain* — build the coordinator and worker binaries from the
+    /// same commit and toolchain (a mismatch fails safe: the handshake
+    /// refuses).
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the Debug rendering: every field of every scenario
         // participates, and the rendering is stable across platforms.
@@ -212,7 +202,7 @@ impl SweepExecutor {
     }
 
     /// Record execution telemetry (task counts per worker, cache
-    /// hits/misses, per-shard seconds, per-task seconds, controller
+    /// hits/misses, summed cell seconds, per-task seconds, controller
     /// series) into a shared [`SweepObs`]. Observational only: result
     /// bytes never change.
     pub fn with_obs(mut self, obs: Arc<SweepObs>) -> SweepExecutor {
@@ -249,58 +239,31 @@ impl SweepExecutor {
         self.threads
     }
 
-    /// Execute the plan and aggregate replications per scenario.
-    ///
-    /// Implemented as the degenerate sharded run (one shard covering
-    /// everything) aggregated through the same `assemble` path a merge
-    /// uses, so sharded and unsharded execution cannot drift apart (the
-    /// property tests in `tests/props.rs` additionally pin
-    /// `merge(shards) ≡ run` bitwise).
+    /// Execute every task of the plan and aggregate replications per
+    /// scenario through the same `assemble` step the coordinator uses,
+    /// so a direct and a coordinated sweep cannot drift apart. The
+    /// result is bit-identical at every thread count (pinned by the
+    /// property tests in `tests/props.rs`).
     pub fn run(&self, plan: &SweepPlan) -> Vec<ScenarioResult> {
-        let full = self.run_shard(plan, 0, 1);
-        assemble(plan, full.entries, full.failures)
-    }
-
-    /// Execute shard `index` of `of` — the strided slice
-    /// [`SweepPlan::shard`] — and return its task-indexed outcomes.
-    ///
-    /// Shards are independent: split a plan across processes or hosts,
-    /// ship each [`ShardResult`] back (see [`ShardResult::encode`]), and
-    /// [`ShardResult::merge`] reassembles the full sweep bit-identically
-    /// to an unsharded run. The core delivers cells in task order, so
-    /// `entries` and `failures` come out sorted by task index.
-    pub fn run_shard(&self, plan: &SweepPlan, index: usize, of: usize) -> ShardResult {
-        let mut shard = ShardResult {
-            shard: index,
-            of,
-            plan_fingerprint: plan.fingerprint(),
-            task_count: plan.task_count(),
-            entries: Vec::new(),
-            failures: Vec::new(),
-        };
-        self.execute(
-            plan,
-            &plan.shard(index, of),
-            (index, of),
-            |t, cell| match cell.outcome {
-                TaskOutcome::Ok(outcome) => shard.entries.push((t, outcome)),
-                TaskOutcome::Failed(failure) => shard.failures.push((t, failure)),
-            },
-        );
-        shard
+        let tasks: Vec<usize> = (0..plan.task_count()).collect();
+        let mut entries = Vec::with_capacity(tasks.len());
+        let mut failures = Vec::new();
+        self.execute(plan, &tasks, |t, cell| match cell.outcome {
+            TaskOutcome::Ok(outcome) => entries.push((t, outcome)),
+            TaskOutcome::Failed(failure) => failures.push((t, failure)),
+        });
+        assemble(plan, entries, failures)
     }
 
     /// Execute the single task `task` of `plan` — the coordinator
     /// worker's per-lease call. Same core, same guarded path and same
-    /// telemetry as a one-task shard, so a coordinated sweep's outcomes
+    /// telemetry as a direct run, so a coordinated sweep's outcomes
     /// are bit-identical to a direct one. Under fail-fast a failed task
     /// re-raises here; under keep-going it comes back as
     /// [`TaskOutcome::Failed`].
     pub(crate) fn run_task(&self, plan: &SweepPlan, task: usize) -> TaskOutcome {
         let mut outcome = None;
-        self.execute(plan, &[task], (0, 1), |_, cell| {
-            outcome = Some(cell.outcome)
-        });
+        self.execute(plan, &[task], |_, cell| outcome = Some(cell.outcome));
         outcome.expect("the execution core delivers every task it is given")
     }
 
@@ -316,7 +279,7 @@ impl SweepExecutor {
     /// parked-cell high-water mark.
     ///
     /// Fault tolerance applies per task exactly as in
-    /// [`SweepExecutor::run_shard`] (the fold sees [`TaskOutcome::Failed`]
+    /// [`SweepExecutor::run`] (the fold sees [`TaskOutcome::Failed`]
     /// cells under keep-going mode; fail-fast re-raises on the calling
     /// thread).
     pub fn run_fold<A>(
@@ -329,7 +292,7 @@ impl SweepExecutor {
         // `Option` dance: the sink threads the accumulator through `fold`
         // by value.
         let mut acc = Some(init);
-        let peak_parked = self.execute(plan, &tasks, (0, 1), |t, cell| {
+        let peak_parked = self.execute(plan, &tasks, |t, cell| {
             let a = acc.take().expect("accumulator present");
             acc = Some(fold(a, t, cell.outcome));
         });
@@ -356,12 +319,10 @@ impl SweepExecutor {
     /// A fail-fast failure stops further claims and re-raises as a typed
     /// `sweep task {t} failed: …` panic on the calling thread once the
     /// cursor reaches it; every earlier cell is still delivered first.
-    /// `(index, of)` only labels progress lines and the per-shard gauge.
     fn execute(
         &self,
         plan: &SweepPlan,
         mine: &[usize],
-        (index, of): (usize, usize),
         mut sink: impl FnMut(usize, Cell),
     ) -> usize {
         let tasks = plan.tasks();
@@ -468,8 +429,7 @@ impl SweepExecutor {
                 }
                 if self.progress {
                     eprintln!(
-                        "[sweep] shard {index}/{of}: {}/{} tasks done \
-                         (last {:.2}s on worker {})",
+                        "[sweep] {}/{} tasks done (last {:.2}s on worker {})",
                         pos + 1,
                         mine.len(),
                         cell.secs,
@@ -498,9 +458,8 @@ impl SweepExecutor {
             let r = obs.registry();
             r.counter_add("sweep.cache_hits", cache.hits() - hits_before);
             r.counter_add("sweep.cache_misses", cache.misses() - misses_before);
-            // Measured seconds, cumulative per shard index across the
-            // invocation's sweeps.
-            r.gauge_add(&format!("sweep.shard{index}.actual_secs"), actual_secs);
+            // Fixed name: perfbench/harness/src/tour.rs reads it for `coord.idle_s`.
+            r.gauge_add("sweep.shard0.actual_secs", actual_secs);
         }
         peak
     }
@@ -550,9 +509,8 @@ impl Drop for WorkerExit<'_> {
 
 /// Aggregate task-indexed outcomes into per-scenario results.
 ///
-/// Tolerates missing task indices (a partial shard aggregates whatever it
-/// has); entries and failures must be unique per index and are consumed
-/// in task order so replication order always matches seed order.
+/// Entries and failures must be unique per index and are consumed in
+/// task order so replication order always matches seed order.
 pub(crate) fn assemble(
     plan: &SweepPlan,
     mut entries: Vec<(usize, ScenarioOutcome)>,
@@ -595,7 +553,7 @@ mod tests {
     use super::*;
     use crate::driver::{PolicyKind, RunConfig};
     use crate::scenario::{ArrivalSpec, ExecSpec, MplSpec};
-    use crate::shard::encode_outcome;
+    use crate::wire::encode_outcome;
     use xsched_workload::setup;
 
     fn quick_plan() -> SweepPlan {
@@ -609,6 +567,14 @@ mod tests {
             .map(|&m| Scenario::tput("s1", setup(1), m, rc.clone()))
             .collect();
         SweepPlan::new(scenarios).replicated(3, 42)
+    }
+
+    /// Every outcome of a result set, encoded, in task order.
+    fn encoded(results: &[ScenarioResult]) -> Vec<String> {
+        results
+            .iter()
+            .flat_map(|r| r.outcomes.iter().map(encode_outcome))
+            .collect()
     }
 
     /// The determinism regression test: parallel execution must be
@@ -720,17 +686,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn strided_shards_partition_the_task_list() {
-        let plan = quick_plan(); // 9 tasks
-        for n in 1..=5 {
-            let mut all: Vec<usize> = (0..n).flat_map(|i| plan.shard(i, n)).collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..plan.task_count()).collect::<Vec<_>>(), "n={n}");
-        }
-        assert!(plan.shard(3, 4).iter().all(|t| t % 4 == 3));
-    }
-
     /// Attaching a [`SweepObs`] must not change a result byte, and the
     /// execution telemetry it records must add up: every task counted
     /// and timed, cache traffic attributed, controller cells leaving a
@@ -822,12 +777,7 @@ mod tests {
     #[test]
     fn run_fold_streams_in_task_order_and_matches_the_batch_run() {
         let plan = quick_plan();
-        let reference = SweepExecutor::serial().run_shard(&plan, 0, 1);
-        let expected: Vec<String> = reference
-            .entries
-            .iter()
-            .map(|(_, o)| encode_outcome(o))
-            .collect();
+        let expected = encoded(&SweepExecutor::serial().run(&plan));
         for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
             let (folded, stats) = exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
                 assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
@@ -881,34 +831,30 @@ mod tests {
     /// every thread count.
     #[test]
     fn surviving_cells_beside_failed_cells_match_the_fault_free_run_bitwise() {
-        let baseline = SweepExecutor::serial().run_shard(&quick_plan(), 0, 1);
-        let by_task: std::collections::HashMap<usize, String> = baseline
-            .entries
-            .iter()
-            .map(|(t, o)| (*t, encode_outcome(o)))
-            .collect();
+        let baseline = encoded(&SweepExecutor::serial().run(&quick_plan()));
         let plan = mixed_plan();
-        let render = |s: &ShardResult| -> Vec<(usize, String)> {
-            s.entries
-                .iter()
-                .map(|(t, o)| (*t, encode_outcome(o)))
-                .collect()
+        // Every cell in task order: its encoded outcome, or its failure.
+        let cells = |exec: SweepExecutor| {
+            exec.with_keep_going(true)
+                .run_fold(&plan, Vec::new(), |mut acc, _, o| {
+                    acc.push(match o {
+                        TaskOutcome::Ok(o) => Ok(encode_outcome(&o)),
+                        TaskOutcome::Failed(e) => Err(e),
+                    });
+                    acc
+                })
+                .0
         };
-        let serial = SweepExecutor::serial()
-            .with_keep_going(true)
-            .run_shard(&plan, 0, 1);
-        let failed: Vec<usize> = serial.failures.iter().map(|(t, _)| *t).collect();
+        let serial = cells(SweepExecutor::serial());
+        let failed: Vec<usize> = (0..serial.len()).filter(|&t| serial[t].is_err()).collect();
         assert_eq!(failed, [3, 4, 5], "scenario 1's three replications");
-        assert!(serial.failures.iter().all(|(_, e)| *e == bad_fraction()));
-        assert_eq!(serial.entries.len(), 6);
-        for (t, o) in &serial.entries {
-            assert_eq!(encode_outcome(o), by_task[t], "task {t}");
+        for (t, cell) in serial.iter().enumerate() {
+            match cell {
+                Ok(o) => assert_eq!(o, &baseline[t], "task {t}"),
+                Err(e) => assert_eq!(*e, bad_fraction()),
+            }
         }
-        let wide = SweepExecutor::parallel(4)
-            .with_keep_going(true)
-            .run_shard(&plan, 0, 1);
-        assert_eq!(serial.failures, wide.failures);
-        assert_eq!(render(&serial), render(&wide));
+        assert_eq!(serial, cells(SweepExecutor::parallel(4)));
     }
 
     /// Fail-fast (the default) still aborts: a failing cell without
@@ -966,12 +912,7 @@ mod tests {
     /// successful outcomes match the fault-free stream.
     #[test]
     fn run_fold_keep_going_folds_failures_in_order() {
-        let reference = SweepExecutor::serial().run_shard(&quick_plan(), 0, 1);
-        let expected: Vec<String> = reference
-            .entries
-            .iter()
-            .map(|(_, o)| encode_outcome(o))
-            .collect();
+        let expected = encoded(&SweepExecutor::serial().run(&quick_plan()));
         let plan = mixed_plan();
         let mut streams = Vec::new();
         for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use xsched_core::shard::DecodeError;
+use xsched_core::DecodeError;
 use xsched_core::{
     serve_line, CoordConfig, Coordinator, Request, Response, RunConfig, Scenario, ScenarioOutcome,
     SweepPlan, TaskError, TaskOutcome,

@@ -1,17 +1,17 @@
 //! Property tests for the sweep determinism invariants.
 //!
 //! The sweep layer's contract is that *how* a plan executes — cached or
-//! uncached, one shard or many, any thread count — never changes a number.
-//! These properties drive random small plans through every execution path
-//! and compare outcomes **bit for bit** on every field, using the shard
-//! codec's canonical encoding (which covers each outcome field exactly)
-//! as the comparison key.
+//! uncached, any thread count, in-process or over the coordinator's wire —
+//! never changes a number. These properties drive random small plans
+//! through every execution path and compare outcomes **bit for bit** on
+//! every field, using the wire codec's canonical encoding (which covers
+//! each outcome field exactly) as the comparison key.
 
 use proptest::prelude::*;
-use xsched_core::shard::encode_outcome;
+use xsched_core::wire::{decode_outcome, encode_outcome};
 use xsched_core::{
     ArrivalSpec, ExecSpec, MeasurementCache, MplSpec, PolicyKind, RunConfig, Scenario,
-    ScenarioResult, ShardResult, SweepExecutor, SweepPlan,
+    ScenarioResult, SweepExecutor, SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -104,46 +104,40 @@ proptest! {
         prop_assert!(cache.misses() as usize <= plan.task_count());
     }
 
-    /// Any shard partition, merged, is bit-identical to the unsharded
-    /// run — including aggregate statistics.
+    /// A parallel run is bit-identical to the serial one at any thread
+    /// count — including aggregate statistics.
     #[test]
-    fn any_shard_partition_merges_to_the_unsharded_run(
+    fn parallel_run_is_bit_identical_to_serial(
         setups in collection::vec(any::<u8>(), 1..3),
         mpls in collection::vec(any::<u8>(), 3..4),
         arrivals in collection::vec(any::<u8>(), 3..4),
         reps in any::<u8>(),
         seed_base in 0u64..1_000_000,
-        nshards in 1usize..5,
-        threads in 1usize..4,
+        threads in 2usize..5,
     ) {
         let plan = plan_from(&setups, &mpls, &arrivals, reps, seed_base);
-        let direct = SweepExecutor::parallel(threads).run(&plan);
-        let shards: Vec<ShardResult> = (0..nshards)
-            .map(|i| SweepExecutor::parallel(threads).run_shard(&plan, i, nshards))
-            .collect();
-        let merged = ShardResult::merge(&plan, &shards).unwrap();
-        prop_assert_eq!(bits(&direct), bits(&merged));
+        let serial = SweepExecutor::serial().run(&plan);
+        let parallel = SweepExecutor::parallel(threads).run(&plan);
+        prop_assert_eq!(bits(&serial), bits(&parallel));
     }
 
-    /// The wire format round-trips every shard payload exactly, so
-    /// cross-process merges see the same bits as in-process ones.
+    /// Every outcome survives the coordinator's wire codec exactly, so a
+    /// worker's `record` frame carries the same bits the worker computed.
     #[test]
-    fn shard_payloads_survive_the_wire(
+    fn outcomes_survive_the_wire(
         setups in collection::vec(any::<u8>(), 1..3),
         mpls in collection::vec(any::<u8>(), 3..4),
         arrivals in collection::vec(any::<u8>(), 3..4),
+        reps in any::<u8>(),
         seed_base in 0u64..1_000_000,
-        nshards in 1usize..4,
     ) {
-        let plan = plan_from(&setups, &mpls, &arrivals, 0, seed_base);
-        let direct = SweepExecutor::serial().run(&plan);
-        let decoded: Vec<ShardResult> = (0..nshards)
-            .map(|i| {
-                let s = SweepExecutor::serial().run_shard(&plan, i, nshards);
-                ShardResult::decode(&s.encode()).unwrap()
-            })
-            .collect();
-        let merged = ShardResult::merge(&plan, &decoded).unwrap();
-        prop_assert_eq!(bits(&direct), bits(&merged));
+        let plan = plan_from(&setups, &mpls, &arrivals, reps, seed_base);
+        for result in SweepExecutor::serial().run(&plan) {
+            for outcome in &result.outcomes {
+                let line = encode_outcome(outcome);
+                let back = decode_outcome(&line).unwrap();
+                prop_assert_eq!(encode_outcome(&back), line);
+            }
+        }
     }
 }
