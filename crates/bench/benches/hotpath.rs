@@ -1,5 +1,5 @@
 //! Hot-path baseline benchmark: `figures --quick`-scale sweeps through
-//! the sweep executor, timed by the vendored criterion harness, plus a
+//! the sweep executor, each timed once after a warm-up call, plus a
 //! raw simulator events/second measurement — written out as
 //! machine-readable `BENCH_hotpath.json` so
 //! CI can archive the repo's perf trajectory run over run (and fail on
@@ -10,9 +10,9 @@
 //! BENCH_JSON_PATH=/tmp/b.json cargo bench -p xsched-bench --bench hotpath
 //! ```
 //!
-//! The JSON carries one entry per figure (mean/min wall seconds per full
-//! sweep), an `events` block with the raw event-loop rate, a `dispatch`
-//! block with the batched-dispatch ceiling (pop_run_into + arena
+//! The JSON carries one entry per figure (wall seconds of the timed
+//! sweep, as both mean and min of its single iteration), an `events`
+//! block with the raw event-loop rate, a `dispatch` block with the batched-dispatch ceiling (pop_run_into + arena
 //! handles, no DBMS model), a `saturation_grid` block streaming a
 //! 120-cell open-load grid through `run_fold` with its peak-RSS
 //! high-water mark, a `queue` array with heap-only push/pop rates at
@@ -23,7 +23,7 @@
 //! `SweepOpts`/`SweepExecutor` path the `figures` binary uses, so these
 //! numbers track exactly what an operator waits on.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
 use xsched_bench::{fig2_report, quick_rc, quick_rc_heavy, rt_open_report, SweepOpts};
@@ -285,31 +285,39 @@ fn measure_analytic() -> (Vec<QbdPoint>, f64, u32) {
     (points, t0.elapsed().as_secs_f64(), jump)
 }
 
-fn figure_benches(c: &mut Criterion) {
+/// Wall-clock of one full figure sweep.
+struct FigureTiming {
+    name: &'static str,
+    secs: f64,
+}
+
+/// One warm-up call, then one timed call. A quick sweep takes seconds,
+/// so a single timed run is the sample (`"iters": 1` in the JSON).
+fn time_figure(name: &'static str, f: impl Fn() -> usize) -> FigureTiming {
+    black_box(f());
+    let t0 = Instant::now();
+    black_box(f());
+    let secs = t0.elapsed().as_secs_f64();
+    println!("{name:<40} {secs:.3} s");
+    FigureTiming { name, secs }
+}
+
+fn figure_benches() -> Vec<FigureTiming> {
     // threads: 0 = one worker per core, exactly like the figures binary.
     let opts = SweepOpts {
         threads: 0,
         ..Default::default()
     };
-    c.bench_function("fig2_quick", |b| {
-        b.iter(|| black_box(fig2_report(&quick_rc(), &opts).len()))
-    });
-    c.bench_function("rt_open_quick", |b| {
-        b.iter(|| black_box(rt_open_report(&quick_rc_heavy(), &opts).len()))
-    });
-}
-
-fn json_escape_free(name: &str) -> String {
-    // Bench labels are ASCII identifiers; strip anything that would need
-    // JSON escaping rather than implementing an escaper for no caller.
-    name.chars()
-        .filter(|c| c.is_ascii() && *c != '"' && *c != '\\')
-        .collect()
+    vec![
+        time_figure("fig2_quick", || fig2_report(&quick_rc(), &opts).len()),
+        time_figure("rt_open_quick", || {
+            rt_open_report(&quick_rc_heavy(), &opts).len()
+        }),
+    ]
 }
 
 fn main() {
-    let mut c = Criterion::default();
-    figure_benches(&mut c);
+    let figures = figure_benches();
     let (events, wall, _) = measure_events_per_sec(NoopTrace);
     let events_per_sec = events as f64 / wall;
     println!(
@@ -380,15 +388,13 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"xsched-hotpath-v2\",\n  \"figures\": [\n");
-    let records = c.records();
-    for (i, r) in records.iter().enumerate() {
+    for (i, f) in figures.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_secs_mean\": {:.6}, \"wall_secs_min\": {:.6}, \"iters\": {}}}{}\n",
-            json_escape_free(&r.name),
-            r.mean_secs,
-            r.min_secs,
-            r.iters,
-            if i + 1 < records.len() { "," } else { "" },
+            "    {{\"name\": \"{}\", \"wall_secs_mean\": {:.6}, \"wall_secs_min\": {:.6}, \"iters\": 1}}{}\n",
+            f.name,
+            f.secs,
+            f.secs,
+            if i + 1 < figures.len() { "," } else { "" },
         ));
     }
     json.push_str("  ],\n");

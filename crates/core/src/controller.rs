@@ -15,12 +15,11 @@
 //! even when the jump-start misses: under 10 iterations on all 17 setups,
 //! matching the paper's report.
 
-use serde::Serialize;
 use xsched_queueing::{recommend, ThroughputModel, H2};
 use xsched_sim::Welford;
 
 /// DBA-specified tolerance for running below the unthrottled system.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Targets {
     /// Maximum acceptable relative throughput loss (e.g. 0.05).
     pub max_tput_loss: f64,
@@ -48,7 +47,7 @@ impl Targets {
 }
 
 /// Controller tuning knobs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Feasibility targets.
     pub targets: Targets,
@@ -91,7 +90,7 @@ impl Default for ControllerConfig {
 
 /// Performance of the unthrottled system (measured in a calibration run or
 /// supplied by the DBA).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Reference {
     /// Throughput without an MPL, txns/second.
     pub throughput: f64,
@@ -100,7 +99,7 @@ pub struct Reference {
 }
 
 /// One closed observation window and the verdict on it.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IterationRecord {
     /// MPL in force during the window.
     pub mpl: u32,
@@ -113,7 +112,7 @@ pub struct IterationRecord {
 }
 
 /// What the controller wants done after a window closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Change the MPL and keep observing.
     SetMpl(u32),

@@ -23,7 +23,6 @@ use crate::controller::{
 };
 use crate::policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
 use crate::scheduler::ExternalScheduler;
-use serde::Serialize;
 use std::sync::Arc;
 use xsched_dbms::txn::{PageId, Priority};
 use xsched_dbms::{Completion, DbmsMetrics, DbmsSim, StepOutcome, Toggler};
@@ -34,7 +33,7 @@ use xsched_sim::{BatchMeans, SampleSet, SimRng, SimTime, Welford};
 use xsched_workload::{ArrivalProcess, ChaosSpec, FlashSpec, Setup, TxnGen};
 
 /// Length and bookkeeping of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Completions discarded before measurement starts.
     pub warmup_txns: u64,
@@ -81,7 +80,7 @@ impl RunConfig {
 }
 
 /// External queue discipline selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// FIFO (no differentiation).
     Fifo,
@@ -101,7 +100,7 @@ pub enum PolicyKind {
 pub const BM_BATCH_TXNS: u64 = 100;
 
 /// Measured outcome of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// MPL the run was executed with.
     pub mpl: u32,
@@ -162,7 +161,7 @@ impl RunResult {
 }
 
 /// High/low/no-priority comparison (one cluster of bars in Fig. 11).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PriorityOutcome {
     /// Setup id the experiment ran on.
     pub setup_id: u32,
@@ -205,7 +204,7 @@ impl PriorityOutcome {
 }
 
 /// Result of a live controller session.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ControllerOutcome {
     /// MPL the controller settled on.
     pub final_mpl: u32,
@@ -236,7 +235,7 @@ pub struct ControllerOutcome {
 /// until the session's transaction budget runs out. The reaction and
 /// overshoot metrics quantify how the §4.3 feedback loop rides out the
 /// regime change.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosOutcome {
     /// MPL setpoint in force when the session ended.
     pub final_mpl: u32,

@@ -21,12 +21,11 @@
 //! fast (the default), or degrade to a marked failed cell.
 
 use crate::scenario::ScenarioOutcome;
-use serde::Serialize;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Why one sweep task failed: the message of the panic it raised (lossy:
 /// non-string payloads record a placeholder).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskError(pub String);
 
 impl std::fmt::Display for TaskError {
@@ -41,7 +40,7 @@ impl std::fmt::Display for TaskError {
 // holds — boxing it would add an allocation per cell to spare the rare
 // failure a few bytes.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum TaskOutcome {
     /// The task produced its outcome.
     Ok(ScenarioOutcome),

@@ -6,10 +6,8 @@
 //! until completions drain the excess — exactly how an external front-end
 //! has to behave, since it cannot preempt work already inside the DBMS.
 
-use serde::Serialize;
-
 /// Counting gate enforcing the multi-programming limit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MplGate {
     mpl: u32,
     in_flight: u32,

@@ -20,7 +20,7 @@
 //!   external scheduler and the simulated DBMS; implements every
 //!   experiment shape the paper reports (throughput curves, open-system
 //!   response times, priority differentiation, controller convergence);
-//! * [`scenario`] — serializable, self-contained experiment descriptions:
+//! * [`scenario`] — self-contained experiment descriptions:
 //!   a [`Scenario`] is one cell of a figure (setup × execution shape ×
 //!   run configuration), pure in `(scenario, seed)`;
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the

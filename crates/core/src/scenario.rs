@@ -18,12 +18,11 @@ use crate::driver::{
     ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult,
 };
 use crate::observe::SweepObs;
-use serde::Serialize;
 use std::sync::Arc;
 use xsched_workload::{ArrivalProcess, ChaosSpec, Setup};
 
 /// How a run's MPL is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MplSpec {
     /// A fixed limit.
     Fixed(u32),
@@ -46,7 +45,7 @@ impl MplSpec {
 }
 
 /// The arrival process, possibly relative to measured capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// Saturated closed system (zero think time) over the setup's clients.
     Saturated,
@@ -74,7 +73,7 @@ impl ArrivalSpec {
 }
 
 /// What a scenario executes and measures.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum ExecSpec {
     /// One measured run.
     Run {
@@ -117,7 +116,7 @@ pub enum ExecSpec {
 /// `row`/`col` place the scenario in a report table (rows are curves or
 /// setups, columns are grid points like `"MPL 5"`; single-column tables
 /// leave `col` empty). They carry no execution semantics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Row label in report tables.
     pub row: String,
@@ -255,7 +254,7 @@ pub struct UnitCost {
 }
 
 /// The measured outcome of one scenario replication.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum ScenarioOutcome {
     /// A plain measured run.
     Run(RunResult),
@@ -272,22 +271,6 @@ impl ScenarioOutcome {
     pub fn as_run(&self) -> Option<&RunResult> {
         match self {
             ScenarioOutcome::Run(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The priority outcome, if this is a priority experiment.
-    pub fn as_priority(&self) -> Option<&PriorityOutcome> {
-        match self {
-            ScenarioOutcome::Priority(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The controller outcome, if this is a controller session.
-    pub fn as_controller(&self) -> Option<&ControllerOutcome> {
-        match self {
-            ScenarioOutcome::Controller(c) => Some(c),
             _ => None,
         }
     }

@@ -23,7 +23,6 @@ use crate::cache::MeasurementCache;
 use crate::fault::{classify_panic, relock, TaskError, TaskOutcome};
 use crate::observe::{CellTiming, SweepObs};
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,7 +31,7 @@ use std::time::Instant;
 use xsched_sim::{ConfidenceInterval, Replications};
 
 /// Scenarios × replication seeds: the unit of execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPlan {
     /// The experiment cells.
     pub scenarios: Vec<Scenario>,
@@ -601,7 +600,7 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion for the plan-level capacity cache: an
+    /// The acceptance check for the plan-level capacity cache: an
     /// OpenLoad grid with S setups × L loads × R seeds performs exactly
     /// S×R capacity measurements — every additional load cell is a cache
     /// hit — and the cached results are bit-identical to uncached runs.

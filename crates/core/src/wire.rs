@@ -32,7 +32,9 @@ impl DecodeError {
     pub(crate) fn at(line: usize, context: &str, msg: impl Into<String>) -> DecodeError {
         let mut context = context.to_string();
         if context.len() > 96 {
-            context.truncate(93);
+            // Cut on a char boundary: a byte cut inside a multi-byte
+            // character would panic on any non-ASCII garbage line.
+            context.truncate(context.floor_char_boundary(93));
             context.push_str("...");
         }
         DecodeError {
@@ -426,6 +428,15 @@ mod tests {
         let chaos = back.as_chaos().expect("chaos outcome");
         assert_eq!(chaos.peak_mpl, 19);
         assert_eq!(chaos.reference_tput.to_bits(), 1234.5678f64.to_bits());
+    }
+
+    #[test]
+    fn long_non_ascii_context_is_cut_on_a_char_boundary() {
+        // `hello ` is 6 bytes and each `é` is 2, so byte 93 falls inside
+        // a character.
+        let line = format!("hello {}", "é".repeat(60));
+        let err = DecodeError::at(1, &line, "bad frame");
+        assert_eq!(err.context, format!("hello {}...", "é".repeat(43)));
     }
 
     #[test]

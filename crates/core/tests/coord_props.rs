@@ -123,10 +123,21 @@ fn response_from(kind: u8, a: u64, b: u64, msg_draws: &[u8]) -> Response {
     }
 }
 
-/// Arbitrary ASCII (including control characters) from raw draws —
-/// decoder fuzz input.
+/// Arbitrary text from raw draws — decoder fuzz input: ASCII (control
+/// characters included) for draws below 0x80, and two-, three- and
+/// four-byte characters above it, so a byte cut can land inside one.
 fn garbage_from(draws: &[u8]) -> String {
-    draws.iter().map(|&b| (b & 0x7f) as char).collect()
+    const WIDE: [char; 4] = ['é', 'ß', '€', '𝄞'];
+    draws
+        .iter()
+        .map(|&b| {
+            if b < 0x80 {
+                b as char
+            } else {
+                WIDE[usize::from(b) % WIDE.len()]
+            }
+        })
+        .collect()
 }
 
 /// Cut a string at (or before) byte `cut`, respecting char boundaries.
@@ -236,9 +247,9 @@ proptest! {
         }
     }
 
-    /// Arbitrary ASCII garbage (control characters included) decodes to
-    /// a typed error (or, for the rare string that happens to be a
-    /// frame, a valid one) — never a panic, on either decoder.
+    /// Arbitrary garbage (control and multi-byte characters included)
+    /// decodes to a typed error (or, for the rare string that happens to
+    /// be a frame, a valid one) — never a panic, on either decoder.
     #[test]
     fn garbage_decodes_to_typed_errors(draws in collection::vec(0u8..255, 0..120)) {
         let junk = garbage_from(&draws);

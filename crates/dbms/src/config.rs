@@ -5,10 +5,8 @@
 //! pool size, and isolation level — plus the internal prioritization
 //! switches used in §5.2.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical resources of the simulated database server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// Number of CPUs (1 or 2 in the paper).
     pub cpus: u32,
@@ -89,7 +87,7 @@ impl HardwareConfig {
 ///
 /// The paper contrasts DB2's default Repeatable Read (RR) with Uncommitted
 /// Read (UR) to create different levels of lock contention (setups 13–17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsolationLevel {
     /// Repeatable Read: shared locks on reads and exclusive locks on
     /// writes, all held until commit (strict 2PL).
@@ -100,7 +98,7 @@ pub enum IsolationLevel {
 }
 
 /// How the lock manager orders waiters (internal prioritization, §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockPriorityPolicy {
     /// Plain FIFO lock queues — no internal lock prioritization.
     None,
@@ -115,7 +113,7 @@ pub enum LockPriorityPolicy {
 }
 
 /// How the CPU bank shares cycles (internal prioritization, §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuPolicy {
     /// Egalitarian processor sharing across all runnable transactions.
     Fair,
@@ -126,7 +124,7 @@ pub enum CpuPolicy {
 }
 
 /// How blocked-forever situations are resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeadlockStrategy {
     /// Waits-for graph cycle detection at block time, youngest victim
     /// aborted (the default, what DB2 and Shore do).
@@ -141,7 +139,7 @@ pub enum DeadlockStrategy {
 }
 
 /// Software configuration of the simulated DBMS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbmsConfig {
     /// Isolation level for all transactions.
     pub isolation: IsolationLevel,

@@ -14,14 +14,13 @@
 //! overrides) lives in `xsched-workload`; the two meet in the
 //! experiment driver.
 
-use serde::Serialize;
 use xsched_sim::SimRng;
 
 /// Lock-holder stall injector: with probability `p_per_lock`, a
 /// transaction that just secured its step lock freezes for an
 /// exponential pause *while holding the lock* — the injected analogue
 /// of a client pausing mid-transaction or a VM hiccup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallSpec {
     /// Probability that a freshly acquired lock stalls its holder.
     pub p_per_lock: f64,
@@ -32,7 +31,7 @@ pub struct StallSpec {
 /// Disk-latency spike injector: an ON/OFF modulation of data-disk
 /// service times (both demand reads and background write-backs),
 /// multiplying every service draw by `factor` while ON.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpikeSpec {
     /// Mean length of the degraded (ON) phase, seconds.
     pub mean_on: f64,
@@ -45,7 +44,7 @@ pub struct SpikeSpec {
 /// The service-side fault layer attached to a [`crate::DbmsSim`] via
 /// [`crate::DbmsSim::with_chaos`]. The default value disables every
 /// injector and is behaviourally (and byte-wise) a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSpec {
     /// Lock-holder stalls, or `None` to disable.
     pub stall: Option<StallSpec>,

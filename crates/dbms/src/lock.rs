@@ -357,11 +357,6 @@ impl LockManager {
         self.waiting.get(&txn).copied()
     }
 
-    /// Items currently held by `txn`.
-    pub fn held_items(&self, txn: TxnId) -> &[ItemId] {
-        self.held.get(&txn).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The waits-for edges out of `txn`: the holders of the item it waits
     /// for (other than itself, which an upgrader is), then the waiters
     /// queued ahead of it (they will hold the lock before `txn` can).

@@ -1,11 +1,10 @@
 //! Per-transaction completion records and aggregate DBMS metrics.
 
 use crate::txn::Priority;
-use serde::{Deserialize, Serialize};
 
 /// Emitted once per committed transaction; the external scheduler's
 /// observation phase is built on these.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Workload-defined transaction type.
     pub txn_type: u32,
@@ -42,7 +41,7 @@ impl Completion {
 }
 
 /// Aggregate counters kept by the simulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DbmsMetrics {
     /// Committed transactions.
     pub commits: u64,

@@ -370,11 +370,6 @@ impl<T: TraceSink> DbmsSim<T> {
         self.events.now().as_secs_f64()
     }
 
-    /// Current simulated time as a [`SimTime`].
-    pub fn now_time(&self) -> SimTime {
-        self.events.now()
-    }
-
     /// Number of transactions currently inside the DBMS (running, blocked,
     /// or backing off before a restart).
     pub fn in_flight(&self) -> usize {
@@ -438,16 +433,6 @@ impl<T: TraceSink> DbmsSim<T> {
     fn enqueue_in(&mut self, delay: f64, ev: Ev) {
         let h = self.arena.insert(ev);
         self.events.schedule_in(delay, h);
-    }
-
-    /// Time of the next pending event, if any. Events already drained
-    /// into the dispatch batch are pending at the current timestamp.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if self.batch_cursor < self.batch.len() {
-            Some(self.events.now())
-        } else {
-            self.events.peek_time()
-        }
     }
 
     /// Refill the dispatch batch with the next same-timestamp run.
@@ -570,22 +555,6 @@ impl<T: TraceSink> DbmsSim<T> {
     /// Total events processed by [`DbmsSim::step`] so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Diagnostic: counts of transactions per phase, lock-waiting count,
-    /// and pending event count — used to investigate stuck configurations.
-    pub fn debug_state(&self) -> String {
-        let mut counts = std::collections::BTreeMap::new();
-        for (_, st) in self.states.iter() {
-            *counts.entry(format!("{:?}", st.phase)).or_insert(0u32) += 1;
-        }
-        format!(
-            "in_flight={} phases={:?} lock_waiting={} events={}",
-            self.states.len(),
-            counts,
-            self.locks.waiting_count(),
-            self.events.len() + (self.batch.len() - self.batch_cursor)
-        )
     }
 
     /// Pre-populate the buffer pool (typically with the hottest pages, i.e.

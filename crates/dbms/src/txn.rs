@@ -5,24 +5,22 @@
 //! probes that may become disk reads), then burns a CPU burst. Commit
 //! forces one log write and releases all locks (strict 2PL).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an admitted transaction instance, unique per simulation
 /// and monotone in admission order (used as the age for deadlock
 /// victim selection: larger id = younger).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 /// Identifier of a database page (buffer pool / disk granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
 /// Identifier of a lockable item (row / table granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u64);
 
 /// Lock mode of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Shared (read) lock — compatible with other shared locks.
     Shared,
@@ -39,7 +37,7 @@ impl LockMode {
 
 /// Scheduling class of a transaction (the paper uses two: 10% "big
 /// spenders" are high priority, the rest low).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Priority {
     /// Low-priority class (ordinary shoppers).
     Low,
@@ -48,7 +46,7 @@ pub enum Priority {
 }
 
 /// One step of a transaction body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Lock acquired at the start of the step, if any. Under Uncommitted
     /// Read isolation, `Shared` requests are skipped entirely.
@@ -72,7 +70,7 @@ impl Step {
 }
 
 /// A complete transaction body as submitted by the external scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxnBody {
     /// Workload-defined transaction type index (e.g. NewOrder = 0); only
     /// used for reporting.

@@ -85,11 +85,6 @@ impl LogHistogram {
         self.count == 0
     }
 
-    /// Number of non-empty buckets.
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Fold another histogram into this one. Pure bucket-count
     /// addition: associative, commutative, and identity-preserving, so
     /// per-shard histograms merge to the same state in any order.
@@ -117,20 +112,6 @@ impl LogHistogram {
             }
         }
         unreachable!("cumulative bucket counts must reach the total");
-    }
-
-    /// Approximate mean from bucket representatives, summed in bucket
-    /// order — deterministic and independent of recording or merge
-    /// order. 0.0 when empty.
-    pub fn approx_mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for (&k, &n) in &self.buckets {
-            sum += Self::bucket_value(k) * n as f64;
-        }
-        sum / self.count as f64
     }
 
     /// Exact bucket state as a compact `index:count;…` string (empty

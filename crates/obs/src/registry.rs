@@ -11,7 +11,7 @@
 //! [`TraceSink`](crate::TraceSink) path instead.
 //!
 //! The snapshot follows the workspace's hand-rolled line-oriented JSON
-//! idiom (the vendored serde is marker-only): schema string
+//! idiom (the workspace has no serialization library): schema string
 //! `xsched-metrics-v1`, one object literal per metric. Gauges carry
 //! both a human-readable decimal and the exact IEEE bit pattern;
 //! histograms carry their exact bucket state alongside the p50/p95/p99
@@ -91,12 +91,6 @@ impl MetricsRegistry {
     pub fn hist_record(&self, name: &str, v: f64) {
         let mut g = self.inner.lock().unwrap();
         g.hists.entry(name.to_string()).or_default().record(v);
-    }
-
-    /// Merge a pre-built histogram into the named one.
-    pub fn hist_merge(&self, name: &str, h: &LogHistogram) {
-        let mut g = self.inner.lock().unwrap();
-        g.hists.entry(name.to_string()).or_default().merge(h);
     }
 
     /// A clone of the named histogram (`None` if never touched).

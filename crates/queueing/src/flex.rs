@@ -46,11 +46,10 @@
 
 use crate::h2::H2;
 use crate::linalg::Mat;
-use serde::{Deserialize, Serialize};
 
 /// The flexible multiserver queue: Poisson arrivals, H2 job sizes, at most
 /// `mpl` jobs sharing a unit-speed PS server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlexServer {
     /// Arrival rate λ (jobs/second).
     pub lambda: f64,
@@ -61,7 +60,7 @@ pub struct FlexServer {
 }
 
 /// Steady-state solution of a [`FlexServer`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlexSolution {
     /// Mean number of jobs in the system (in service + waiting).
     pub mean_jobs: f64,

@@ -5,10 +5,8 @@
 //! This mirrors `xsched_sim::Dist::HyperExp2` but is expressed in *rates*
 //! (μ1, μ2), which is the natural parameterization for generator matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// H2(p, μ1, μ2): with probability `p` the job is Exp(μ1), else Exp(μ2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct H2 {
     /// Probability of the first phase.
     pub p: f64,

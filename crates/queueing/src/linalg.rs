@@ -7,11 +7,10 @@
 //! the same factors, so an inverse costs one O(n³) factorisation rather
 //! than `n` of them.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,

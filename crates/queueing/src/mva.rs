@@ -18,10 +18,8 @@
 //! Q_k(n) = X(n) · R_k(n)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A closed single-class queueing network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClosedNetwork {
     /// Per-station total service demand of one job (visit ratio × mean
     /// service time), in seconds.
@@ -31,7 +29,7 @@ pub struct ClosedNetwork {
 }
 
 /// Solved performance metrics at a given population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MvaSolution {
     /// Population the network was solved for.
     pub population: u32,

@@ -16,12 +16,11 @@ use crate::flex::FlexServer;
 use crate::h2::H2;
 use crate::mg1;
 use crate::mva::ClosedNetwork;
-use serde::{Deserialize, Serialize};
 
 /// The paper's throughput model: one exponential station per utilized
 /// hardware resource, service rates proportional to the utilizations
 /// observed in the MPL-unlimited system (§4.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputModel {
     network: ClosedNetwork,
 }
@@ -48,12 +47,6 @@ impl ThroughputModel {
         ThroughputModel {
             network: ClosedNetwork::balanced(resources, 1.0),
         }
-    }
-
-    /// Relative throughput (fraction of the asymptotic maximum) at
-    /// population `n`.
-    pub fn relative_throughput(&self, n: u32) -> f64 {
-        self.network.throughput(n) / self.network.max_throughput()
     }
 
     /// The underlying closed network.

@@ -11,10 +11,9 @@
 //! used to parameterize the CTMC of Section 4.2.
 
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A nonnegative continuous distribution with known first two moments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always `value`. C² = 0.
     Deterministic {

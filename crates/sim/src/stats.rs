@@ -5,10 +5,8 @@
 //! to stable measurements; the workload characterization (§3.2) needs the
 //! squared coefficient of variation C². Both live here.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online algorithm for running mean/variance, plus C².
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
@@ -99,7 +97,7 @@ impl Welford {
 }
 
 /// A symmetric confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConfidenceInterval {
     /// Point estimate.
     pub mean: f64,
@@ -168,7 +166,7 @@ fn t_critical(df: u64, level: f64) -> f64 {
 /// `mean ± half-width` cells from [`Replications::ci`]. Keys keep
 /// insertion order so reports are deterministic, and lookups are linear —
 /// a run reports tens of metrics, not thousands.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Replications {
     metrics: Vec<(String, Welford)>,
 }
@@ -270,7 +268,7 @@ impl Replications {
 /// samples. This accumulator does exactly that: `push` observations in
 /// arrival order, and [`BatchMeans::ci`] returns a Student-t interval over
 /// the completed batch means. A trailing partial batch is ignored.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     batch_size: u64,
     current: Welford,
@@ -319,7 +317,7 @@ impl BatchMeans {
 ///
 /// Stores the raw values; fine for the experiment scales in this workspace
 /// (at most a few million samples per run).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     values: Vec<f64>,
     sorted: bool,
@@ -393,7 +391,7 @@ impl SampleSet {
 
 /// Time-weighted average of a piecewise-constant signal, e.g. resource
 /// utilization or queue length over simulated time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeWeighted {
     last_t: f64,
     last_v: f64,

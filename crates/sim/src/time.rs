@@ -7,14 +7,11 @@
 //! seconds (service demands are natural in seconds) and converts at the
 //! boundary.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in nanoseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// Nanoseconds per second, as used by all conversions in this module.
@@ -104,9 +101,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -18,14 +18,13 @@
 //! RNG stream, so a chaos run is bit-reproducible in `(seed, spec)` and
 //! a spec with every knob disabled is byte-identical to no chaos at all.
 
-use serde::Serialize;
 use xsched_dbms::FaultSpec;
 use xsched_sim::Dist;
 
 /// MMPP arrival burst: while ON, client think times are divided by
 /// `factor` (the population submits `factor`× faster), producing the
 /// bursty offered-load swings the controller must ride out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
     /// Mean length of the bursting (ON) phase, seconds.
     pub mean_on: f64,
@@ -38,7 +37,7 @@ pub struct BurstSpec {
 /// Flash crowd: starting at the chaos onset, arrival intensity ramps
 /// linearly from 1× to `surge_mult`× over `ramp_secs`, then holds — the
 /// canonical overload transient of §1 (a site suddenly popular).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashSpec {
     /// Peak arrival-intensity multiplier once the ramp completes (> 1).
     pub surge_mult: f64,
@@ -48,7 +47,7 @@ pub struct FlashSpec {
 
 /// One chaos scenario: which injectors run, when they wake up, and how
 /// long the observation session lasts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
     /// Simulated seconds before any injector activates. The controller
     /// converges on the healthy system first; reaction time and

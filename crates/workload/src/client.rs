@@ -6,11 +6,10 @@
 //! load. Both are captured here and interpreted by the experiment driver
 //! in `xsched-core`.
 
-use serde::{Deserialize, Serialize};
 use xsched_sim::{Dist, SimRng};
 
 /// How transactions arrive at the external queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// A fixed population of clients, each cycling submit → think. With
     /// zero think time the external queue is kept saturated — the "high

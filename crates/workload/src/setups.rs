@@ -10,11 +10,10 @@
 
 use crate::spec::WorkloadSpec;
 use crate::{tpcc, tpcw};
-use serde::Serialize;
 use xsched_dbms::{DbmsConfig, HardwareConfig, IsolationLevel};
 
 /// One experimental setup (a row of Table 2).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Setup {
     /// Setup number, 1–17.
     pub id: u32,

@@ -12,13 +12,12 @@
 //! spec exposes both analytic ([`WorkloadSpec::intrinsic_demand_stats`])
 //! and sampled views of it.
 
-use serde::Serialize;
 use xsched_dbms::txn::{ItemId, LockMode, PageId, Priority, Step, TxnBody};
 use xsched_sim::zipf::Zipf;
 use xsched_sim::{Dist, SimRng};
 
 /// Locking behaviour of a template.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockProfile {
     /// Probability that a step takes a lock.
     pub lock_prob: f64,
@@ -64,7 +63,7 @@ impl LockProfile {
 }
 
 /// One transaction type.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxnTemplate {
     /// Human-readable name ("NewOrder", "BestSeller", ...).
     pub name: &'static str,
@@ -95,7 +94,7 @@ impl TxnTemplate {
 }
 
 /// A complete workload: template mix plus database geometry.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload name as used in Table 1 (e.g. "W_CPU-inventory").
     pub name: &'static str,
