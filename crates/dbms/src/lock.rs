@@ -99,6 +99,10 @@ pub struct LockManager {
     state_pool: Vec<LockState>,
     /// Recycled per-transaction held-item vectors.
     items_pool: Vec<Vec<ItemId>>,
+    /// The deadlock walk's parent map and stack, cleared and reused by
+    /// every [`LockManager::find_deadlock_victim`] call.
+    dfs_parent: FxHashMap<TxnId, TxnId>,
+    dfs_stack: Vec<TxnId>,
     grants: u64,
     blocks: u64,
 }
@@ -113,6 +117,8 @@ impl LockManager {
             waiting: FxHashMap::default(),
             state_pool: Vec::new(),
             items_pool: Vec::new(),
+            dfs_parent: FxHashMap::default(),
+            dfs_stack: Vec::new(),
             grants: 0,
             blocks: 0,
         }
@@ -373,32 +379,41 @@ impl LockManager {
 
     /// Detect a deadlock cycle reachable from `txn` (which must be
     /// blocked) and pick the youngest member (largest [`TxnId`]) as victim.
-    pub fn find_deadlock_victim(&self, txn: TxnId) -> Option<TxnId> {
+    pub fn find_deadlock_victim(&mut self, txn: TxnId) -> Option<TxnId> {
         // LIFO DFS over the waits-for graph; a cycle exists iff `txn` is
         // reachable from one of its blockers. `parent` maps each reached
         // transaction to the node it was first reached from, and doubles
-        // as the visited set.
-        let mut parent: FxHashMap<TxnId, TxnId> = FxHashMap::default();
-        let mut stack = vec![txn];
-        while let Some(node) = stack.pop() {
-            for b in self.blockers(node) {
-                if b == txn {
-                    // The parent chain node → … → txn plus the closing
-                    // edge is the cycle.
-                    let (mut victim, mut cur) = (node, node);
-                    while cur != txn {
-                        cur = parent[&cur];
-                        victim = victim.max(cur);
+        // as the visited set. Both buffers are taken from `self` and put
+        // back, so steady-state detection allocates nothing.
+        let mut parent = std::mem::take(&mut self.dfs_parent);
+        let mut stack = std::mem::take(&mut self.dfs_stack);
+        parent.clear();
+        stack.clear();
+        stack.push(txn);
+        let victim = 'walk: {
+            while let Some(node) = stack.pop() {
+                for b in self.blockers(node) {
+                    if b == txn {
+                        // The parent chain node → … → txn plus the closing
+                        // edge is the cycle.
+                        let (mut victim, mut cur) = (node, node);
+                        while cur != txn {
+                            cur = parent[&cur];
+                            victim = victim.max(cur);
+                        }
+                        break 'walk Some(victim);
                     }
-                    return Some(victim);
-                }
-                if let Entry::Vacant(e) = parent.entry(b) {
-                    e.insert(node);
-                    stack.push(b);
+                    if let Entry::Vacant(e) = parent.entry(b) {
+                        e.insert(node);
+                        stack.push(b);
+                    }
                 }
             }
-        }
-        None
+            None
+        };
+        self.dfs_parent = parent;
+        self.dfs_stack = stack;
+        victim
     }
 
     /// POW: low-priority holders of `item` that are themselves blocked at

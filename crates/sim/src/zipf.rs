@@ -23,7 +23,46 @@ pub struct Zipf {
     head_cdf: Vec<f64>,
     /// Probability mass of the head.
     head_mass: f64,
-    theta: f64,
+    /// Inverse of the tail's continuous CDF, with every term that does not
+    /// depend on the draw precomputed (`None` when the head is the whole
+    /// domain).
+    tail: Option<Tail>,
+}
+
+/// Solves `∫_a^x t^-θ dt = v · ∫_a^b t^-θ dt` for `x` on the tail `[a, b]`.
+/// The draw-independent powers are evaluated once, in [`Tail::new`]; a
+/// draw then costs one `powf`, and the same libm calls on the same inputs
+/// give the same bits as evaluating the whole formula per draw.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    /// θ = 1: `a · (b/a)^v`.
+    Log { a: f64, ratio: f64 },
+    /// θ ≠ 1: `(a^(1-θ) + v · (b^(1-θ) - a^(1-θ)))^(1/(1-θ))`.
+    Pow { ia: f64, span: f64, exp: f64 },
+}
+
+impl Tail {
+    fn new(a: f64, b: f64, theta: f64) -> Tail {
+        if (theta - 1.0).abs() < 1e-12 {
+            Tail::Log { a, ratio: b / a }
+        } else {
+            let ia = a.powf(1.0 - theta);
+            let ib = b.powf(1.0 - theta);
+            Tail::Pow {
+                ia,
+                span: ib - ia,
+                exp: 1.0 / (1.0 - theta),
+            }
+        }
+    }
+
+    #[inline]
+    fn invert(self, v: f64) -> f64 {
+        match self {
+            Tail::Log { a, ratio } => a * ratio.powf(v),
+            Tail::Pow { ia, span, exp } => (ia + v * span).powf(exp),
+        }
+    }
 }
 
 impl Zipf {
@@ -39,10 +78,11 @@ impl Zipf {
         // Total mass: exact head + integral approximation of the tail
         // sum_{i=head_len+1..n} i^-theta ~ integral.
         let head_sum: f64 = head.iter().sum();
-        let tail_sum = if (n as usize) > head_len {
-            integral_pow(head_len as f64 + 0.5, n as f64 + 0.5, theta)
+        let (a, b) = (head_len as f64 + 0.5, n as f64 + 0.5);
+        let (tail_sum, tail) = if (n as usize) > head_len {
+            (integral_pow(a, b, theta), Some(Tail::new(a, b, theta)))
         } else {
-            0.0
+            (0.0, None)
         };
         let total = head_sum + tail_sum;
         let mut acc = 0.0;
@@ -54,7 +94,7 @@ impl Zipf {
             n,
             head_cdf: head,
             head_mass: head_sum / total,
-            theta,
+            tail,
         }
     }
 
@@ -66,18 +106,19 @@ impl Zipf {
     /// Draw one item index in `[0, n)`.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let u = rng.uniform();
-        if u < self.head_mass || self.head_cdf.len() == self.n as usize {
-            // Binary search the head CDF.
-            let target = u.min(*self.head_cdf.last().unwrap());
-            let idx = self.head_cdf.partition_point(|&c| c < target);
-            (idx as u64).min(self.n - 1)
-        } else {
-            // Tail: invert the continuous approximation of the CDF.
-            let h = self.head_cdf.len() as f64 + 0.5;
-            let nn = self.n as f64 + 0.5;
-            let v = (u - self.head_mass) / (1.0 - self.head_mass);
-            let x = invert_integral_pow(h, nn, self.theta, v);
-            (x.floor() as u64).clamp(self.head_cdf.len() as u64, self.n - 1)
+        match self.tail {
+            Some(tail) if u >= self.head_mass => {
+                // Tail: invert the continuous approximation of the CDF.
+                let v = (u - self.head_mass) / (1.0 - self.head_mass);
+                let x = tail.invert(v);
+                (x.floor() as u64).clamp(self.head_cdf.len() as u64, self.n - 1)
+            }
+            _ => {
+                // Binary search the head CDF.
+                let target = u.min(*self.head_cdf.last().unwrap());
+                let idx = self.head_cdf.partition_point(|&c| c < target);
+                (idx as u64).min(self.n - 1)
+            }
         }
     }
 }
@@ -91,20 +132,76 @@ fn integral_pow(a: f64, b: f64, theta: f64) -> f64 {
     }
 }
 
-/// Solve for x in [a,b] with ∫_a^x = v · ∫_a^b.
-fn invert_integral_pow(a: f64, b: f64, theta: f64, v: f64) -> f64 {
-    if (theta - 1.0).abs() < 1e-12 {
-        a * (b / a).powf(v)
-    } else {
-        let ia = a.powf(1.0 - theta);
-        let ib = b.powf(1.0 - theta);
-        (ia + v * (ib - ia)).powf(1.0 / (1.0 - theta))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Solve for x in [a,b] with ∫_a^x = v · ∫_a^b, every term per call.
+    fn invert_integral_pow(a: f64, b: f64, theta: f64, v: f64) -> f64 {
+        if (theta - 1.0).abs() < 1e-12 {
+            a * (b / a).powf(v)
+        } else {
+            let ia = a.powf(1.0 - theta);
+            let ib = b.powf(1.0 - theta);
+            (ia + v * (ib - ia)).powf(1.0 / (1.0 - theta))
+        }
+    }
+
+    /// The sampler with the tail inversion evaluated per draw.
+    fn reference_sample(z: &Zipf, theta: f64, rng: &mut SimRng) -> u64 {
+        let u = rng.uniform();
+        if u < z.head_mass || z.head_cdf.len() == z.n as usize {
+            let target = u.min(*z.head_cdf.last().unwrap());
+            let idx = z.head_cdf.partition_point(|&c| c < target);
+            (idx as u64).min(z.n - 1)
+        } else {
+            let h = z.head_cdf.len() as f64 + 0.5;
+            let nn = z.n as f64 + 0.5;
+            let v = (u - z.head_mass) / (1.0 - z.head_mass);
+            let x = invert_integral_pow(h, nn, theta, v);
+            (x.floor() as u64).clamp(z.head_cdf.len() as u64, z.n - 1)
+        }
+    }
+
+    #[test]
+    fn precomputed_tail_matches_the_per_draw_formula() {
+        // The workloads' (db_pages, page_theta) pairs, plus an all-head
+        // domain and a uniform one.
+        let pairs = [
+            (40_000, 1.0),
+            (600_000, 0.6),
+            (100_000, 1.0),
+            (30_000, 0.9),
+            (200_000, 0.5),
+            (50_000, 0.9),
+            (1_000, 0.9),
+            (1_000_000, 0.0),
+        ];
+        for (n, theta) in pairs {
+            let z = Zipf::new(n, theta);
+            let mut fast = SimRng::seed_from_u64(n);
+            let mut slow = fast.clone();
+            let mut tail_draws = 0;
+            for _ in 0..100_000 {
+                let x = z.sample(&mut fast);
+                assert_eq!(
+                    x,
+                    reference_sample(&z, theta, &mut slow),
+                    "n {n}, θ {theta}"
+                );
+                tail_draws += usize::from(x >= HOT_EXACT as u64);
+            }
+            assert_eq!(tail_draws > 0, n > HOT_EXACT as u64, "n {n}, θ {theta}");
+            if let Some(tail) = z.tail {
+                let (a, b) = (HOT_EXACT as f64 + 0.5, n as f64 + 0.5);
+                for k in 0..=1000 {
+                    let v = k as f64 / 1000.0;
+                    let want = invert_integral_pow(a, b, theta, v);
+                    assert_eq!(tail.invert(v).to_bits(), want.to_bits(), "n {n}, v {v}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_when_theta_zero() {
