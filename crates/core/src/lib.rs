@@ -26,10 +26,11 @@
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the
 //!   [`SweepExecutor`]: one execution core that claims tasks in task
 //!   order across worker threads, runs each once, panic-isolated, and
-//!   hands finished cells in task order to a sink — batch assembly, the
-//!   streaming fold, and the coordinator worker's per-lease call are each
-//!   just a sink, and the same in-order step records per-cell timings. Bit-identical to serial
-//!   execution, feeding Student-t confidence intervals from replications;
+//!   hands finished cells in task order to a sink — batch assembly and
+//!   the coordinator worker's per-lease call are each just a sink, and
+//!   the same in-order step records per-cell timings. Bit-identical to
+//!   serial execution, feeding Student-t confidence intervals from
+//!   replications;
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
 //!   capacity exactly once;
@@ -81,5 +82,5 @@ pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
 pub use scenario::{ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost};
 pub use scheduler::ExternalScheduler;
-pub use sweep::{FoldStats, ScenarioResult, SweepExecutor, SweepPlan};
+pub use sweep::{ScenarioResult, SweepExecutor, SweepPlan};
 pub use wire::DecodeError;

@@ -10,14 +10,13 @@
 //! [`Replications`] accumulator so reports can print Student-t confidence
 //! intervals next to every mean.
 //!
-//! Every entry point — batch [`SweepExecutor::run`], streaming
-//! [`SweepExecutor::run_fold`], and the coordinator worker's per-lease
-//! `SweepExecutor::run_task` — is a thin caller of one private core.
-//! The core claims tasks in task order from one atomic counter, runs
-//! each once inline under `catch_unwind`, and hands every finished cell
-//! to a sink on the calling thread, in task order. That in-order sink is
-//! also where every entry point's per-cell [`CellTiming`]s are recorded
-//! (see [`SweepExecutor::with_timings`]).
+//! Both entry points — the batch [`SweepExecutor::run`] and the
+//! coordinator worker's per-lease `SweepExecutor::run_task` — are thin
+//! callers of one private core. The core claims tasks in task order from
+//! one atomic counter, runs each once inline under `catch_unwind`, and
+//! hands every finished cell to a sink on the calling thread, in task
+//! order. That in-order sink is also where both entry points' per-cell
+//! [`CellTiming`]s are recorded (see [`SweepExecutor::with_timings`]).
 
 use crate::cache::MeasurementCache;
 use crate::fault::{classify_panic, relock, TaskError, TaskOutcome};
@@ -233,11 +232,6 @@ impl SweepExecutor {
         self
     }
 
-    /// Worker count this executor will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Execute every task of the plan and aggregate replications per
     /// scenario through the same `assemble` step the coordinator uses,
     /// so a direct and a coordinated sweep cannot drift apart. The
@@ -266,48 +260,9 @@ impl SweepExecutor {
         outcome.expect("the execution core delivers every task it is given")
     }
 
-    /// Execute the plan **streamingly**: fold every task's outcome into an
-    /// accumulator instead of materializing the whole result grid. Memory
-    /// stays O(cells in flight) — finished cells that arrive ahead of the
-    /// in-order cursor are parked briefly and folded as the cursor
-    /// reaches them, so the fold sees task indices `0, 1, 2, …` **always
-    /// in task order**, whatever the thread count. With the same plan the
-    /// folded values are bit-identical to pulling outcomes out of
-    /// [`SweepExecutor::run`]; only the peak-memory profile differs.
-    /// Returns the final accumulator plus [`FoldStats`] recording the
-    /// parked-cell high-water mark.
-    ///
-    /// Fault tolerance applies per task exactly as in
-    /// [`SweepExecutor::run`] (the fold sees [`TaskOutcome::Failed`]
-    /// cells under keep-going mode; fail-fast re-raises on the calling
-    /// thread).
-    pub fn run_fold<A>(
-        &self,
-        plan: &SweepPlan,
-        init: A,
-        mut fold: impl FnMut(A, usize, TaskOutcome) -> A,
-    ) -> (A, FoldStats) {
-        let tasks: Vec<usize> = (0..plan.task_count()).collect();
-        // `Option` dance: the sink threads the accumulator through `fold`
-        // by value.
-        let mut acc = Some(init);
-        let peak_parked = self.execute(plan, &tasks, |t, cell| {
-            let a = acc.take().expect("accumulator present");
-            acc = Some(fold(a, t, cell.outcome));
-        });
-        (
-            acc.expect("the sink leaves the accumulator in place"),
-            FoldStats {
-                tasks: tasks.len(),
-                peak_parked,
-            },
-        )
-    }
-
-    /// The execution core behind every entry point. Runs the global task
+    /// The execution core behind both entry points. Runs the global task
     /// indices `mine` (in order) and hands each finished cell to `sink`
-    /// on the calling thread, strictly in the order of `mine`. Returns the
-    /// largest number of finished cells ever parked ahead of the cursor.
+    /// on the calling thread, strictly in the order of `mine`.
     ///
     /// Tasks are claimed in task order from one atomic counter by
     /// `threads` workers: the calling thread plus `threads − 1` scoped
@@ -318,12 +273,7 @@ impl SweepExecutor {
     /// A fail-fast failure stops further claims and re-raises as a typed
     /// `sweep task {t} failed: …` panic on the calling thread once the
     /// cursor reaches it; every earlier cell is still delivered first.
-    fn execute(
-        &self,
-        plan: &SweepPlan,
-        mine: &[usize],
-        mut sink: impl FnMut(usize, Cell),
-    ) -> usize {
+    fn execute(&self, plan: &SweepPlan, mine: &[usize], mut sink: impl FnMut(usize, Cell)) {
         let tasks = plan.tasks();
         let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
         let obs = self.obs.as_deref();
@@ -374,7 +324,6 @@ impl SweepExecutor {
 
         let helpers = self.threads.min(mine.len()).saturating_sub(1);
         let live = AtomicUsize::new(helpers);
-        let mut peak = 0usize;
         let mut actual_secs = 0.0;
         std::thread::scope(|scope| {
             for worker in 1..=helpers {
@@ -389,12 +338,8 @@ impl SweepExecutor {
             // the next task, otherwise wait for a helper to finish one.
             for (pos, &t) in mine.iter().enumerate() {
                 let cell = loop {
-                    {
-                        let mut guard = relock(&parked);
-                        if let Some(cell) = guard.remove(&pos) {
-                            peak = peak.max(guard.len() + 1);
-                            break cell;
-                        }
+                    if let Some(cell) = relock(&parked).remove(&pos) {
+                        break cell;
                     }
                     if work(0) {
                         continue;
@@ -460,20 +405,7 @@ impl SweepExecutor {
             // Fixed name: perfbench/harness/src/tour.rs reads it for `coord.idle_s`.
             r.gauge_add("sweep.shard0.actual_secs", actual_secs);
         }
-        peak
     }
-}
-
-/// Execution statistics from [`SweepExecutor::run_fold`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FoldStats {
-    /// Tasks executed (= the plan's task count).
-    pub tasks: usize,
-    /// Largest number of finished outcomes ever parked waiting for the
-    /// in-order fold cursor — the streaming executor's actual memory
-    /// high-water mark, bounded by the out-of-order window rather than
-    /// the grid size.
-    pub peak_parked: usize,
 }
 
 /// One finished cell, as the execution core hands it to a sink.
@@ -769,26 +701,6 @@ mod tests {
         );
     }
 
-    /// The streaming executor folds every outcome exactly once, strictly
-    /// in task order, and the folded stream is bit-identical to the
-    /// batch path at any thread count. `peak_parked` bounds the
-    /// out-of-order window: at least 1, never more than the plan.
-    #[test]
-    fn run_fold_streams_in_task_order_and_matches_the_batch_run() {
-        let plan = quick_plan();
-        let expected = encoded(&SweepExecutor::serial().run(&plan));
-        for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
-            let (folded, stats) = exec.run_fold(&plan, Vec::new(), |mut acc: Vec<String>, t, o| {
-                assert_eq!(acc.len(), t, "outcomes fold strictly in task order");
-                acc.push(encode_outcome(o.as_ok().expect("no faults engaged")));
-                acc
-            });
-            assert_eq!(stats.tasks, plan.task_count());
-            assert!(stats.peak_parked >= 1 && stats.peak_parked <= plan.task_count());
-            assert_eq!(folded, expected);
-        }
-    }
-
     /// `quick_plan` with every replication of its middle scenario
     /// failing for real: a high-priority fraction of 2.0 trips the
     /// workload generator's assert, on every thread count.
@@ -826,31 +738,28 @@ mod tests {
     }
 
     /// The cells beside a failing one are bit-identical to the same cells
-    /// of a fault-free run, and the failures themselves are the same at
-    /// every thread count.
+    /// of a fault-free run, and the failures themselves land in the same
+    /// scenarios at every thread count.
     #[test]
     fn surviving_cells_beside_failed_cells_match_the_fault_free_run_bitwise() {
-        let baseline = encoded(&SweepExecutor::serial().run(&quick_plan()));
+        let baseline = SweepExecutor::serial().run(&quick_plan());
         let plan = mixed_plan();
-        // Every cell in task order: its encoded outcome, or its failure.
-        let cells = |exec: SweepExecutor| {
+        // Every scenario's encoded outcomes and failures, in seed order.
+        let cells = |exec: SweepExecutor| -> Vec<(Vec<String>, Vec<TaskError>)> {
             exec.with_keep_going(true)
-                .run_fold(&plan, Vec::new(), |mut acc, _, o| {
-                    acc.push(match o {
-                        TaskOutcome::Ok(o) => Ok(encode_outcome(&o)),
-                        TaskOutcome::Failed(e) => Err(e),
-                    });
-                    acc
-                })
-                .0
+                .run(&plan)
+                .iter()
+                .map(|r| (encoded(std::slice::from_ref(r)), r.failures.clone()))
+                .collect()
         };
         let serial = cells(SweepExecutor::serial());
-        let failed: Vec<usize> = (0..serial.len()).filter(|&t| serial[t].is_err()).collect();
-        assert_eq!(failed, [3, 4, 5], "scenario 1's three replications");
-        for (t, cell) in serial.iter().enumerate() {
-            match cell {
-                Ok(o) => assert_eq!(o, &baseline[t], "task {t}"),
-                Err(e) => assert_eq!(*e, bad_fraction()),
+        for (si, (outcomes, failures)) in serial.iter().enumerate() {
+            if si == 1 {
+                assert!(outcomes.is_empty());
+                assert_eq!(failures, &[bad_fraction(), bad_fraction(), bad_fraction()]);
+            } else {
+                assert!(failures.is_empty(), "scenario {si}");
+                assert_eq!(outcomes, &encoded(&baseline[si..=si]), "scenario {si}");
             }
         }
         assert_eq!(serial, cells(SweepExecutor::parallel(4)));
@@ -874,13 +783,13 @@ mod tests {
         }
     }
 
-    /// A fold whose first cell panics under the default fail-fast policy
+    /// A sweep whose first cell panics under the default fail-fast policy
     /// must re-raise the typed failure on the calling thread, not leave
     /// the in-order consumer waiting for a cell that never lands. Run on
     /// a helper thread so a regression fails the test instead of hanging
     /// it.
     #[test]
-    fn run_fold_reraises_a_failed_first_cell_instead_of_hanging() {
+    fn fail_fast_reraises_a_failed_first_cell_instead_of_hanging() {
         let rc = RunConfig {
             warmup_txns: 10,
             measured_txns: 30,
@@ -892,52 +801,17 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                SweepExecutor::parallel(2).run_fold(&plan, 0usize, |n, _, _| n + 1)
+                SweepExecutor::parallel(2).run(&plan).len()
             }));
             let _ = tx.send(result.map_err(|e| e.downcast::<String>().map(|m| *m)));
         });
         let result = rx
             .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("run_fold returns within 60 s");
+            .expect("the sweep returns within 60 s");
         let msg = result
-            .expect_err("the failed first cell aborts the fold")
+            .expect_err("the failed first cell aborts the sweep")
             .expect("the panic carries a message");
         assert!(msg.contains("sweep task 0 failed: "), "{msg}");
         assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
-    }
-
-    /// run_fold under keep-going: failed tasks arrive at the fold as
-    /// `TaskOutcome::Failed`, still strictly in task order, and the
-    /// successful outcomes match the fault-free stream.
-    #[test]
-    fn run_fold_keep_going_folds_failures_in_order() {
-        let expected = encoded(&SweepExecutor::serial().run(&quick_plan()));
-        let plan = mixed_plan();
-        let mut streams = Vec::new();
-        for exec in [SweepExecutor::serial(), SweepExecutor::parallel(4)] {
-            let (folded, stats) = exec.with_keep_going(true).run_fold(
-                &plan,
-                Vec::new(),
-                |mut acc: Vec<(usize, Option<String>)>, t, o| {
-                    assert_eq!(acc.len(), t, "failures fold in task order too");
-                    acc.push((t, o.as_ok().map(encode_outcome)));
-                    acc
-                },
-            );
-            assert_eq!(stats.tasks, plan.task_count());
-            let failed: Vec<usize> = folded
-                .iter()
-                .filter(|(_, o)| o.is_none())
-                .map(|(t, _)| *t)
-                .collect();
-            assert_eq!(failed, [3, 4, 5]);
-            for (t, o) in &folded {
-                if let Some(o) = o {
-                    assert_eq!(o, &expected[*t], "surviving task {t}");
-                }
-            }
-            streams.push(folded);
-        }
-        assert_eq!(streams[0], streams[1], "serial ≡ parallel, byte for byte");
     }
 }

@@ -1,7 +1,8 @@
 //! The processor-sharing bank as it stood before the struct-of-arrays
-//! rewrite, kept verbatim as the test oracle: the differential tests in
-//! [`super`] drive it and the live bank in lockstep and compare every
-//! returned value, epoch and busy time bit for bit.
+//! rewrite, kept verbatim (less the uncalled `remove`) as the test
+//! oracle: the differential tests in [`super`] drive it and the live bank
+//! in lockstep and compare every returned value, epoch and busy time bit
+//! for bit.
 
 use crate::config::CpuPolicy;
 use crate::txn::{Priority, TxnId};
@@ -140,22 +141,6 @@ impl CpuBank {
         }
         self.epoch += 1;
         self.epoch
-    }
-
-    /// Remove a job regardless of progress (abort path). Returns the new
-    /// epoch if the job was present.
-    pub fn remove(&mut self, now: f64, txn: TxnId) -> Option<u64> {
-        self.sync(now);
-        if let Some(pos) = self.jobs.iter().position(|j| j.txn == txn) {
-            let job = self.jobs.remove(pos);
-            if job.priority == Priority::High {
-                self.high_jobs -= 1;
-            }
-            self.epoch += 1;
-            Some(self.epoch)
-        } else {
-            None
-        }
     }
 
     /// Time until the next job completes at current rates, and that job's

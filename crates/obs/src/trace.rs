@@ -4,8 +4,9 @@
 //! event in a transaction's life calls [`TraceSink::record`]. The
 //! default sink is [`NoopTrace`], whose `record` is an empty
 //! `#[inline(always)]` body — monomorphization erases the calls
-//! entirely, so the traced and untraced inner loops compile to the
-//! same code and the events/s regression gate stays untouched. The
+//! entirely, so the default inner loop compiles to the same code as one
+//! with no trace calls at all (the benchmark's interleaved untraced
+//! `wall_s` bound is what would catch it if it stopped). The
 //! working sinks are allocation-free after construction: a
 //! [`CountingSink`] of per-kind totals and a fixed-capacity
 //! [`RingRecorder`] that overwrites its oldest entry when full.
@@ -174,7 +175,10 @@ impl TraceSink for NoopTrace {
 }
 
 /// Counts events, total and per kind — the cheapest working sink, used
-/// by the overhead benchmark and the on/off invariance tests.
+/// by the on/off invariance tests and by perfbench's traced `highpop`
+/// run, whose lock-block, deadlock-abort and commit counts CI pins and
+/// whose traced ÷ untraced wall (`obs.trace_overhead.highpop`) CI bounds
+/// at 1.25.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// Total events recorded.
