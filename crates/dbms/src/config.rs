@@ -154,8 +154,9 @@ pub struct DbmsConfig {
     /// restarted, seconds.
     pub restart_backoff: f64,
     /// Upper bound on restarts per transaction before it is force-completed
-    /// without its locks (guards against livelock in pathological configs;
-    /// never reached in the paper's operating range).
+    /// without its locks (guards against livelock). The guard is reached in
+    /// the paper's operating range: it fires once in `figures --quick
+    /// fig12`, whose output therefore includes one lock-free transaction.
     pub max_restarts: u32,
     /// Deadlock resolution strategy.
     pub deadlock: DeadlockStrategy,

@@ -16,12 +16,12 @@
 //!
 //! # Cost and exactness
 //!
-//! Every event advances all runnable jobs and then asks for the next
-//! completion, so both are linear in `n`; the bank keeps that linear work
-//! to one or two light passes while producing the exact bits of a plain
-//! per-job loop (fold the busy rate job by job, divide each job's
-//! remaining work by its rate, keep the smallest quotient with a 1e-15
-//! tie window broken towards the smaller [`TxnId`]):
+//! Every event advances all runnable jobs, which is one light pass over
+//! `n` remaining works; asking for the next completion is O(1) outside
+//! near-ties. The bank produces the exact bits of a plain per-job loop
+//! (fold the busy rate job by job, divide each job's remaining work by
+//! its rate, keep the smallest quotient with a 1e-15 tie window broken
+//! towards the smaller [`TxnId`]):
 //!
 //! * **Advancing** subtracts one product `rate · dt` per class (the same
 //!   product for every job of the class) in a branch-free loop over the
@@ -32,18 +32,28 @@
 //!   a function of `n` alone, computed once per `n` and memoized. Only a
 //!   mixed-class priority bank folds job by job, because there the order
 //!   of the two rates changes the bits.
-//! * **The next completion** needs no per-job division in the common case.
-//!   `fl(x / r)` is monotone in `x` for `r > 0`, so the job with the
-//!   smallest remaining work `m1` of a class has the smallest quotient
-//!   `t1 = m1 / r`, and every other job of the class has a quotient of at
-//!   least `t2 = m2 / r`, where `m2` is the second-smallest remaining work
-//!   counted with multiplicity. Across classes, `t2` is the smaller of the
-//!   winner's `t2` and the other class's `t1`. If `t1 < t2 - 1e-15` and
-//!   `t2 - t1 > 1e-15` (the tie test's own float operations; either can
-//!   fail while the other holds, because the subtractions round), the job
-//!   beats every job scanned before it and ties with none after it, so
-//!   the sequential scan ends on it: the bank returns `(t1, job)` from
-//!   two divisions. Near-ties fall back to the sequential scan itself.
+//! * **Each class stays in order.** Per class the bank keeps its jobs'
+//!   positions sorted by remaining work, largest first. Advancing maps
+//!   every remaining work of a class through the same `fl(x − d)` clamped
+//!   at 0, which is monotone in `x`, so it never reorders a class: only
+//!   [`CpuBank::add`] (a binary search and an insert) and
+//!   [`CpuBank::complete`] (a removal, usually of the last entry, and a
+//!   renumbering of the positions after the completed job) touch the
+//!   order.
+//! * **The next completion** reads the last two entries of each class's
+//!   order and needs no per-job division. `fl(x / r)` is monotone in `x`
+//!   for `r > 0`, so the job with the smallest remaining work `m1` of a
+//!   class has the smallest quotient `t1 = m1 / r`, and every other job of
+//!   the class has a quotient of at least `t2 = m2 / r`, where `m2` is the
+//!   second-smallest remaining work counted with multiplicity. When both
+//!   classes run at one rate the two orders' tails are merged; otherwise,
+//!   across classes, `t2` is the smaller of the winner's `t2` and the
+//!   other class's `t1`. If `t1 < t2 - 1e-15` and `t2 - t1 > 1e-15` (the
+//!   tie test's own float operations; either can fail while the other
+//!   holds, because the subtractions round), the job beats every job
+//!   scanned before it and ties with none after it, so the sequential
+//!   scan ends on it: the bank returns `(t1, job)` from two divisions.
+//!   Near-ties fall back to the sequential scan itself.
 //! * **Completing** reuses the position the last
 //!   [`CpuBank::next_completion`] picked when the id there matches (ids
 //!   are unique, so no search is needed).
@@ -63,7 +73,8 @@ mod oracle;
 /// The runnable set is a struct of arrays in arrival order — remaining
 /// work, id and class per job — so every pass, and with it every
 /// floating-point fold, runs in a deterministic order. A running count of
-/// high-priority jobs keeps the two-class rate computation O(1).
+/// high-priority jobs keeps the two-class rate computation O(1), and a
+/// per-class order by remaining work keeps the next completion O(1).
 #[derive(Debug)]
 pub struct CpuBank {
     cpus: f64,
@@ -74,6 +85,10 @@ pub struct CpuBank {
     txns: Vec<TxnId>,
     /// Class of each job, parallel to `remaining`.
     classes: Vec<Priority>,
+    /// Per class, indexed by `Priority as usize` (Low, High): the
+    /// positions of its jobs, sorted by remaining work, largest first.
+    /// (`u32`, so renumbering after a completion vectorizes.)
+    order: [Vec<u32>; 2],
     high_jobs: usize,
     last_sync: f64,
     epoch: u64,
@@ -127,6 +142,7 @@ impl CpuBank {
             remaining: Vec::new(),
             txns: Vec::new(),
             classes: Vec::new(),
+            order: [Vec::new(), Vec::new()],
             high_jobs: 0,
             last_sync: 0.0,
             epoch: 0,
@@ -252,7 +268,12 @@ impl CpuBank {
     pub fn add(&mut self, now: f64, txn: TxnId, work: f64, priority: Priority) -> u64 {
         self.sync(now);
         debug_assert!(!self.txns.contains(&txn), "txn {txn:?} already on CPU");
-        self.remaining.push(work.max(0.0));
+        let work = work.max(0.0);
+        let remaining = &self.remaining;
+        let order = &mut self.order[priority as usize];
+        let at = order.partition_point(|&p| remaining[p as usize] >= work);
+        order.insert(at, remaining.len() as u32);
+        self.remaining.push(work);
         self.txns.push(txn);
         self.classes.push(priority);
         if priority == Priority::High {
@@ -272,19 +293,25 @@ impl CpuBank {
         Some((t, self.txns[pos]))
     }
 
+    /// The two smallest remaining works among `classes`, read from the
+    /// last two entries of each class's order.
+    fn least(&self, classes: &[Priority]) -> TwoSmallest {
+        let mut least = TwoSmallest::NONE;
+        for &class in classes {
+            for &at in self.order[class as usize].iter().rev().take(2) {
+                least.push(at as usize, self.remaining[at as usize]);
+            }
+        }
+        least
+    }
+
     /// The fast path without per-job division (see the module docs): the
     /// time and position of the job with the smallest completion time, if
     /// it leads every other job by more than the tie window.
     fn clear_winner(&self) -> Option<(f64, usize)> {
         let (t1, t2, at) = if self.mixed() {
-            // Per class, indexed by `Priority as usize` (Low, High).
-            let rates = [self.rate_for(Priority::Low), self.rate_for(Priority::High)];
-            let mut least = [TwoSmallest::NONE; 2];
-            for (at, (&x, &class)) in self.remaining.iter().zip(&self.classes).enumerate() {
-                least[class as usize].push(at, x);
-            }
-            let [low, high] = [0, 1].map(|c| {
-                let (r, m) = (rates[c], least[c]);
+            let [low, high] = [Priority::Low, Priority::High].map(|class| {
+                let (r, m) = (self.rate_for(class), self.least(&[class]));
                 (r > 0.0).then(|| (m.m1 / r, m.m2 / r, m.at))
             });
             match (high, low) {
@@ -298,10 +325,7 @@ impl CpuBank {
             if r <= 0.0 {
                 return None;
             }
-            let mut least = TwoSmallest::NONE;
-            for (at, &x) in self.remaining.iter().enumerate() {
-                least.push(at, x);
-            }
+            let least = self.least(&[Priority::Low, Priority::High]);
             (least.m1 / r, least.m2 / r, least.at)
         };
         (t1 < t2 - 1e-15 && t2 - t1 > 1e-15).then_some((t1, at))
@@ -349,8 +373,22 @@ impl CpuBank {
         };
         let remaining = self.remaining.remove(pos);
         self.txns.remove(pos);
-        if self.classes.remove(pos) == Priority::High {
+        let class = self.classes.remove(pos);
+        if class == Priority::High {
             self.high_jobs -= 1;
+        }
+        // Usually the class's last entry: the job with the least work.
+        let pos = pos as u32;
+        let order = &mut self.order[class as usize];
+        let at = order
+            .iter()
+            .rposition(|&p| p == pos)
+            .expect("job missing from its class order");
+        order.remove(at);
+        for order in &mut self.order {
+            for p in order.iter_mut() {
+                *p -= (*p > pos) as u32;
+            }
         }
         debug_assert!(remaining < 1e-6, "completed job had {remaining} s left");
         self.epoch += 1;
@@ -509,6 +547,31 @@ mod tests {
             assert_eq!(self.bank.is_empty(), self.oracle.is_empty());
             assert!(self.oracle.is_current(self.bank.epoch()));
             assert_eq!(self.bank.capacity(), self.oracle.capacity());
+            // Each class order lists exactly that class's positions, the
+            // least remaining work last.
+            let bank = &self.bank;
+            let mut seen = vec![false; bank.len()];
+            for class in [Priority::Low, Priority::High] {
+                let order = &bank.order[class as usize];
+                for w in order.windows(2) {
+                    assert!(
+                        bank.remaining[w[0] as usize] >= bank.remaining[w[1] as usize],
+                        "{class:?} out of order"
+                    );
+                }
+                for &p in order {
+                    let p = p as usize;
+                    assert_eq!(bank.classes[p], class);
+                    assert!(
+                        !std::mem::replace(&mut seen[p], true),
+                        "position {p} listed twice"
+                    );
+                }
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "a job missing from the class orders"
+            );
         }
 
         fn add(&mut self, now: f64, txn: TxnId, work: f64, prio: Priority) {
@@ -560,13 +623,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random add/complete/next-completion/busy-time sequences
-        /// under both policies give the oracle's exact bits. Works come
-        /// from a small pool (zero, equal values, a few ulps apart) and
-        /// time often stands still, so ties and near-ties within the
-        /// 1e-15 window are common.
+        /// under both policies, with both classes mixed in, give the
+        /// oracle's exact bits. Works come from a small pool (zero, equal
+        /// values, a few ulps apart) and time often stands still, so ties
+        /// and near-ties within the 1e-15 window are common, and the scan
+        /// they fall back to completes jobs from inside the class orders.
+        /// Adds outnumber completions, so banks grow to hundreds of jobs.
         #[test]
         fn bank_matches_the_oracle_bit_for_bit(
-            ops in proptest::collection::vec((0u8..9, any::<u64>(), 0u8..8, any::<bool>()), 1..200),
+            ops in proptest::collection::vec((0u8..10, any::<u64>(), 0u8..8, any::<bool>()), 1..1000),
             cpus in 1u32..=4,
             prioritize in any::<bool>(),
         ) {
@@ -584,8 +649,8 @@ mod tests {
                     _ => 0.3 * unit,
                 };
                 match op {
-                    0..=3 => {
-                        let txn = id(sel % 97);
+                    0..=4 => {
+                        let txn = id(sel % 4096);
                         if live.contains(&txn) {
                             continue;
                         }
@@ -602,7 +667,7 @@ mod tests {
                         twin.add(now, txn, work, prio);
                         live.push(txn);
                     }
-                    4..=6 => {
+                    5 | 6 => {
                         if let Some((dt, txn)) = twin.next(now) {
                             now += dt;
                             twin.complete(now, txn);

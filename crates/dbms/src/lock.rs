@@ -63,6 +63,12 @@ struct Waiter {
 struct LockState {
     holders: Vec<(TxnId, LockMode)>,
     queue: VecDeque<Waiter>,
+    /// Deadlock-walk record, valid only while `walk` equals the walk
+    /// counter: in that walk every holder and the first `covered` waiters
+    /// are already visited, so a later waiter reads only the rest of the
+    /// queue ahead of it. See [`LockManager::find_deadlock_victim`].
+    walk: u64,
+    covered: usize,
 }
 
 impl LockState {
@@ -100,9 +106,16 @@ pub struct LockManager {
     /// Recycled per-transaction held-item vectors.
     items_pool: Vec<Vec<ItemId>>,
     /// The deadlock walk's parent map and stack, cleared and reused by
-    /// every [`LockManager::find_deadlock_victim`] call.
-    dfs_parent: FxHashMap<TxnId, TxnId>,
+    /// every [`LockManager::find_deadlock_victim`] call. The map also
+    /// holds each reached waiter's position in its wait queue, once read.
+    dfs_parent: FxHashMap<TxnId, (TxnId, Option<u32>)>,
     dfs_stack: Vec<TxnId>,
+    /// Deadlock walks so far; stamps each item's covered-prefix record.
+    walks: u64,
+    /// Queue entries the deadlock walks have read (a deterministic cost
+    /// count for tests).
+    #[cfg(test)]
+    queue_reads: u64,
     grants: u64,
     blocks: u64,
 }
@@ -119,6 +132,9 @@ impl LockManager {
             items_pool: Vec::new(),
             dfs_parent: FxHashMap::default(),
             dfs_stack: Vec::new(),
+            walks: 0,
+            #[cfg(test)]
+            queue_reads: 0,
             grants: 0,
             blocks: 0,
         }
@@ -363,11 +379,14 @@ impl LockManager {
         self.waiting.get(&txn).copied()
     }
 
-    /// The waits-for edges out of `txn`: the holders of the item it waits
-    /// for (other than itself, which an upgrader is), then the waiters
-    /// queued ahead of it (they will hold the lock before `txn` can).
-    /// Empty when `txn` is not blocked. This membership and order decide
-    /// which deadlock victim the detector picks.
+    /// The waits-for edges out of `txn`, in the order that decides the
+    /// deadlock victim: the holders of the item it waits for (other than
+    /// itself, which an upgrader is), then the waiters queued ahead of it
+    /// (they will hold the lock before `txn` can). Empty when `txn` is not
+    /// blocked. [`LockManager::find_deadlock_victim`] reads a suffix of
+    /// this list (the rest is known to be visited); the reference walk and
+    /// [`LockManager::check_acyclic`] read all of it.
+    #[cfg(test)]
     fn blockers(&self, txn: TxnId) -> impl Iterator<Item = TxnId> + '_ {
         let (holders, queue) = match self.waiting.get(&txn).and_then(|i| self.table.get(i)) {
             Some(state) => (&state.holders[..], state.queue.iter()),
@@ -379,34 +398,83 @@ impl LockManager {
 
     /// Detect a deadlock cycle reachable from `txn` (which must be
     /// blocked) and pick the youngest member (largest [`TxnId`]) as victim.
+    ///
+    /// A LIFO depth-first walk over the waits-for edges (`blockers`, in
+    /// order): a cycle exists iff `txn` is reachable from one of its
+    /// blockers, and the victim is the youngest transaction on the parent
+    /// chain of the first cycle the walk closes. A parent map doubles as
+    /// the visited set; it and the stack are reused across calls, so
+    /// steady-state detection allocates nothing.
+    ///
+    /// The walk reads each wait queue about twice, not once per waiter
+    /// expanded, and still makes exactly the pushes of an edge-by-edge
+    /// walk. Once a waiter of item I other than `txn` has been expanded
+    /// without closing a cycle, every holder of I and every waiter up to
+    /// it are in the parent map, and none is `txn` (reading `txn` closes
+    /// the cycle). Reading them again pushes nothing and closes nothing,
+    /// so a later waiter of I skips that covered prefix and reads only the
+    /// waiters between it and itself, in order. `txn` never covers its
+    /// own queue: it is not in the parent map, and as an upgrader it also
+    /// holds its item, so the next waiter of that item must still read it
+    /// and close the cycle. Per walk that is at most two reads of each
+    /// holder list and of each queue entry, plus one map lookup per node.
     pub fn find_deadlock_victim(&mut self, txn: TxnId) -> Option<TxnId> {
-        // LIFO DFS over the waits-for graph; a cycle exists iff `txn` is
-        // reachable from one of its blockers. `parent` maps each reached
-        // transaction to the node it was first reached from, and doubles
-        // as the visited set. Both buffers are taken from `self` and put
-        // back, so steady-state detection allocates nothing.
         let mut parent = std::mem::take(&mut self.dfs_parent);
         let mut stack = std::mem::take(&mut self.dfs_stack);
         parent.clear();
         stack.clear();
+        self.walks += 1;
+        let walk = self.walks;
         stack.push(txn);
         let victim = 'walk: {
             while let Some(node) = stack.pop() {
-                for b in self.blockers(node) {
-                    if b == txn {
-                        // The parent chain node → … → txn plus the closing
-                        // edge is the cycle.
-                        let (mut victim, mut cur) = (node, node);
-                        while cur != txn {
-                            cur = parent[&cur];
-                            victim = victim.max(cur);
+                // A running transaction waits for nothing.
+                let Some(state) = self.waiting.get(&node).and_then(|i| self.table.get_mut(i))
+                else {
+                    continue;
+                };
+                let covered = if state.walk == walk { state.covered } else { 0 };
+                if covered == 0 {
+                    for &(b, _) in state.holders.iter().filter(|&&(b, _)| b != node) {
+                        if b == txn {
+                            break 'walk Some(youngest_on_chain(&parent, node, txn));
                         }
-                        break 'walk Some(victim);
+                        if let Entry::Vacant(e) = parent.entry(b) {
+                            e.insert((node, None));
+                            stack.push(b);
+                        }
                     }
-                    if let Entry::Vacant(e) = parent.entry(b) {
-                        e.insert(node);
-                        stack.push(b);
+                }
+                // Read the waiters from the covered prefix up to `node`,
+                // whose position is known if the walk has read its entry.
+                let known = if node == txn { None } else { parent[&node].1 };
+                let end = known.map_or(state.queue.len(), |p| p as usize);
+                let mut at = covered.min(end);
+                for w in state.queue.range(at..end) {
+                    let b = w.txn;
+                    if b == node {
+                        break;
                     }
+                    #[cfg(test)]
+                    {
+                        self.queue_reads += 1;
+                    }
+                    if b == txn {
+                        break 'walk Some(youngest_on_chain(&parent, node, txn));
+                    }
+                    match parent.entry(b) {
+                        Entry::Vacant(e) => {
+                            e.insert((node, Some(at as u32)));
+                            stack.push(b);
+                        }
+                        Entry::Occupied(mut e) => e.get_mut().1 = Some(at as u32),
+                    }
+                    at += 1;
+                }
+                debug_assert_eq!(state.queue.get(at).map(|w| w.txn), Some(node));
+                if node != txn {
+                    state.walk = walk;
+                    state.covered = covered.max(at + 1);
                 }
             }
             None
@@ -533,6 +601,21 @@ impl LockManager {
             }
         }
     }
+}
+
+/// The youngest transaction on the walk's parent chain from `node` back
+/// to `root`: the victim of the cycle that the edge `node → root` closes.
+fn youngest_on_chain(
+    parent: &FxHashMap<TxnId, (TxnId, Option<u32>)>,
+    node: TxnId,
+    root: TxnId,
+) -> TxnId {
+    let (mut victim, mut cur) = (node, node);
+    while cur != root {
+        cur = parent[&cur].0;
+        victim = victim.max(cur);
+    }
+    victim
 }
 
 #[cfg(test)]
@@ -822,37 +905,13 @@ mod tests {
         assert_eq!(lm.grant_count(), 2);
     }
 
-    /// The original edge definition, kept verbatim as an oracle: holders
-    /// of the awaited item, then the waiters queued ahead.
-    fn reference_blockers(lm: &LockManager, txn: TxnId) -> Vec<TxnId> {
-        let Some(item) = lm.waiting.get(&txn) else {
-            return Vec::new();
-        };
-        let Some(state) = lm.table.get(item) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TxnId> = state
-            .holders
-            .iter()
-            .map(|(t, _)| *t)
-            .filter(|t| *t != txn)
-            .collect();
-        for w in &state.queue {
-            if w.txn == txn {
-                break;
-            }
-            out.push(w.txn);
-        }
-        out
-    }
-
     /// The original path-cloning DFS, kept verbatim as the victim oracle
     /// for [`LockManager::find_deadlock_victim`].
     fn reference_victim(lm: &LockManager, txn: TxnId) -> Option<TxnId> {
         let mut stack: Vec<(TxnId, Vec<TxnId>)> = vec![(txn, vec![txn])];
         let mut visited: Vec<TxnId> = Vec::new();
         while let Some((node, path)) = stack.pop() {
-            for b in reference_blockers(lm, node) {
+            for b in lm.blockers(node) {
                 if b == txn {
                     // `path` plus the closing edge is the cycle.
                     return path.iter().max().copied();
@@ -868,11 +927,74 @@ mod tests {
         None
     }
 
+    /// Drive random lock traffic under all three queue disciplines and
+    /// check, after every operation, that the detector picks exactly the
+    /// reference victim for every waiting transaction. Each op is
+    /// `(selector, item, mode, high, action)`: a new transaction (20%) or
+    /// a live one (65%, possibly re-requesting an item it holds) asks for
+    /// a lock, exclusive one time in four; a running transaction commits
+    /// (10%); any transaction aborts (5%).
+    fn detector_matches_reference_on(ops: &[(u64, u64, u8, bool, u8)]) {
+        for policy in [
+            LockPriorityPolicy::None,
+            LockPriorityPolicy::PriorityQueue,
+            LockPriorityPolicy::PreemptOnWait,
+        ] {
+            let mut lm = LockManager::new(policy);
+            let mut live: Vec<(TxnId, Priority)> = Vec::new();
+            let mut next = 0u64;
+            for &(sel, item, mode, high, action) in ops {
+                let pick = (sel as usize) % live.len().max(1);
+                match action {
+                    0..=16 => {
+                        let (t, prio) = if live.is_empty() || action < 4 {
+                            let prio = if high { Priority::High } else { Priority::Low };
+                            next += 1;
+                            live.push((TxnId(next), prio));
+                            (TxnId(next), prio)
+                        } else {
+                            live[pick]
+                        };
+                        if lm.waiting_for(t).is_none() {
+                            let mode = if mode == 0 {
+                                LockMode::Exclusive
+                            } else {
+                                LockMode::Shared
+                            };
+                            let _ = lm.request(t, prio, ItemId(item), mode);
+                        }
+                    }
+                    17 | 18 => {
+                        let running = live.iter().position(|&(t, _)| lm.waiting_for(t).is_none());
+                        if let Some(pos) = running {
+                            let _ = lm.release_all(live.swap_remove(pos).0);
+                        }
+                    }
+                    _ => {
+                        if !live.is_empty() {
+                            let _ = lm.abort(live.swap_remove(pick).0);
+                        }
+                    }
+                }
+                lm.check_invariants();
+                for &(t, _) in &live {
+                    if lm.waiting_for(t).is_some() {
+                        assert_eq!(
+                            lm.find_deadlock_victim(t),
+                            reference_victim(&lm, t),
+                            "{:?}: victim for {:?}",
+                            policy,
+                            t
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// The linear detector picks exactly the reference victim for
-        /// every waiting transaction after every operation, under all
-        /// three queue disciplines, with S/X modes, S→X upgrades (live
-        /// transactions re-request items they hold) and both priorities.
+        /// The detector picks exactly the reference victim with S/X
+        /// modes, S→X upgrades and both priorities over five items.
         /// Requests dominate and nothing resolves deadlocks, so live
         /// transactions pile up shared holds and overlapping cycles — the
         /// graphs in which walk order decides the victim.
@@ -883,67 +1005,41 @@ mod tests {
                 1..160,
             ),
         ) {
-            for policy in [
-                LockPriorityPolicy::None,
-                LockPriorityPolicy::PriorityQueue,
-                LockPriorityPolicy::PreemptOnWait,
-            ] {
-                let mut lm = LockManager::new(policy);
-                let mut live: Vec<(TxnId, Priority)> = Vec::new();
-                let mut next = 0u64;
-                for &(sel, item, mode, high, action) in &ops {
-                    let pick = (sel as usize) % live.len().max(1);
-                    match action {
-                        // A new transaction (20%) or a live one (65%,
-                        // possibly re-requesting an item it holds) asks
-                        // for a lock, exclusive one time in four.
-                        0..=16 => {
-                            let (t, prio) = if live.is_empty() || action < 4 {
-                                let prio = if high { Priority::High } else { Priority::Low };
-                                next += 1;
-                                live.push((TxnId(next), prio));
-                                (TxnId(next), prio)
-                            } else {
-                                live[pick]
-                            };
-                            if lm.waiting_for(t).is_none() {
-                                let mode = if mode == 0 {
-                                    LockMode::Exclusive
-                                } else {
-                                    LockMode::Shared
-                                };
-                                let _ = lm.request(t, prio, ItemId(item), mode);
-                            }
-                        }
-                        // Commit a running transaction (10%).
-                        17 | 18 => {
-                            let running = live.iter().position(|&(t, _)| lm.waiting_for(t).is_none());
-                            if let Some(pos) = running {
-                                let _ = lm.release_all(live.swap_remove(pos).0);
-                            }
-                        }
-                        // Abort any transaction (5%).
-                        _ => {
-                            if !live.is_empty() {
-                                let _ = lm.abort(live.swap_remove(pick).0);
-                            }
-                        }
-                    }
-                    lm.check_invariants();
-                    for &(t, _) in &live {
-                        if lm.waiting_for(t).is_some() {
-                            prop_assert_eq!(
-                                lm.find_deadlock_victim(t),
-                                reference_victim(&lm, t),
-                                "{:?}: victim for {:?}",
-                                policy,
-                                t
-                            );
-                        }
-                    }
-                }
-            }
+            detector_matches_reference_on(&ops);
         }
+
+        /// The same over one or two items and longer histories: queues
+        /// grow long, and one walk expands many waiters of the same
+        /// queue, so covered prefixes are extended and skipped many times.
+        #[test]
+        fn detector_matches_reference_victim_on_long_queues(
+            ops in proptest::collection::vec(
+                (any::<u64>(), 0u64..2, 0u8..4, any::<bool>(), 0u8..20),
+                1..400,
+            ),
+        ) {
+            detector_matches_reference_on(&ops);
+        }
+    }
+
+    /// One exclusive holder and 1,000 queued waiters, no cycle. Reading
+    /// every waiter's whole prefix would take about 1000²/2 queue reads;
+    /// the walk reads each entry at most twice (once for the root, once
+    /// for the first other waiter it expands).
+    #[test]
+    fn a_long_queue_is_read_in_linear_time() {
+        const K: u64 = 1000;
+        let mut lm = LockManager::new(LockPriorityPolicy::None);
+        let _ = lm.request(t(0), LO, i(1), LockMode::Exclusive);
+        for n in 1..=K {
+            assert_eq!(
+                lm.request(t(n), LO, i(1), LockMode::Exclusive),
+                RequestOutcome::Blocked
+            );
+        }
+        assert_eq!(lm.find_deadlock_victim(t(K)), None);
+        assert_eq!(reference_victim(&lm, t(K)), None);
+        assert!(lm.queue_reads < 2 * K, "{} queue reads", lm.queue_reads);
     }
 
     /// Walk order decides the victim when several cycles pass through the

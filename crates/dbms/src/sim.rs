@@ -1019,7 +1019,8 @@ impl<T: TraceSink> DbmsSim<T> {
         st.pending_cpu_extra = 0.0;
         if st.restarts > self.cfg.max_restarts {
             // Livelock guard: give up on 2PL for this transaction and let
-            // it run lock-free (never observed in the paper's range).
+            // it run lock-free. Rare, but reached in the paper's range
+            // (once in `figures --quick fig12`).
             st.phase = Phase::OnCpu;
             st.body.steps.iter_mut().for_each(|s| s.lock = None);
             self.runnable.push_back(r);
