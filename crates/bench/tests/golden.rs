@@ -1,6 +1,6 @@
 //! Golden determinism tests for the `figures` pivot tables.
 //!
-//! fig2 and fig12 (simulation-backed, `--quick` scale) and fig7
+//! fig2, fig3 and fig12 (simulation-backed, `--quick` scale) and fig7
 //! (analytic) are rendered to strings and compared byte-for-byte against
 //! checked-in snapshots. Anything that moves these tables — simulator
 //! behaviour, CI/table formatting, column layout — now fails loudly and
@@ -14,8 +14,8 @@
 //! commit must print the same bytes on every host and thread count.
 
 use xsched_bench::{
-    chaos_report, chaos_specs, controller_report, fig12_report, fig2_report, fig7_report, quick_rc,
-    quick_rc_heavy, SweepOpts,
+    chaos_report, chaos_specs, controller_report, fig12_report, fig2_report, fig3_report,
+    fig7_report, quick_rc, quick_rc_heavy, SweepOpts,
 };
 use xsched_core::{Driver, Targets};
 
@@ -53,6 +53,25 @@ fn fig2_quick_table_matches_golden_snapshot() {
         ..Default::default()
     };
     assert_eq!(report, fig2_report(&quick_rc(), &serial));
+}
+
+/// fig3 in `--quick` mode is the golden on an evicting buffer pool: its
+/// I/O-bound setups (5–10) hold only part of the database, so cold pages
+/// miss, are read from disk and evict the least recently used page, and
+/// most of them have ids at or above the pool's capacity.
+#[test]
+fn fig3_quick_table_matches_golden_snapshot() {
+    let opts = SweepOpts {
+        threads: 0,
+        ..Default::default()
+    };
+    let report = fig3_report(&quick_rc(), &opts);
+    check("fig3_quick.txt", &report);
+    let serial = SweepOpts {
+        threads: 1,
+        ..Default::default()
+    };
+    assert_eq!(report, fig3_report(&quick_rc(), &serial));
 }
 
 /// fig12 in `--quick` mode is the one golden on the priority-lock path

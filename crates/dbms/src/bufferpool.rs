@@ -6,17 +6,33 @@
 //! varies the buffer pool between 100 MB and 3 GB to turn the same
 //! benchmark into a CPU-bound or an I/O-bound workload).
 //!
-//! Implementation: intrusive doubly-linked LRU list over an Fx-hashed
-//! page map, O(1) probe and insert — the standard design, sized for tens
-//! of millions of probes per experiment. Page ids are plain integers the
-//! workload generator controls, so the map skips SipHash for the
-//! multiply-rotate Fx hash; probes are the single hottest operation in
-//! the simulator.
+//! Implementation: an intrusive doubly-linked LRU list over slots, O(1)
+//! probe and insert — the standard design, sized for tens of millions of
+//! probes per experiment. What differs is how a page finds its slot.
+//! Page ids are Zipf ranks (the workload draws rank `r` with weight
+//! `(r+1)^-θ`), and the driver warms the pool with exactly the ids
+//! `0..min(capacity, db_pages)`. So the ids below `capacity` are the hot
+//! set: a CPU-bound pool (it holds the whole database) never sees any
+//! other id, and an I/O-bound pool sends most of its probes there. Those
+//! ids find their slot through a direct index, a zeroed `Vec<u32>` of
+//! `slot + 1` (0 = absent) that costs one load and no hashing. Only the
+//! ids at or above `capacity` — cold pages an I/O-bound pool reads from
+//! disk — go through an Fx-hashed map, which therefore starts empty and
+//! grows only with the cold pages actually resident. The LRU order, the
+//! victim of every eviction and the hit/miss counts do not depend on
+//! where a slot is looked up, so they are exactly those of a single map.
 
 use crate::txn::PageId;
 use xsched_sim::FxHashMap;
 
+#[cfg(test)]
+mod oracle;
+
 const NIL: u32 = u32::MAX;
+
+/// Ids below this many are indexed directly even when the capacity is
+/// larger, so an absurd capacity cannot demand an absurd index.
+const DIRECT_MAX: usize = 1 << 22;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -29,9 +45,13 @@ struct Node {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    map: FxHashMap<PageId, u32>,
+    /// `slot + 1` of each resident page whose id is below `direct.len()`,
+    /// 0 for an absent one.
+    direct: Vec<u32>,
+    /// Slots of the resident pages whose ids are at or above `direct.len()`.
+    cold: FxHashMap<PageId, u32>,
+    /// One slot per resident page; a full pool reuses the victim's slot.
     nodes: Vec<Node>,
-    free: Vec<u32>,
     head: u32, // most recently used
     tail: u32, // least recently used
     hits: u64,
@@ -44,13 +64,35 @@ impl BufferPool {
         let capacity = capacity.max(1) as usize;
         BufferPool {
             capacity,
-            map: FxHashMap::with_capacity_and_hasher(capacity.min(1 << 22), Default::default()),
-            nodes: Vec::with_capacity(capacity.min(1 << 22)),
-            free: Vec::new(),
+            direct: vec![0; capacity.min(DIRECT_MAX)],
+            cold: FxHashMap::default(),
+            nodes: Vec::with_capacity(capacity.min(DIRECT_MAX)),
             head: NIL,
             tail: NIL,
             hits: 0,
             misses: 0,
+        }
+    }
+
+    /// The slot holding `page`, if it is resident.
+    #[inline]
+    fn slot(&self, page: PageId) -> Option<u32> {
+        if page.0 < self.direct.len() as u64 {
+            self.direct[page.0 as usize].checked_sub(1)
+        } else {
+            self.cold.get(&page).copied()
+        }
+    }
+
+    /// Record `page` as held in `slot`, or as absent for `None`.
+    #[inline]
+    fn set_slot(&mut self, page: PageId, slot: Option<u32>) {
+        if page.0 < self.direct.len() as u64 {
+            self.direct[page.0 as usize] = slot.map_or(0, |s| s + 1);
+        } else if let Some(s) = slot {
+            self.cold.insert(page, s);
+        } else {
+            self.cold.remove(&page);
         }
     }
 
@@ -59,7 +101,7 @@ impl BufferPool {
     /// is expected to perform the disk read and then [`BufferPool::insert`]
     /// the page.
     pub fn probe(&mut self, page: PageId) -> bool {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(idx) = self.slot(page) {
             self.hits += 1;
             self.move_to_front(idx);
             true
@@ -73,37 +115,27 @@ impl BufferPool {
     /// Returns the evicted page, if any. Inserting a resident page just
     /// refreshes its position.
     pub fn insert(&mut self, page: PageId) -> Option<PageId> {
-        if let Some(&idx) = self.map.get(&page) {
+        if let Some(idx) = self.slot(page) {
             self.move_to_front(idx);
             return None;
         }
-        let evicted = if self.map.len() >= self.capacity {
+        let (idx, evicted) = if self.nodes.len() >= self.capacity {
             let tail = self.tail;
             debug_assert_ne!(tail, NIL);
             let victim = self.nodes[tail as usize].page;
             self.unlink(tail);
-            self.map.remove(&victim);
-            self.free.push(tail);
-            Some(victim)
-        } else {
-            None
-        };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = Node {
-                page,
-                prev: NIL,
-                next: NIL,
-            };
-            idx
+            self.set_slot(victim, None);
+            self.nodes[tail as usize].page = page;
+            (tail, Some(victim))
         } else {
             self.nodes.push(Node {
                 page,
                 prev: NIL,
                 next: NIL,
             });
-            (self.nodes.len() - 1) as u32
+            ((self.nodes.len() - 1) as u32, None)
         };
-        self.map.insert(page, idx);
+        self.set_slot(page, Some(idx));
         self.push_front(idx);
         evicted
     }
@@ -149,12 +181,12 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len()
     }
 
     /// True if no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Capacity in pages.
@@ -186,6 +218,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(n: u64) -> PageId {
         PageId(n)
@@ -265,5 +298,79 @@ mod tests {
         assert_eq!(bp.insert(p(2)), Some(p(1)));
         assert!(bp.probe(p(2)));
         assert!(!bp.probe(p(1)));
+    }
+
+    /// The live pool and the oracle driven in lockstep; every call
+    /// asserts that both return the same value and agree on the length
+    /// and the hit/miss counts afterwards.
+    struct Twin {
+        pool: BufferPool,
+        oracle: oracle::BufferPool,
+    }
+
+    impl Twin {
+        fn new(capacity: u64) -> Twin {
+            Twin {
+                pool: BufferPool::new(capacity),
+                oracle: oracle::BufferPool::new(capacity),
+            }
+        }
+
+        fn check(&self) {
+            assert_eq!(self.pool.len(), self.oracle.len());
+            assert_eq!(self.pool.is_empty(), self.oracle.len() == 0);
+            assert_eq!(self.pool.hits(), self.oracle.hits());
+            assert_eq!(self.pool.misses(), self.oracle.misses());
+        }
+
+        fn probe(&mut self, page: PageId) -> bool {
+            let hit = self.pool.probe(page);
+            assert_eq!(hit, self.oracle.probe(page), "probe {page:?}");
+            self.check();
+            hit
+        }
+
+        fn insert(&mut self, page: PageId) {
+            let evicted = self.pool.insert(page);
+            assert_eq!(evicted, self.oracle.insert(page), "insert {page:?}");
+            self.check();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random warm-ups, probes, inserts and the simulator's
+        /// probe-then-insert-on-miss, over ids on both sides of the
+        /// capacity (so evictions move slots between the direct index
+        /// and the cold map), give the oracle's results at every step.
+        #[test]
+        fn pool_matches_the_oracle(
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..600),
+            capacity in 1u64..=64,
+        ) {
+            let mut twin = Twin::new(capacity);
+            for &(op, sel) in &ops {
+                // Mostly ids below 3× the capacity, now and then a far one.
+                let page = if sel % 16 == 0 { sel >> 4 } else { (sel >> 4) % (3 * capacity) };
+                match op {
+                    0 => {
+                        // Warm-up as the driver does it: hottest id last.
+                        for id in (0..page % (2 * capacity)).rev() {
+                            twin.insert(p(id));
+                        }
+                    }
+                    1 | 2 => {
+                        twin.probe(p(page));
+                    }
+                    3 => twin.insert(p(page)),
+                    _ => {
+                        if !twin.probe(p(page)) {
+                            twin.insert(p(page));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -562,6 +562,34 @@ mod tests {
         }
     }
 
+    /// Every bit of 180 solves over the jump-start's range (C² from
+    /// exponential to browsing, ρ up to 0.95, MPL up to 95), folded into
+    /// one FNV-1a digest: a kernel rewrite that moves any output bit of
+    /// any solve changes it.
+    #[test]
+    fn qbd_grid_digest_is_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for c2 in [1.0, 1.29, 2.0, 5.0, 15.0] {
+            for rho in [0.3, 0.7, 0.9, 0.95] {
+                for m in [1, 2, 3, 7, 10, 25, 50, 65, 95] {
+                    let s = FlexServer::new(rho / 0.1, H2::fit(0.1, c2), m).solve();
+                    for x in [
+                        s.mean_jobs,
+                        s.mean_waiting,
+                        s.mean_response_time,
+                        s.p_empty,
+                        s.p_wait,
+                    ] {
+                        for b in x.to_le_bytes() {
+                            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x3d4d_8244_e4d1_1c45, "digest {h:#018x}");
+    }
+
     #[test]
     #[should_panic(expected = "unstable")]
     fn overload_rejected() {

@@ -5,11 +5,25 @@
 //! the traffic. We model that with a Zipf(θ) law over `n` items. θ = 0 is
 //! uniform; larger θ concentrates mass on low-numbered items.
 //!
-//! Sampling uses a precomputed CDF with binary search for small `n`, and
-//! the rejection-inversion-free two-segment approximation ("hot set +
-//! uniform tail") for large `n` where materializing the CDF would be
-//! wasteful. The approximation keeps the head of the distribution exact
-//! (first `HOT_EXACT` items) which is what matters for lock contention.
+//! Sampling uses a precomputed CDF for small `n`, and the
+//! rejection-inversion-free two-segment approximation ("hot set + uniform
+//! tail") for large `n` where materializing the CDF would be wasteful.
+//! The approximation keeps the head of the distribution exact (first
+//! `HOT_EXACT` items) which is what matters for lock contention.
+//!
+//! A head draw is the first CDF entry not below the target — what a
+//! binary search (`partition_point(|c| c < target)`) returns — found in
+//! O(1) expected steps by an indexed search (Chen & Asau): a guide table
+//! of `K + 1` entries, `K` a power of two at least the head length,
+//! holds `guide[j] = partition_point(|c| c < j/K)`, and a draw scans
+//! forward from `guide[⌊target·K⌋]`. This is exact, not an
+//! approximation: multiplying by a power of two and dividing a small
+//! integer by a power of two are exact in binary floating point, so
+//! `j = ⌊target·K⌋` satisfies `j/K ≤ target` exactly; the CDF is
+//! nondecreasing, so every entry below `j/K` is below the target and the
+//! binary search's answer is at or after `guide[j]`; and the forward scan
+//! stops at the first entry not below the target, which is that answer.
+//! With `K ≥` the head length, a draw scans about one entry on average.
 
 use crate::rng::SimRng;
 
@@ -21,6 +35,9 @@ pub struct Zipf {
     n: u64,
     /// Exact CDF over the hot head (and the whole domain when n is small).
     head_cdf: Vec<f64>,
+    /// `guide[j]` is the first head index whose CDF entry is at least
+    /// `j / (guide.len() - 1)`; `guide.len() - 1` is a power of two.
+    guide: Vec<u32>,
     /// Probability mass of the head.
     head_mass: f64,
     /// Inverse of the tail's continuous CDF, with every term that does not
@@ -90,8 +107,19 @@ impl Zipf {
             acc += *w / total;
             *w = acc;
         }
+        let k = head.len().next_power_of_two();
+        let mut guide = Vec::with_capacity(k + 1);
+        let mut idx = 0;
+        for j in 0..=k {
+            let edge = j as f64 / k as f64;
+            while idx < head.len() && head[idx] < edge {
+                idx += 1;
+            }
+            guide.push(idx as u32);
+        }
         Zipf {
             n,
+            guide,
             head_cdf: head,
             head_mass: head_sum / total,
             tail,
@@ -114,12 +142,27 @@ impl Zipf {
                 (x.floor() as u64).clamp(self.head_cdf.len() as u64, self.n - 1)
             }
             _ => {
-                // Binary search the head CDF.
                 let target = u.min(*self.head_cdf.last().unwrap());
-                let idx = self.head_cdf.partition_point(|&c| c < target);
+                let idx = self.head_index(target);
+                debug_assert_eq!(idx, self.head_cdf.partition_point(|&c| c < target));
                 (idx as u64).min(self.n - 1)
             }
         }
+    }
+
+    /// The first head index whose CDF entry is not below `target`
+    /// (`target ≥ 0`): the guide table's bucket, then a forward scan.
+    #[inline]
+    fn head_index(&self, target: f64) -> usize {
+        let k = self.guide.len() - 1;
+        // Exact: `k` is a power of two. The cast floors, and saturates a
+        // target of 1 or more into the last bucket.
+        let j = ((target * k as f64) as usize).min(k);
+        let mut idx = self.guide[j] as usize;
+        while idx < self.head_cdf.len() && self.head_cdf[idx] < target {
+            idx += 1;
+        }
+        idx
     }
 }
 
@@ -147,7 +190,8 @@ mod tests {
         }
     }
 
-    /// The sampler with the tail inversion evaluated per draw.
+    /// The sampler with the tail inversion evaluated per draw and the
+    /// head searched by bisection.
     fn reference_sample(z: &Zipf, theta: f64, rng: &mut SimRng) -> u64 {
         let u = rng.uniform();
         if u < z.head_mass || z.head_cdf.len() == z.n as usize {
@@ -166,7 +210,7 @@ mod tests {
     #[test]
     fn precomputed_tail_matches_the_per_draw_formula() {
         // The workloads' (db_pages, page_theta) pairs, plus an all-head
-        // domain and a uniform one.
+        // domain and a uniform one; head draws check the guide table.
         let pairs = [
             (40_000, 1.0),
             (600_000, 0.6),
@@ -199,6 +243,44 @@ mod tests {
                     let want = invert_integral_pow(a, b, theta, v);
                     assert_eq!(tail.invert(v).to_bits(), want.to_bits(), "n {n}, v {v}");
                 }
+            }
+        }
+    }
+
+    /// The guide-table search returns the binary search's index at the
+    /// targets where an off-by-one would show: every bucket edge `j/K`,
+    /// the double just below each, zero, the double just below the head
+    /// mass, and the last CDF entry (the clamp of an all-head draw).
+    #[test]
+    fn guide_table_matches_the_binary_search_at_every_edge() {
+        let pairs = [
+            (40_000, 1.0),
+            (600_000, 0.6),
+            (100_000, 1.0),
+            (30_000, 0.9),
+            (200_000, 0.5),
+            (50_000, 0.9),
+            (1_000, 0.9),
+            (4_096, 1.0),
+            (1, 0.9),
+            (64, 0.0), // every CDF entry is a bucket edge
+            (100, 0.0),
+            (1_000_000, 0.0),
+        ];
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for (n, theta) in pairs {
+            let z = Zipf::new(n, theta);
+            let k = z.guide.len() - 1;
+            assert!(k.is_power_of_two() && k >= z.head_cdf.len(), "n {n}");
+            let last = *z.head_cdf.last().unwrap();
+            let mut targets = vec![0.0, below(z.head_mass), z.head_mass, last, below(last)];
+            for j in 1..=k {
+                let edge = j as f64 / k as f64;
+                targets.extend([edge, below(edge)]);
+            }
+            for t in targets {
+                let want = z.head_cdf.partition_point(|&c| c < t);
+                assert_eq!(z.head_index(t), want, "n {n}, θ {theta}, target {t:e}");
             }
         }
     }
