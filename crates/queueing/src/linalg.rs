@@ -8,12 +8,11 @@
 //!
 //! The O(n³) kernels — [`Mat::mul`], the LU elimination and the
 //! inverse's substitutions — are written as row-slice axpy loops
-//! (`row_r += f · row_k`), which the compiler vectorises; the product
-//! and the substitutions take four such terms per pass over the row, so
-//! the row is loaded and stored once per four. They compute exactly the
-//! bits of the textbook element-by-element loops: every output element
-//! still sees the same multiplications and additions in the same order,
-//! and only which elements are in flight together changes. So
+//! (`row_r += f · row_k`), which the compiler vectorises. They compute
+//! exactly the bits of the textbook element-by-element loops: every
+//! output element still sees the same multiplications and additions in
+//! the same order, and only which elements are in flight together
+//! changes. So
 //! `out[i][j]` of a product accumulates `a[i][k]·b[k][j]` in ascending
 //! `k` (skipping `a[i][k] = 0` as before), and the inverse solves all
 //! `n` right-hand sides at once, `X[r] -= L[r][j]·X[j]` for ascending
@@ -88,22 +87,15 @@ impl Mat {
         if self.cols == 0 || rhs.cols == 0 {
             return out;
         }
-        let b_row = |k: usize| &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-        let mut nonzero = Vec::with_capacity(self.cols);
         for (row, a_row) in out
             .data
             .chunks_exact_mut(rhs.cols)
             .zip(self.data.chunks_exact(self.cols))
         {
-            nonzero.clear();
-            nonzero.extend((0..self.cols).filter(|&k| a_row[k] != 0.0));
-            let mut quads = nonzero.chunks_exact(4);
-            for q in &mut quads {
-                let k = [q[0], q[1], q[2], q[3]];
-                axpy4::<false>(row, k.map(|k| a_row[k]), k.map(b_row));
-            }
-            for &k in quads.remainder() {
-                axpy::<false>(row, a_row[k], b_row(k));
+            for (&a, b_row) in a_row.iter().zip(rhs.data.chunks_exact(rhs.cols)) {
+                if a != 0.0 {
+                    axpy::<false>(row, a, b_row);
+                }
             }
         }
         out
@@ -261,21 +253,7 @@ impl Mat {
 /// long), the terms subtracted one by one in ascending `j`.
 #[inline]
 fn substitute(y: &mut [f64], coef: &[f64], rows: &[f64]) {
-    let n = y.len();
-    let mut coefs = coef.chunks_exact(4);
-    let mut quads = rows.chunks_exact(4 * n);
-    for (c, q) in (&mut coefs).zip(&mut quads) {
-        axpy4::<true>(
-            y,
-            [c[0], c[1], c[2], c[3]],
-            [&q[..n], &q[n..2 * n], &q[2 * n..3 * n], &q[3 * n..]],
-        );
-    }
-    for (&c, x) in coefs
-        .remainder()
-        .iter()
-        .zip(quads.remainder().chunks_exact(n))
-    {
+    for (&c, x) in coef.iter().zip(rows.chunks_exact(y.len())) {
         axpy::<true>(y, c, x);
     }
 }
@@ -289,30 +267,6 @@ fn axpy<const SUB: bool>(y: &mut [f64], a: f64, x: &[f64]) {
         } else {
             *y += a * x;
         }
-    }
-}
-
-/// Four [`axpy`]s, `a[0]·x[0]` first, in one pass: each element of `y`
-/// takes the four terms in order exactly as four passes would give them,
-/// but is loaded and stored once instead of four times.
-#[inline]
-fn axpy4<const SUB: bool>(y: &mut [f64], a: [f64; 4], x: [&[f64]; 4]) {
-    let [x0, x1, x2, x3] = x;
-    let terms = x0.iter().zip(x1).zip(x2).zip(x3);
-    for (y, (((&x0, &x1), &x2), &x3)) in y.iter_mut().zip(terms) {
-        let mut t = *y;
-        if SUB {
-            t -= a[0] * x0;
-            t -= a[1] * x1;
-            t -= a[2] * x2;
-            t -= a[3] * x3;
-        } else {
-            t += a[0] * x0;
-            t += a[1] * x1;
-            t += a[2] * x2;
-            t += a[3] * x3;
-        }
-        *y = t;
     }
 }
 
