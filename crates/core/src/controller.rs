@@ -148,6 +148,16 @@ pub struct MplController {
     trace: Vec<IterationRecord>,
 }
 
+/// The flexible-multiserver model behind the jump-start's response-time
+/// bound: the H2 job-size fit and the arrival rate λ. The model needs a
+/// stable open system, so the load is capped at 0.95 and a saturated
+/// closed-system measurement still yields a usable bound.
+fn response_time_model(demand_mean: f64, demand_c2: f64, arrival_rate: f64) -> (H2, f64) {
+    let rho = (arrival_rate * demand_mean).min(0.95);
+    let h2 = H2::fit(demand_mean, demand_c2.max(1.0));
+    (h2, rho / demand_mean)
+}
+
 impl MplController {
     /// A controller starting at `initial_mpl` (ideally from
     /// [`MplController::jumpstart`]).
@@ -184,12 +194,7 @@ impl MplController {
     ) -> u32 {
         let model = ThroughputModel::from_utilizations(utilizations);
         let tput_mpl = recommend::min_mpl_for_throughput(&model, 1.0 - targets.max_tput_loss);
-        // The response-time model needs a stable open system; cap the load
-        // at 0.95 so a saturated closed-system measurement still yields a
-        // usable bound.
-        let rho = (arrival_rate * demand_mean).min(0.95);
-        let h2 = H2::fit(demand_mean, demand_c2.max(1.0));
-        let lambda = rho / demand_mean;
+        let (h2, lambda) = response_time_model(demand_mean, demand_c2, arrival_rate);
         let rt_mpl =
             recommend::min_mpl_for_response_time(h2, lambda, targets.max_rt_increase, max_mpl);
         tput_mpl.max(rt_mpl).min(max_mpl)
@@ -687,30 +692,124 @@ mod tests {
         assert!(j2 >= 5, "C2=15 needs a two-digit MPL, got {j2}");
     }
 
+    /// The jump-start's analytic inputs in a quick controller session:
+    /// the reference run's utilizations and throughput, demand mean/C².
+    struct JumpstartCase {
+        setup: u32,
+        utils: &'static [f64],
+        mean: f64,
+        c2: f64,
+        tput: f64,
+        /// The jump-start they give.
+        want: u32,
+    }
+
+    /// The setups whose jump-start is set by the response-time model.
+    const HIGH_C2_JUMPSTARTS: [JumpstartCase; 7] = [
+        JumpstartCase {
+            setup: 3,
+            utils: &[0.9999999914224076, 0.0, 0.057289583136172356],
+            mean: 0.052000000000000005,
+            c2: 15.076035502958574,
+            tput: 17.462467694606186,
+            want: 50,
+        },
+        JumpstartCase {
+            setup: 4,
+            utils: &[0.9999999881949007, 0.0, 0.11504701126032614],
+            mean: 0.052000000000000005,
+            c2: 15.076035502958574,
+            tput: 38.75665248751392,
+            want: 95,
+        },
+        JumpstartCase {
+            setup: 9,
+            utils: &[
+                0.18019759177594896,
+                0.9999999960479479,
+                0.012108295871435575,
+            ],
+            mean: 0.33715059026778,
+            c2: 13.371672819034693,
+            tput: 3.5673041181684595,
+            want: 92,
+        },
+        JumpstartCase {
+            setup: 10,
+            utils: &[
+                0.7103004631876818,
+                0.9720916436690078,
+                0.9685565020685872,
+                0.9742163534361739,
+                0.9671922928096707,
+                0.043813784557557786,
+            ],
+            mean: 0.3375300694838607,
+            c2: 13.371478373492597,
+            tput: 13.575008647995576,
+            want: 92,
+        },
+        JumpstartCase {
+            setup: 14,
+            utils: &[0.9999999912825499, 0.0, 0.05600027969687028],
+            mean: 0.054000000000000006,
+            c2: 3.8045267489711927,
+            tput: 18.44685537448503,
+            want: 65,
+        },
+        JumpstartCase {
+            setup: 15,
+            utils: &[0.999816029814307, 0.0, 0.08422133160038302],
+            mean: 0.054000000000000006,
+            c2: 3.8045267489711927,
+            tput: 27.998850434249075,
+            want: 65,
+        },
+        JumpstartCase {
+            setup: 16,
+            utils: &[0.9999999881655449, 0.0, 0.1124065614809007],
+            mean: 0.054000000000000006,
+            c2: 3.8045267489711927,
+            tput: 39.352062369808685,
+            want: 65,
+        },
+    ];
+
     #[test]
     fn jumpstart_pins_high_c2_setups() {
-        // The analytic inputs of setup 3's and setup 14's quick controller
-        // sessions (the reference run's utilizations and throughput,
-        // demand mean/C²), so the response-time search that sets these
-        // jump-starts is pinned without a simulation.
-        let s3 = MplController::jumpstart(
-            &[0.9999999914224076, 0.0, 0.057289583136172356],
-            Targets::five_percent(),
-            0.052000000000000005,
-            15.076035502958574,
-            17.462467694606186,
-            100,
-        );
-        assert_eq!(s3, 50);
-        let s14 = MplController::jumpstart(
-            &[0.9999999912825499, 0.0, 0.05600027969687028],
-            Targets::five_percent(),
-            0.054000000000000006,
-            3.8045267489711927,
-            18.44685537448503,
-            100,
-        );
-        assert_eq!(s14, 65);
+        // The response-time search that sets these jump-starts, pinned
+        // without a simulation.
+        for c in &HIGH_C2_JUMPSTARTS {
+            let got = MplController::jumpstart(
+                c.utils,
+                Targets::five_percent(),
+                c.mean,
+                c.c2,
+                c.tput,
+                100,
+            );
+            assert_eq!(got, c.want, "setup {}", c.setup);
+        }
+    }
+
+    #[test]
+    fn jumpstart_solves_at_most_twice_above_half_the_answer() {
+        // A QBD solve costs O(MPL³): the model-guided search spends two
+        // solves near the answer on setups 3 and 4, where gallop-then-
+        // bisect spent seven above half of it.
+        for c in &HIGH_C2_JUMPSTARTS[..2] {
+            let (h2, lambda) = response_time_model(c.mean, c.c2, c.tput);
+            let ps = xsched_queueing::mg1::mg1_ps_response_time(lambda, h2.mean());
+            let slack = Targets::five_percent().max_rt_increase;
+            let mut solves = Vec::new();
+            let got = recommend::search_min_mpl(100, ps, slack, |mpl| {
+                solves.push(mpl);
+                xsched_queueing::FlexServer::new(lambda, h2, mpl).mean_response_time()
+            });
+            assert_eq!(got, c.want, "setup {}", c.setup);
+            let high = solves.iter().filter(|&&m| 2 * m > got).count();
+            assert!(high <= 2, "setup {}: solves {solves:?}", c.setup);
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * the boundary levels `0..=m` are reduced backward one level at a
 //!   time from the top block `A1 + R·A2`, then propagated up from level
 //!   0 and normalised — one `(n+1)`-square inverse per level instead of
-//!   one LU over all `(m+1)(m+2)/2` boundary states.
+//!   one LU over all `(m+1)(m+2)/2` boundary states. The down-transition
+//!   blocks have two diagonals, so each level's reduced block is built
+//!   from them in O(n²), not by a dense O(n³) product, with the same bits.
 //!
 //! Together they make a solve at the MPLs the jump-start visits (50–95
 //! on the heavy-tailed setups) cost milliseconds to a few tenths of a
@@ -321,8 +323,7 @@ impl FlexServer {
         for n in (1..=m).rev() {
             let s_below = self.boundary_up(n - 1).mul(&block.inverse()).scale(-1.0);
             if n > 1 {
-                block =
-                    Mat::diag(&self.boundary_diag(n - 1)).add(&s_below.mul(&self.boundary_down(n)));
+                block = self.reduced_block(n, &s_below);
             }
             s.push(s_below);
         }
@@ -345,6 +346,30 @@ impl FlexServer {
             *x /= total;
         }
         Stationary { levels, r, inv_imr }
+    }
+
+    /// Level `n − 1`'s reduced block `L(n−1) + S·Down(n)`, where `S` is
+    /// the `n × (n+1)` map from level `n − 1` to level `n`.
+    ///
+    /// `Down(n)` has two diagonals: column `c` holds the phase-2
+    /// completion rate of row `c` and the phase-1 completion rate of row
+    /// `c + 1`. So each element is `0 + S[i][c]·d[c] + S[i][c+1]·e[c]`
+    /// — the dense product's nonzero terms in its order. The dense
+    /// product's other terms are `S[i][k]·0 = ±0`, and adding ±0 to an
+    /// accumulator that starts at +0 changes no bit, so this is the dense
+    /// `Mat::diag(L).add(&S.mul(&Down))` at O(n²) instead of O(n³).
+    fn reduced_block(&self, n: usize, s: &Mat) -> Mat {
+        debug_assert_eq!((s.rows(), s.cols()), (n, n + 1));
+        let (mu1, mu2) = (self.job_size.mu1, self.job_size.mu2);
+        // `Down(n)[c][c]` and `Down(n)[c+1][c]`, built as `boundary_down`
+        // builds them.
+        let phase2: Vec<f64> = (0..n).map(|c| (n - c) as f64 * mu2 / n as f64).collect();
+        let phase1: Vec<f64> = (0..n).map(|c| (c + 1) as f64 * mu1 / n as f64).collect();
+        let diag = self.boundary_diag(n - 1);
+        Mat::from_fn(n, n, |i, c| {
+            let local = if i == c { diag[i] } else { 0.0 };
+            local + (0.0 + s[(i, c)] * phase2[c] + s[(i, c + 1)] * phase1[c])
+        })
     }
 }
 
@@ -559,6 +584,38 @@ mod tests {
         for (n, p) in dist.iter().take(20).enumerate() {
             let want = 0.4 * 0.6f64.powi(n as i32);
             assert!((p - want).abs() < 1e-9, "n={n}: {p} vs {want}");
+        }
+    }
+
+    #[test]
+    fn reduced_block_matches_the_dense_product_bit_for_bit() {
+        let fs = FlexServer::new(9.0, H2::fit(0.1, 15.0), 12);
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for n in 1..=12 {
+            // Signs, magnitudes and exact zeros mixed.
+            let s = Mat::from_fn(n, n + 1, |_, _| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if x >> 62 == 0 {
+                    0.0
+                } else {
+                    ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3
+                }
+            });
+            let dense = Mat::diag(&fs.boundary_diag(n - 1)).add(&s.mul(&fs.boundary_down(n)));
+            let fast = fs.reduced_block(n, &s);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        fast[(i, j)].to_bits(),
+                        dense[(i, j)].to_bits(),
+                        "n={n} ({i},{j}): {} vs {}",
+                        fast[(i, j)],
+                        dense[(i, j)]
+                    );
+                }
+            }
         }
     }
 

@@ -139,7 +139,9 @@ impl Zipf {
                 // Tail: invert the continuous approximation of the CDF.
                 let v = (u - self.head_mass) / (1.0 - self.head_mass);
                 let x = tail.invert(v);
-                (x.floor() as u64).clamp(self.head_cdf.len() as u64, self.n - 1)
+                // `x` is at least the head length + ½ > 0, where the cast's
+                // truncation is `floor` without its library call.
+                (x as u64).clamp(self.head_cdf.len() as u64, self.n - 1)
             }
             _ => {
                 let target = u.min(*self.head_cdf.last().unwrap());
