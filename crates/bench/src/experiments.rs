@@ -1,12 +1,12 @@
 //! One function per table/figure of Schroeder et al. (ICDE 2006).
 //!
 //! Every simulation-backed experiment builds a [`SweepPlan`] — a list of
-//! [`Scenario`] literals — and renders it with the shared
-//! [`pivot_table`](crate::table::pivot_table) builder, so all figures share
-//! one execution path: multi-core fan-out over `(scenario, seed)` tasks
-//! and 95% confidence intervals whenever more than one replication seed is
-//! configured (see [`SweepOpts`]). Analytic experiments (Figs. 7, 9, 10)
-//! take no configuration — they are exact.
+//! [`Scenario`] literals — and renders it with the shared [`pivot_table`]
+//! builder, so all figures share one execution path: multi-core fan-out
+//! over `(scenario, seed)` tasks and 95% confidence intervals whenever
+//! more than one replication seed is configured (see [`SweepOpts`]).
+//! Analytic experiments (Figs. 7, 9, 10) take no configuration — they are
+//! exact.
 
 use crate::fmt::{f0, f1, f2, f3, ms, table};
 use crate::table::{pivot_table, Col};
@@ -367,7 +367,7 @@ pub fn throughput_curves(
 
 /// The `(curve label, setup id)` rows of Fig. 2 — a deliberately
 /// heterogeneous grid: the browsing setups run 5× the transactions of the
-/// inventory ones (see [`rc_for`]).
+/// inventory ones: heavy-tailed setups scale their run length.
 pub const FIG2_LABELS: [(&str, u32); 4] = [
     ("W_CPU-inventory 1 CPU", 1),
     ("W_CPU-inventory 2 CPUs", 2),
@@ -376,7 +376,8 @@ pub const FIG2_LABELS: [(&str, u32); 4] = [
 ];
 
 /// Scenario grid of a throughput-vs-MPL figure: labeled setups × MPL
-/// grid, with per-setup run-length scaling ([`rc_for`]).
+/// grid, with per-setup run-length scaling (heavy-tailed setups run
+/// longer).
 pub fn tput_scenarios(labels: &[(&str, u32)], grid: &[u32], rc: &RunConfig) -> Vec<Scenario> {
     labeled_setups(labels)
         .into_iter()
@@ -641,6 +642,7 @@ fn controller_scenario(
         exec: ExecSpec::Controller {
             targets: Targets::five_percent(),
             start,
+            chaos: None,
         },
         rc: rc_for(id, rc),
     }
@@ -785,10 +787,10 @@ pub fn chaos_report(rc: &RunConfig, opts: &SweepOpts) -> String {
             row: label.to_string(),
             col: String::new(),
             setup: setup(1),
-            exec: ExecSpec::Chaos {
-                chaos,
+            exec: ExecSpec::Controller {
                 targets: Targets::twenty_percent(),
                 start: None,
+                chaos: Some(chaos),
             },
             rc: rc.clone(),
         })

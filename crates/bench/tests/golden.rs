@@ -107,11 +107,13 @@ fn fig7_table_matches_golden_snapshot() {
 #[test]
 fn controller_series_quick_matches_golden_snapshot() {
     let d = Driver::new(xsched_workload::setup(1)).with_config(quick_rc());
-    let (_, series) = d.run_controller_with_series(Targets::twenty_percent(), None);
+    let mut series = Default::default();
+    d.session(Targets::twenty_percent(), None, None, Some(&mut series));
     assert!(!series.is_empty(), "a converging session emits ticks");
     check("controller_series_quick.txt", &series.encode_text());
     // Determinism claim: a second session reproduces the same bytes.
-    let (_, again) = d.run_controller_with_series(Targets::twenty_percent(), None);
+    let mut again = Default::default();
+    d.session(Targets::twenty_percent(), None, None, Some(&mut again));
     assert_eq!(series.encode_text(), again.encode_text());
 }
 
@@ -157,10 +159,13 @@ fn chaos_series_quick_matches_golden_snapshot() {
     let (label, spec) = &specs[0];
     assert_eq!(*label, "stall");
     let d = Driver::new(xsched_workload::setup(1)).with_config(quick_rc_heavy());
-    let (out, series) = d.run_chaos_with_series(spec, Targets::twenty_percent(), None);
+    let targets = Targets::twenty_percent();
+    let mut series = Default::default();
+    let out = d.session(targets, None, Some(spec), Some(&mut series));
     assert!(out.post_onset_windows > 0, "onset inside the session");
     assert!(!series.is_empty(), "a chaos session emits ticks");
     check("chaos_series_quick.txt", &series.encode_text());
-    let (_, again) = d.run_chaos_with_series(spec, Targets::twenty_percent(), None);
+    let mut again = Default::default();
+    d.session(targets, None, Some(spec), Some(&mut again));
     assert_eq!(series.encode_text(), again.encode_text());
 }

@@ -1,10 +1,10 @@
 //! Plan-level memoization of capacity (reference) measurements.
 //!
-//! The open-system figures resolve [`ArrivalSpec::OpenLoad`] and
-//! [`MplSpec::AtLoss`] against the setup's MPL-less *reference* run — a
-//! full simulation that, without caching, re-executes for every grid cell
-//! and every replication seed even though it only depends on
-//! `(setup, run config, seed)`. A [`MeasurementCache`] shared across a
+//! The open-system figures resolve [`ArrivalSpec::OpenLoad`], and the
+//! priority and controller cells calibrate, against the setup's MPL-less
+//! *reference* run — a full simulation that, without caching, re-executes
+//! for every grid cell and every replication seed even though it only
+//! depends on `(setup, run config, seed)`. A [`MeasurementCache`] shared across a
 //! sweep memoizes those runs, so an S-setup × L-load × R-seed grid
 //! performs exactly S×R capacity measurements instead of S×L×R.
 //!
@@ -16,7 +16,6 @@
 //! the hit/miss counters deterministic regardless of thread count.
 //!
 //! [`ArrivalSpec::OpenLoad`]: crate::scenario::ArrivalSpec::OpenLoad
-//! [`MplSpec::AtLoss`]: crate::scenario::MplSpec::AtLoss
 //! [`Scenario::run`]: crate::scenario::Scenario::run
 
 use crate::driver::{RunConfig, RunResult};
@@ -48,9 +47,7 @@ pub struct MeasurementKey {
     warmup_txns: u64,
     measured_txns: u64,
     seed: u64,
-    max_sim_time: u64,
     min_warmup_time: u64,
-    warm_pool: bool,
     high_fraction: u64,
 }
 
@@ -64,9 +61,7 @@ impl MeasurementKey {
             warmup_txns,
             measured_txns,
             seed,
-            max_sim_time,
             min_warmup_time,
-            warm_pool,
             high_fraction,
         } = *rc;
         MeasurementKey {
@@ -75,9 +70,7 @@ impl MeasurementKey {
             warmup_txns,
             measured_txns,
             seed,
-            max_sim_time: max_sim_time.to_bits(),
             min_warmup_time: min_warmup_time.to_bits(),
-            warm_pool,
             high_fraction: high_fraction.to_bits(),
         }
     }
@@ -261,15 +254,7 @@ mod tests {
                 ..rc.clone()
             },
             RunConfig {
-                max_sim_time: 1.0,
-                ..rc.clone()
-            },
-            RunConfig {
                 min_warmup_time: 1.0,
-                ..rc.clone()
-            },
-            RunConfig {
-                warm_pool: false,
                 ..rc.clone()
             },
             RunConfig {

@@ -46,47 +46,22 @@ impl Targets {
     }
 }
 
-/// Controller tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Feasibility targets.
-    pub targets: Targets,
-    /// Minimum transactions per observation window (paper: ≈ 100).
-    pub min_window_txns: u32,
-    /// Confidence level for the response-time CI gate.
-    pub ci_level: f64,
-    /// Close the window once the CI's relative half-width drops below
-    /// this…
-    pub max_ci_rel_width: f64,
-    /// …or once this many transactions have been observed regardless.
-    pub max_window_txns: u32,
-    /// MPL bounds.
-    pub min_mpl: u32,
-    /// Upper bound for the search.
-    pub max_mpl: u32,
-    /// Base reaction step size (grows geometrically on consecutive
-    /// same-direction reactions, resets on reversal).
-    pub step: u32,
-    /// Windows whose throughput is below this fraction of the reference
-    /// are considered unrepresentative and discarded.
-    pub min_load_fraction: f64,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            targets: Targets::five_percent(),
-            min_window_txns: 100,
-            ci_level: 0.95,
-            max_ci_rel_width: 0.25,
-            max_window_txns: 1000,
-            min_mpl: 1,
-            max_mpl: 200,
-            step: 1,
-            min_load_fraction: 0.2,
-        }
-    }
-}
+/// Minimum transactions per observation window (paper: ≈ 100).
+const MIN_WINDOW_TXNS: u64 = 100;
+/// Confidence level of the response-time CI gate.
+const CI_LEVEL: f64 = 0.95;
+/// A window closes once its CI's relative half-width drops below this…
+const MAX_CI_REL_WIDTH: f64 = 0.25;
+/// …or once this many transactions have been observed regardless.
+const MAX_WINDOW_TXNS: u64 = 1000;
+/// Lower bound of the MPL search.
+const MIN_MPL: u32 = 1;
+/// Base reaction step (grows geometrically on consecutive
+/// same-direction reactions, resets on reversal).
+const STEP: u32 = 1;
+/// Windows whose throughput is below this fraction of the reference are
+/// considered unrepresentative and discarded.
+const MIN_LOAD_FRACTION: f64 = 0.2;
 
 /// Performance of the unthrottled system (measured in a calibration run or
 /// supplied by the DBA).
@@ -135,7 +110,9 @@ struct Window {
 /// Feedback controller for the multi-programming limit.
 #[derive(Debug)]
 pub struct MplController {
-    cfg: ControllerConfig,
+    targets: Targets,
+    /// Upper bound of the MPL search.
+    max_mpl: u32,
     reference: Reference,
     mpl: u32,
     window: Window,
@@ -159,12 +136,18 @@ fn response_time_model(demand_mean: f64, demand_c2: f64, arrival_rate: f64) -> (
 }
 
 impl MplController {
-    /// A controller starting at `initial_mpl` (ideally from
-    /// [`MplController::jumpstart`]).
-    pub fn new(cfg: ControllerConfig, reference: Reference, initial_mpl: u32) -> MplController {
-        let mpl = initial_mpl.clamp(cfg.min_mpl, cfg.max_mpl);
+    /// A controller for `targets` searching MPLs up to `max_mpl`, starting
+    /// at `initial_mpl` (ideally from [`MplController::jumpstart`]).
+    pub fn new(
+        targets: Targets,
+        max_mpl: u32,
+        reference: Reference,
+        initial_mpl: u32,
+    ) -> MplController {
+        let mpl = initial_mpl.clamp(MIN_MPL, max_mpl);
         MplController {
-            cfg,
+            targets,
+            max_mpl,
             reference,
             mpl,
             window: Window::default(),
@@ -243,16 +226,16 @@ impl MplController {
     /// to do. Returns `None` while the window is still collecting.
     pub fn react(&mut self, now: f64) -> Option<Decision> {
         let n = self.window.rt.count();
-        if n < u64::from(self.cfg.min_window_txns) {
+        if n < MIN_WINDOW_TXNS {
             return None;
         }
         let ci_ok = self
             .window
             .rt
-            .confidence_interval(self.cfg.ci_level)
+            .confidence_interval(CI_LEVEL)
             .relative_half_width()
-            <= self.cfg.max_ci_rel_width;
-        if !ci_ok && n < u64::from(self.cfg.max_window_txns) {
+            <= MAX_CI_REL_WIDTH;
+        if !ci_ok && n < MAX_WINDOW_TXNS {
             return None;
         }
         // Window closes.
@@ -269,7 +252,7 @@ impl MplController {
             started: true,
         };
 
-        if tput < self.cfg.min_load_fraction * self.reference.throughput {
+        if tput < MIN_LOAD_FRACTION * self.reference.throughput {
             // Unrepresentative (idle) period: discard without reacting —
             // but say so, and count it, so a stall-induced string of
             // discards is distinguishable from "still collecting".
@@ -277,8 +260,8 @@ impl MplController {
             return Some(Decision::Discarded);
         }
 
-        let tput_bad = tput < (1.0 - self.cfg.targets.max_tput_loss) * self.reference.throughput;
-        let rt_bad = rt > (1.0 + self.cfg.targets.max_rt_increase) * self.reference.mean_rt;
+        let tput_bad = tput < (1.0 - self.targets.max_tput_loss) * self.reference.throughput;
+        let rt_bad = rt > (1.0 + self.targets.max_rt_increase) * self.reference.mean_rt;
         let feasible = !tput_bad && !rt_bad;
         self.trace.push(IterationRecord {
             mpl: self.mpl,
@@ -287,14 +270,14 @@ impl MplController {
             feasible,
         });
 
-        let step = self.cfg.step;
+        let step = STEP;
         if feasible {
             self.up_streak = 0;
             self.best_feasible = Some(self.best_feasible.map_or(self.mpl, |b| b.min(self.mpl)));
             if self.converged {
                 return Some(Decision::Converged(self.mpl));
             }
-            if self.mpl <= self.cfg.min_mpl || self.mpl <= self.highest_infeasible + step {
+            if self.mpl <= MIN_MPL || self.mpl <= self.highest_infeasible + step {
                 self.converged = true;
                 return Some(Decision::Converged(self.mpl));
             }
@@ -306,7 +289,7 @@ impl MplController {
                 .mpl
                 .saturating_sub(step_eff)
                 .max(self.highest_infeasible + step)
-                .max(self.cfg.min_mpl);
+                .max(MIN_MPL);
             if next == self.mpl {
                 self.converged = true;
                 return Some(Decision::Converged(self.mpl));
@@ -332,9 +315,9 @@ impl MplController {
         // closed system rt ≈ population/throughput, so a marginally starved
         // window shows high rt with tput just above the loss line, and
         // stepping down there would starve it further.
-        let congested = rt_bad
-            && tput >= (1.0 - 0.5 * self.cfg.targets.max_tput_loss) * self.reference.throughput;
-        if congested && self.mpl > self.cfg.min_mpl {
+        let congested =
+            rt_bad && tput >= (1.0 - 0.5 * self.targets.max_tput_loss) * self.reference.throughput;
+        if congested && self.mpl > MIN_MPL {
             // A congestion down-step must not land on or below the
             // starvation floor: there the two signals contradict —
             // starved one step below, rt marginally over here while
@@ -353,7 +336,7 @@ impl MplController {
             // This window refutes feasibility at (and, rt being monotone
             // in MPL, above) the current setpoint.
             self.best_feasible = self.best_feasible.filter(|b| *b < self.mpl);
-            let next = self.mpl.saturating_sub(step).max(self.cfg.min_mpl);
+            let next = self.mpl.saturating_sub(step).max(MIN_MPL);
             self.mpl = next;
             return Some(Decision::SetMpl(next));
         }
@@ -375,7 +358,7 @@ impl MplController {
         // failures.
         let step_eff = step << self.up_streak.min(3);
         self.up_streak += 1;
-        let next = (self.mpl + step_eff).min(self.cfg.max_mpl);
+        let next = (self.mpl + step_eff).min(self.max_mpl);
         if next == self.mpl {
             // Pinned at the ceiling: best effort.
             self.converged = true;
@@ -395,6 +378,11 @@ mod tests {
             throughput: 100.0,
             mean_rt: 1.0,
         }
+    }
+
+    /// A 5%-target controller searching MPLs up to 200.
+    fn new_controller(initial_mpl: u32) -> MplController {
+        MplController::new(Targets::five_percent(), 200, reference(), initial_mpl)
     }
 
     /// Feed a synthetic window: `n` completions with the given mean rt,
@@ -420,7 +408,7 @@ mod tests {
 
     #[test]
     fn no_reaction_before_window_fills() {
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 10);
+        let mut c = new_controller(10);
         for i in 0..50 {
             c.observe(i as f64 * 0.01, 1.0);
         }
@@ -429,8 +417,7 @@ mod tests {
 
     #[test]
     fn probes_down_while_feasible_then_converges() {
-        let cfg = ControllerConfig::default();
-        let mut c = MplController::new(cfg, reference(), 4);
+        let mut c = new_controller(4);
         // MPL 4 and 3 feasible; 2 infeasible; expect convergence at 3.
         let mut t = 0.0;
         let feasibility = |mpl: u32| mpl >= 3;
@@ -459,7 +446,7 @@ mod tests {
 
     #[test]
     fn climbs_up_when_starting_infeasible() {
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 1);
+        let mut c = new_controller(1);
         let mut t = 0.0;
         let mut last = None;
         for _ in 0..15 {
@@ -484,7 +471,7 @@ mod tests {
         // Starting at the analytic value (here 5) converges in ≤ 3 windows
         // vs starting cold at 1.
         let run = |start: u32| {
-            let mut c = MplController::new(ControllerConfig::default(), reference(), start);
+            let mut c = new_controller(start);
             let mut t = 0.0;
             for _ in 0..20 {
                 let (tput, rt) = if c.mpl() >= 5 {
@@ -507,7 +494,7 @@ mod tests {
 
     #[test]
     fn low_load_windows_are_discarded() {
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 10);
+        let mut c = new_controller(10);
         // Throughput 10 << 0.2 × 100 → window discarded, MPL unchanged —
         // but the discard is *reported*, not silently swallowed.
         let (_, d) = feed_window(&mut c, 0.0, 120, 10.0, 1.0);
@@ -522,7 +509,7 @@ mod tests {
         // Regression: `Window.start` used to be the first-completion time,
         // so idle time after the previous reaction (a stall, a lull) was
         // excluded from the span and window throughput overstated.
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 10);
+        let mut c = new_controller(10);
         // Window 1 closes at t = 1.2 (throughput 100, feasible → probes).
         let (e, d) = feed_window(&mut c, 0.0, 120, 100.0, 1.0);
         assert!(matches!(d, Some(Decision::SetMpl(_))));
@@ -544,7 +531,7 @@ mod tests {
         // up to 10. The stale bracket (highest_infeasible = 2,
         // best_feasible = 3) describes the old workload; on the first
         // post-drift infeasible window it must be dropped wholesale.
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 3);
+        let mut c = new_controller(3);
         let mut t = 0.0;
         let mut frontier = 3u32;
         loop {
@@ -594,7 +581,7 @@ mod tests {
         // new fixed point; the pre-fix code treated every infeasible
         // window as "MPL too low", kept highest_infeasible = 7 from the
         // stale bracket, and climbed to the max_mpl ceiling instead.
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 8);
+        let mut c = new_controller(8);
         let mut t = 0.0;
         loop {
             let (tput, rt) = if c.mpl() >= 8 {
@@ -638,7 +625,7 @@ mod tests {
 
     #[test]
     fn reconverges_after_drift() {
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 3);
+        let mut c = new_controller(3);
         let mut t = 0.0;
         // Feasible at 3 and 2 is infeasible → converges at 3.
         let (e, _) = feed_window(&mut c, t, 120, 100.0, 1.0);
@@ -656,11 +643,7 @@ mod tests {
 
     #[test]
     fn respects_max_mpl_ceiling() {
-        let cfg = ControllerConfig {
-            max_mpl: 4,
-            ..Default::default()
-        };
-        let mut c = MplController::new(cfg, reference(), 4);
+        let mut c = MplController::new(Targets::five_percent(), 4, reference(), 4);
         // Nothing is ever feasible; must converge (best effort) at the cap.
         let mut t = 0.0;
         let mut last = None;
@@ -814,7 +797,7 @@ mod tests {
 
     #[test]
     fn trace_records_every_window() {
-        let mut c = MplController::new(ControllerConfig::default(), reference(), 2);
+        let mut c = new_controller(2);
         let (_, _) = feed_window(&mut c, 0.0, 150, 100.0, 1.0);
         assert_eq!(c.trace().len(), 1);
         let r = c.trace()[0];

@@ -11,17 +11,18 @@
 //!   budget (the per-setup tuning behind Fig. 11),
 //! * [`Driver::priority_experiment`] — high/low/no-priority mean response
 //!   times (Figs. 11–13's external bars),
-//! * [`Driver::run_controller`] — a live controller session: calibration,
-//!   queueing jump-start, observation/reaction until convergence (§4.3).
+//! * [`Driver::session`] — a live controller session: calibration,
+//!   queueing jump-start, observation/reaction until convergence (§4.3);
+//!   with a [`ChaosSpec`], the same session with fault and traffic
+//!   injectors woken at an onset, run out to a fixed budget
+//!   ([`Driver::run_controller`] is the plain session's shorthand).
 //!
 //! Paired seeds: every run of a driver uses the same workload stream, so
 //! comparisons across MPLs or policies are common-random-number paired.
 
 use crate::cache::{MeasurementCache, MeasurementKey};
-use crate::controller::{
-    ControllerConfig, Decision, IterationRecord, MplController, Reference, Targets,
-};
-use crate::policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
+use crate::controller::{Decision, IterationRecord, MplController, Reference, Targets};
+use crate::policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf};
 use crate::scheduler::ExternalScheduler;
 use std::sync::Arc;
 use xsched_dbms::txn::{PageId, Priority};
@@ -41,15 +42,11 @@ pub struct RunConfig {
     pub measured_txns: u64,
     /// Master seed (workload stream, service times, backoffs).
     pub seed: u64,
-    /// Hard wall on simulated seconds (guards pathological configs).
-    pub max_sim_time: f64,
     /// Measurement additionally waits until this much simulated time has
     /// passed (heavy-tailed workloads need the in-flight population of
     /// huge transactions to reach steady state, which takes far longer
     /// than `warmup_txns` completions).
     pub min_warmup_time: f64,
-    /// Pre-populate the buffer pool with the hottest pages.
-    pub warm_pool: bool,
     /// Fraction of transactions tagged high-priority (paper: 10%).
     pub high_fraction: f64,
 }
@@ -60,9 +57,7 @@ impl Default for RunConfig {
             warmup_txns: 300,
             measured_txns: 2_000,
             seed: 42,
-            max_sim_time: 50_000.0,
             min_warmup_time: 0.0,
-            warm_pool: true,
             high_fraction: 0.10,
         }
     }
@@ -79,6 +74,9 @@ impl RunConfig {
     }
 }
 
+/// Hard wall on simulated seconds per run (guards pathological configs).
+const MAX_SIM_TIME: f64 = 50_000.0;
+
 /// External queue discipline selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
@@ -88,9 +86,6 @@ pub enum PolicyKind {
     Priority,
     /// Shortest-job-first on estimated demand (extension).
     Sjf,
-    /// Weighted fair sharing: 50% of dispatches to the high class while
-    /// both are backlogged (extension; starvation-free).
-    WeightedFair,
 }
 
 /// Completions per batch for the per-run batch-means response-time CI —
@@ -203,10 +198,18 @@ impl PriorityOutcome {
     }
 }
 
-/// Result of a live controller session.
+/// Result of a live controller session, with or without chaos (see
+/// [`Driver::session`]).
+///
+/// A chaos session converges the controller on the healthy system, lets
+/// the spec's injectors fire at the onset instant, and keeps observing
+/// until the session's transaction budget runs out. The reaction and
+/// overshoot fields quantify how the §4.3 feedback loop rides out the
+/// regime change; a plain session has no onset, so they read
+/// `peak_mpl = final_mpl` and zero.
 #[derive(Debug, Clone)]
 pub struct ControllerOutcome {
-    /// MPL the controller settled on.
+    /// MPL setpoint in force when the session ended.
     pub final_mpl: u32,
     /// Observation/reaction iterations used (paper: < 10).
     pub iterations: u32,
@@ -216,29 +219,13 @@ pub struct ControllerOutcome {
     pub reference_tput: f64,
     /// Reference mean response time, seconds.
     pub reference_rt: f64,
-    /// Whether the session converged within its budget.
+    /// Whether the controller ended the session converged.
     pub converged: bool,
     /// Observation windows thrown away because their throughput fell
-    /// below the controller's `min_load_fraction` floor — a long run of
-    /// these under steady traffic means the controller is frozen, not
-    /// collecting.
+    /// below the controller's low-load floor — a long run of these under
+    /// steady traffic means the controller is frozen (a stalled DBMS),
+    /// not collecting.
     pub discarded_windows: u32,
-    /// Per-window history (MPL in force, throughput, response time,
-    /// verdict).
-    pub trace: Vec<IterationRecord>,
-}
-
-/// Robustness metrics of one chaos session (see [`Driver::run_chaos`]).
-///
-/// A chaos session converges the controller on the healthy system, lets
-/// the spec's injectors fire at the onset instant, and keeps observing
-/// until the session's transaction budget runs out. The reaction and
-/// overshoot metrics quantify how the §4.3 feedback loop rides out the
-/// regime change.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// MPL setpoint in force when the session ended.
-    pub final_mpl: u32,
     /// Highest setpoint in force in any post-onset window (at least
     /// `final_mpl`).
     pub peak_mpl: u32,
@@ -249,22 +236,18 @@ pub struct ChaosOutcome {
     /// converged stretch it then *stayed* in — its reaction time in
     /// windows. `1` when the fault never dislodged it (the first
     /// post-onset window re-affirmed convergence); equal to
-    /// `post_onset_windows` (censored) when it never re-settled.
+    /// `post_onset_windows` (censored) when it never re-settled; `0` when
+    /// no window closed after the onset.
     pub reaction_windows: u32,
     /// Observation windows closed after the onset instant.
     pub post_onset_windows: u32,
-    /// Whether the controller ended the session converged.
-    pub converged: bool,
-    /// Total observation/reaction iterations over the whole session.
-    pub iterations: u32,
-    /// Low-load windows discarded over the whole session (a string of
-    /// these is the signature of a stalled DBMS, not an idle client).
-    pub discarded_windows: u32,
-    /// Healthy-system reference throughput from calibration, txns/s.
-    pub reference_tput: f64,
+    /// Per-window history (MPL in force, throughput, response time,
+    /// verdict).
+    pub trace: Vec<IterationRecord>,
 }
 
-/// Per-session accumulators behind [`ChaosOutcome`], filled by
+/// Per-session accumulators behind a [`ControllerOutcome`]'s chaos
+/// fields, filled by
 /// `run_inner` as controller windows close. Zero when no chaos spec is
 /// attached.
 #[derive(Debug, Clone, Copy, Default)]
@@ -393,7 +376,6 @@ impl Driver {
             PolicyKind::Fifo => Box::new(Fifo::new()),
             PolicyKind::Priority => Box::new(PriorityFifo::new()),
             PolicyKind::Sjf => Box::new(Sjf::new(self.setup.hw.disk_read_time)),
-            PolicyKind::WeightedFair => Box::new(WeightedFair::new(0.5)),
         }
     }
 
@@ -542,151 +524,48 @@ impl Driver {
     /// system, jump-start from the queueing models, then observe/react
     /// until convergence.
     pub fn run_controller(&self, targets: Targets) -> ControllerOutcome {
-        self.run_controller_with_start(targets, None)
+        self.session(targets, None, None, None)
     }
 
-    /// Controller session with an explicit starting MPL (used by the
-    /// jump-start-vs-cold-start ablation). `None` = use the queueing
-    /// jump-start.
-    pub fn run_controller_with_start(
+    /// A controller session: calibrate against the MPL-less system,
+    /// start at `start` (`None` = the queueing jump-start), then
+    /// observe/react.
+    ///
+    /// With `chaos`, the spec's injectors wake at `spec.onset`, its think
+    /// time (if any) replaces the saturated population's, and the session
+    /// runs out `spec.session_txns` measured completions instead of
+    /// stopping at convergence, so post-onset behaviour stays visible.
+    ///
+    /// With `series`, every controller decision appends a telemetry tick:
+    /// the MPL setpoint left in force, the external queue length, and the
+    /// throughput and response-time percentiles of the window that just
+    /// closed. The outcome is bit-identical with or without it.
+    pub fn session(
         &self,
         targets: Targets,
         start: Option<u32>,
+        chaos: Option<&ChaosSpec>,
+        series: Option<&mut ControllerSeries>,
     ) -> ControllerOutcome {
-        self.controller_session(targets, start, None)
-    }
-
-    /// Controller session that additionally captures a per-reaction
-    /// telemetry time series: at every controller decision the MPL
-    /// setpoint left in force, the external queue length, and the
-    /// throughput and response-time percentiles of the observation
-    /// window that just closed. The series is a pure function of
-    /// `(setup, run config, targets, start)` and the returned
-    /// [`ControllerOutcome`] is bit-identical to
-    /// [`Driver::run_controller_with_start`].
-    pub fn run_controller_with_series(
-        &self,
-        targets: Targets,
-        start: Option<u32>,
-    ) -> (ControllerOutcome, ControllerSeries) {
-        let mut series = ControllerSeries::with_capacity(64);
-        let out = self.controller_session(targets, start, Some(&mut series));
-        (out, series)
-    }
-
-    /// Calibrate against the MPL-less system and build the jump-started
-    /// controller — the shared prelude of every controller-driven
-    /// session. Returns `(controller, jumpstart_mpl, reference_run)`.
-    fn calibrated_controller(
-        &self,
-        targets: Targets,
-        start: Option<u32>,
-    ) -> (MplController, u32, RunResult) {
         let reference = self.reference();
-        let cpus = self.setup.hw.cpus;
-        let utils = reference.utilizations(cpus);
+        let utils = reference.utilizations(self.setup.hw.cpus);
         // Demand statistics for the response-time model: analytic mix C²,
         // with the effective page cost discounted by the observed hit
         // ratio.
         let io_cost = self.setup.hw.disk_read_time * (1.0 - reference.metrics.hit_ratio());
         let (dmean, dc2) = self.setup.workload.intrinsic_demand_stats(io_cost);
-        let cfg = ControllerConfig {
-            targets,
-            max_mpl: self.setup.clients,
-            ..Default::default()
-        };
-        let jump = MplController::jumpstart(
-            &utils,
-            targets,
-            dmean,
-            dc2,
-            reference.throughput,
-            cfg.max_mpl,
-        );
+        let max_mpl = self.setup.clients;
+        let jump =
+            MplController::jumpstart(&utils, targets, dmean, dc2, reference.throughput, max_mpl);
         let reference_ctl = Reference {
             throughput: reference.throughput,
             mean_rt: reference.mean_rt,
         };
-        let initial = start.unwrap_or(jump);
-        (
-            MplController::new(cfg, reference_ctl, initial),
-            jump,
-            reference,
-        )
-    }
-
-    fn controller_session(
-        &self,
-        targets: Targets,
-        start: Option<u32>,
-        series: Option<&mut ControllerSeries>,
-    ) -> ControllerOutcome {
-        let (controller, jump, reference) = self.calibrated_controller(targets, start);
-        let initial = controller.mpl();
-        let (_, ctl, _, _) = self.run_inner(
-            initial,
-            PolicyKind::Fifo,
-            &self.saturated(),
-            None,
-            Some(controller),
-            series,
-            NoopTrace,
-        );
-        let ctl = ctl.expect("controller returned");
-        ControllerOutcome {
-            final_mpl: ctl.mpl(),
-            iterations: ctl.iterations(),
-            jumpstart_mpl: jump,
-            reference_tput: reference.throughput,
-            reference_rt: reference.mean_rt,
-            converged: ctl.is_converged(),
-            discarded_windows: ctl.discarded_windows(),
-            trace: ctl.trace().to_vec(),
-        }
-    }
-
-    /// A chaos robustness session: calibrate and jump-start as in
-    /// [`Driver::run_controller`], let the spec's injectors wake at
-    /// `spec.onset`, and keep the controller observing until
-    /// `spec.session_txns` measured completions (the usual convergence
-    /// break is disabled so post-onset behaviour stays visible). The
-    /// outcome reports reaction time and overshoot for the fault.
-    pub fn run_chaos(
-        &self,
-        spec: &ChaosSpec,
-        targets: Targets,
-        start: Option<u32>,
-    ) -> ChaosOutcome {
-        self.chaos_session(spec, targets, start, None)
-    }
-
-    /// [`Driver::run_chaos`] plus the per-window telemetry series, for
-    /// figure rendering and golden pinning. The outcome is bit-identical
-    /// to the series-less call.
-    pub fn run_chaos_with_series(
-        &self,
-        spec: &ChaosSpec,
-        targets: Targets,
-        start: Option<u32>,
-    ) -> (ChaosOutcome, ControllerSeries) {
-        let mut series = ControllerSeries::with_capacity(128);
-        let out = self.chaos_session(spec, targets, start, Some(&mut series));
-        (out, series)
-    }
-
-    fn chaos_session(
-        &self,
-        spec: &ChaosSpec,
-        targets: Targets,
-        start: Option<u32>,
-        series: Option<&mut ControllerSeries>,
-    ) -> ChaosOutcome {
-        let (controller, _, reference) = self.calibrated_controller(targets, start);
-        let initial = controller.mpl();
+        let controller = MplController::new(targets, max_mpl, reference_ctl, start.unwrap_or(jump));
         // Traffic-side chaos needs think-time headroom to act on: a
         // saturated (zero-think) closed population cannot burst, so chaos
-        // rows override the think distribution.
-        let arrivals = match &spec.think {
+        // rows may override the think distribution.
+        let arrivals = match chaos.and_then(|ch| ch.think.as_ref()) {
             Some(think) => ArrivalProcess::Closed {
                 clients: self.setup.clients,
                 think: think.clone(),
@@ -694,10 +573,10 @@ impl Driver {
             None => self.saturated(),
         };
         let (_, ctl, _, stats) = self.run_inner(
-            initial,
+            controller.mpl(),
             PolicyKind::Fifo,
             &arrivals,
-            Some(spec),
+            chaos,
             Some(controller),
             series,
             NoopTrace,
@@ -707,21 +586,24 @@ impl Driver {
         let peak_mpl = stats.peak_mpl.max(final_mpl);
         let reaction_windows = match stats.reaction_candidate {
             Some(w) => w,
-            // Never dislodged (stayed in its pre-onset convergence).
+            // No window closed after the onset (always so without chaos).
             None if ctl.is_converged() => 0,
             // Never re-settled: censor at the post-onset window count.
             None => stats.post_onset_windows,
         };
-        ChaosOutcome {
+        ControllerOutcome {
             final_mpl,
+            iterations: ctl.iterations(),
+            jumpstart_mpl: jump,
+            reference_tput: reference.throughput,
+            reference_rt: reference.mean_rt,
+            converged: ctl.is_converged(),
+            discarded_windows: ctl.discarded_windows(),
             peak_mpl,
             overshoot: peak_mpl - final_mpl,
             reaction_windows,
             post_onset_windows: stats.post_onset_windows,
-            converged: ctl.is_converged(),
-            iterations: ctl.iterations(),
-            discarded_windows: ctl.discarded_windows(),
-            reference_tput: reference.throughput,
+            trace: ctl.trace().to_vec(),
         }
     }
 
@@ -779,12 +661,11 @@ impl Driver {
             }
         }
         let mut shaper = chaos.and_then(|ch| TrafficShaper::new(ch, rc.seed));
-        if rc.warm_pool {
-            let n = setup.hw.bufferpool_pages.min(setup.workload.db_pages);
-            // Zipf favours low page ids, so the first `n` pages are the
-            // steady-state-hot set.
-            sim.warm_bufferpool((0..n).rev().map(PageId));
-        }
+        // Pre-populate the buffer pool with the hottest pages: Zipf
+        // favours low page ids, so the first `n` pages are the
+        // steady-state-hot set.
+        let n = setup.hw.bufferpool_pages.min(setup.workload.db_pages);
+        sim.warm_bufferpool((0..n).rev().map(PageId));
         let mut gen =
             TxnGen::new(setup.workload.clone(), rc.seed).with_high_fraction(rc.high_fraction);
         let mut sched = ExternalScheduler::new(self.make_policy(kind), mpl);
@@ -973,7 +854,7 @@ impl Driver {
                     }
                 }
             }
-            if sim.now() > rc.max_sim_time {
+            if sim.now() > MAX_SIM_TIME {
                 break;
             }
         }
@@ -1103,31 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fair_sits_between_fifo_and_strict_priority() {
-        // At the paper's 10% high-priority fraction the high class rarely
-        // saturates its 50% dispatch share, so WF ≈ strict for the low
-        // class — the orderings are only identifiable in the regimes that
-        // exercise them. High-class ordering at 10% high traffic:
-        let d = quick_driver(1);
-        let arr = d.saturated();
-        let fifo = d.run(3, PolicyKind::Fifo, &arr);
-        let wf = d.run(3, PolicyKind::WeightedFair, &arr);
-        let strict = d.run(3, PolicyKind::Priority, &arr);
-        assert!(strict.rt_high < wf.rt_high, "strict beats WF for high");
-        assert!(wf.rt_high < fifo.rt_high, "WF beats FIFO for high");
-        // Low-class protection at 50% high traffic, where strict priority
-        // actually starves the low class and WF's guaranteed share bites.
-        let rc = RunConfig {
-            high_fraction: 0.5,
-            ..RunConfig::quick()
-        };
-        let d = Driver::new(xsched_workload::setup(1)).with_config(rc);
-        let wf = d.run(3, PolicyKind::WeightedFair, &arr);
-        let strict = d.run(3, PolicyKind::Priority, &arr);
-        assert!(wf.rt_low < strict.rt_low, "WF kinder to low than strict");
-    }
-
-    #[test]
     fn paired_seeds_make_runs_reproducible() {
         let d = quick_driver(1);
         let a = d.run(5, PolicyKind::Fifo, &d.saturated());
@@ -1170,20 +1026,47 @@ mod tests {
         assert_eq!(plain.rt_p99.to_bits(), traced.rt_p99.to_bits());
     }
 
+    /// A session that captures its telemetry series.
+    fn session_with_series(
+        d: &Driver,
+        targets: Targets,
+        chaos: Option<&ChaosSpec>,
+    ) -> (ControllerOutcome, ControllerSeries) {
+        let mut series = ControllerSeries::default();
+        let out = d.session(targets, None, chaos, Some(&mut series));
+        (out, series)
+    }
+
     #[test]
     fn controller_series_is_deterministic_and_matches_outcome() {
         let d = quick_driver(1);
-        let (out_a, series_a) = d.run_controller_with_series(Targets::twenty_percent(), None);
-        let (out_b, series_b) = d.run_controller_with_series(Targets::twenty_percent(), None);
+        let targets = Targets::twenty_percent();
+        let (out_a, series_a) = session_with_series(&d, targets, None);
+        let (out_b, series_b) = session_with_series(&d, targets, None);
         assert_eq!(series_a.encode_text(), series_b.encode_text());
         assert!(!series_a.is_empty(), "a converging session emits ticks");
         // The series must not perturb the session itself.
-        let plain = d.run_controller(Targets::twenty_percent());
+        let plain = d.session(targets, None, None, None);
         assert_eq!(format!("{plain:?}"), format!("{out_a:?}"));
         assert_eq!(format!("{out_a:?}"), format!("{out_b:?}"));
+        // `run_controller` is the plain session.
+        assert_eq!(
+            format!("{:?}", d.run_controller(targets)),
+            format!("{plain:?}")
+        );
         // The last tick carries the setpoint the session settled on.
         let last = series_a.ticks.last().unwrap();
         assert_eq!(last.mpl, out_a.final_mpl);
+        // No onset: the chaos fields read their no-fault values.
+        assert_eq!(plain.peak_mpl, plain.final_mpl);
+        assert_eq!(
+            (
+                plain.overshoot,
+                plain.reaction_windows,
+                plain.post_onset_windows
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -1195,9 +1078,9 @@ mod tests {
         // the quiet chaos one.
         let d = quick_driver(1);
         let targets = Targets::twenty_percent();
-        let (ctl_out, ctl_series) = d.run_controller_with_series(targets, None);
+        let (ctl_out, ctl_series) = session_with_series(&d, targets, None);
         let spec = ChaosSpec::quiet(5.0, 20_000);
-        let (chaos_out, chaos_series) = d.run_chaos_with_series(&spec, targets, None);
+        let (chaos_out, chaos_series) = session_with_series(&d, targets, Some(&spec));
         let n = ctl_series.ticks.len();
         assert!(chaos_series.ticks.len() >= n, "chaos session ended early");
         assert_eq!(
@@ -1232,12 +1115,12 @@ mod tests {
             ..ChaosSpec::quiet(20.0, 6_000)
         };
         let targets = Targets::twenty_percent();
-        let (out_a, series_a) = d.run_chaos_with_series(&spec, targets, None);
-        let (out_b, series_b) = d.run_chaos_with_series(&spec, targets, None);
+        let (out_a, series_a) = session_with_series(&d, targets, Some(&spec));
+        let (out_b, series_b) = session_with_series(&d, targets, Some(&spec));
         assert_eq!(format!("{out_a:?}"), format!("{out_b:?}"));
         assert_eq!(series_a.encode_text(), series_b.encode_text());
-        // The series-less entry point must agree with the instrumented one.
-        let plain = d.run_chaos(&spec, targets, None);
+        // The series-less call must agree with the instrumented one.
+        let plain = d.session(targets, None, Some(&spec), None);
         assert_eq!(format!("{plain:?}"), format!("{out_a:?}"));
         assert!(out_a.post_onset_windows > 0, "{out_a:?}");
         assert_eq!(out_a.overshoot, out_a.peak_mpl - out_a.final_mpl);

@@ -19,7 +19,9 @@
 //! * [`driver`] — the experiment driver marrying a workload generator, the
 //!   external scheduler and the simulated DBMS; implements every
 //!   experiment shape the paper reports (throughput curves, open-system
-//!   response times, priority differentiation, controller convergence);
+//!   response times, priority differentiation, controller convergence)
+//!   through one controller [`Driver::session`], which a chaos spec turns
+//!   into a robustness session;
 //! * [`scenario`] — self-contained experiment descriptions:
 //!   a [`Scenario`] is one cell of a figure (setup × execution shape ×
 //!   run configuration), pure in `(scenario, seed)`;
@@ -68,18 +70,16 @@ pub mod sweep;
 pub mod wire;
 
 pub use cache::{MeasurementCache, MeasurementKey};
-pub use controller::{ControllerConfig, Decision, MplController, Reference, Targets};
+pub use controller::{Decision, MplController, Reference, Targets};
 pub use coord::{
     call, run_worker, serve_line, CoordConfig, CoordServer, Coordinator, LocalTransport, Request,
     Response, TcpTransport, Transport, WorkerConfig, WorkerError, WorkerSummary,
 };
-pub use driver::{
-    ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult,
-};
+pub use driver::{ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult};
 pub use fault::{relock, TaskError, TaskOutcome};
 pub use gate::MplGate;
 pub use observe::{CellTiming, SweepObs};
-pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf, WeightedFair};
+pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf};
 pub use scenario::{ArrivalSpec, ExecSpec, MplSpec, Scenario, ScenarioOutcome, UnitCost};
 pub use scheduler::ExternalScheduler;
 pub use sweep::{ScenarioResult, SweepExecutor, SweepPlan};

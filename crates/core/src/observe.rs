@@ -40,20 +40,14 @@ impl CellTiming {
     /// class × workload × hardware × MPL class.
     pub(crate) fn bucket(scenario: &Scenario) -> String {
         let exec = match &scenario.exec {
-            ExecSpec::Run {
-                mpl: MplSpec::AtLoss(_),
-                ..
-            } => "run_atloss",
             ExecSpec::Run { .. } => "run",
             ExecSpec::PriorityAtLoss { .. } => "priority",
-            ExecSpec::Controller { .. } => "controller",
-            ExecSpec::Chaos { .. } => "chaos",
+            ExecSpec::Controller { chaos: None, .. } => "controller",
+            ExecSpec::Controller { chaos: Some(_), .. } => "chaos",
         };
         let arrivals = match &scenario.exec {
             ExecSpec::Run { arrivals, .. } => match arrivals {
                 ArrivalSpec::Saturated => "saturated",
-                ArrivalSpec::ClosedThink(_) => "closed_think",
-                ArrivalSpec::OpenRate(_) => "open_rate",
                 ArrivalSpec::OpenLoad(_) => "open_load",
             },
             // Priority and controller cells drive their own arrival
@@ -64,7 +58,6 @@ impl CellTiming {
             ExecSpec::Run { mpl, .. } => match mpl {
                 MplSpec::Fixed(m) => format!("m{m}"),
                 MplSpec::Unlimited => "munl".to_string(),
-                MplSpec::AtLoss(_) => "mloss".to_string(),
             },
             _ => "m-".to_string(),
         };

@@ -107,61 +107,6 @@ impl QueuePolicy for PriorityFifo {
     }
 }
 
-/// Weighted fair sharing between the two priority classes: when both
-/// classes are backlogged, a fraction `w_high` of dispatches goes to the
-/// high class (credit-based, deterministic). Unlike strict priority this
-/// cannot starve the low class — the "class-based QoS" policy direction
-/// of the authors' companion paper (Schroeder et al., "Achieving
-/// class-based QoS for transactional workloads", ICDE 2006, ref. 22 of the paper).
-#[derive(Debug)]
-pub struct WeightedFair {
-    w_high: f64,
-    credit: f64,
-    high: VecDeque<QueuedTxn>,
-    low: VecDeque<QueuedTxn>,
-}
-
-impl WeightedFair {
-    /// `w_high` in `(0, 1)`: share of dispatches reserved for the high
-    /// class while both classes are backlogged.
-    pub fn new(w_high: f64) -> WeightedFair {
-        assert!((0.0..=1.0).contains(&w_high));
-        WeightedFair {
-            w_high,
-            credit: 0.0,
-            high: VecDeque::new(),
-            low: VecDeque::new(),
-        }
-    }
-}
-
-impl QueuePolicy for WeightedFair {
-    fn push(&mut self, txn: QueuedTxn) {
-        match txn.body.priority {
-            Priority::High => self.high.push_back(txn),
-            Priority::Low => self.low.push_back(txn),
-        }
-    }
-    fn pop(&mut self) -> Option<QueuedTxn> {
-        if self.high.is_empty() {
-            return self.low.pop_front();
-        }
-        if self.low.is_empty() {
-            return self.high.pop_front();
-        }
-        self.credit += self.w_high;
-        if self.credit >= 1.0 {
-            self.credit -= 1.0;
-            self.high.pop_front()
-        } else {
-            self.low.pop_front()
-        }
-    }
-    fn len(&self) -> usize {
-        self.high.len() + self.low.len()
-    }
-}
-
 /// Shortest-job-first on estimated intrinsic demand (CPU plus uncached
 /// I/O time). Ties break FIFO. An *extension* beyond the paper's
 /// experiments, enabled by the same external mechanism.
@@ -288,44 +233,5 @@ mod tests {
         assert!(Fifo::new().pop().is_none());
         assert!(PriorityFifo::new().pop().is_none());
         assert!(Sjf::new(0.0).pop().is_none());
-        assert!(WeightedFair::new(0.5).pop().is_none());
-    }
-
-    #[test]
-    fn weighted_fair_respects_share_under_backlog() {
-        let mut q = WeightedFair::new(0.25);
-        for i in 0..100 {
-            q.push(txn(Priority::High, 0.001, i as f64));
-            q.push(txn(Priority::Low, 0.001, 1000.0 + i as f64));
-        }
-        let mut high = 0;
-        for _ in 0..80 {
-            if q.pop().unwrap().arrival < 1000.0 {
-                high += 1;
-            }
-        }
-        assert_eq!(high, 20, "25% of 80 dispatches go high");
-    }
-
-    #[test]
-    fn weighted_fair_never_starves_either_class() {
-        let mut q = WeightedFair::new(0.9);
-        for i in 0..10 {
-            q.push(txn(Priority::High, 0.001, i as f64));
-            q.push(txn(Priority::Low, 0.001, 1000.0 + i as f64));
-        }
-        let popped: Vec<f64> = std::iter::from_fn(|| q.pop().map(|t| t.arrival)).collect();
-        assert_eq!(popped.len(), 20, "everything is eventually served");
-        assert!(popped[..10].iter().any(|a| *a >= 1000.0), "low not starved");
-    }
-
-    #[test]
-    fn weighted_fair_drains_single_class() {
-        let mut q = WeightedFair::new(0.1);
-        for i in 0..5 {
-            q.push(txn(Priority::High, 0.001, i as f64));
-        }
-        let n = std::iter::from_fn(|| q.pop()).count();
-        assert_eq!(n, 5, "sole class is served at full rate");
     }
 }

@@ -3,10 +3,11 @@
 //! A [`Scenario`] is everything one experiment cell needs: a Table-2
 //! [`Setup`], an execution shape ([`ExecSpec`]: a fixed-MPL run, a
 //! priority experiment at a throughput-loss budget, or a live controller
-//! session), and a [`RunConfig`]. Scenarios are *pure*: running one is a
-//! deterministic function of `(scenario, seed)` with no shared state,
-//! which is what lets the sweep executor fan replications across OS
-//! threads while promising bit-identical results to serial execution.
+//! session, with or without chaos), and a [`RunConfig`]. Scenarios are
+//! *pure*: running one is a deterministic function of `(scenario, seed)`
+//! with no shared state, which is what lets the sweep executor fan
+//! replications across OS threads while promising bit-identical results
+//! to serial execution.
 //!
 //! The run-shape used to be baked into ad-hoc driver call sites; with it
 //! reified here, a new experiment is one struct literal instead of a new
@@ -14,11 +15,10 @@
 
 use crate::cache::MeasurementCache;
 use crate::controller::Targets;
-use crate::driver::{
-    ChaosOutcome, ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult,
-};
+use crate::driver::{ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult};
 use crate::observe::SweepObs;
 use std::sync::Arc;
+use xsched_obs::ControllerSeries;
 use xsched_workload::{ArrivalProcess, ChaosSpec, Setup};
 
 /// How a run's MPL is chosen.
@@ -28,10 +28,6 @@ pub enum MplSpec {
     Fixed(u32),
     /// Limit = client population — the paper's MPL-less "original system".
     Unlimited,
-    /// The lowest MPL whose throughput stays within the given relative
-    /// loss of the MPL-less reference (resolved per scenario by paired
-    /// search, exactly as Fig. 11 tunes per-setup MPLs).
-    AtLoss(f64),
 }
 
 impl MplSpec {
@@ -39,7 +35,6 @@ impl MplSpec {
         match self {
             MplSpec::Fixed(m) => m,
             MplSpec::Unlimited => driver.setup().clients,
-            MplSpec::AtLoss(loss) => driver.find_mpl_for_loss(loss).0,
         }
     }
 }
@@ -49,10 +44,6 @@ impl MplSpec {
 pub enum ArrivalSpec {
     /// Saturated closed system (zero think time) over the setup's clients.
     Saturated,
-    /// Closed system with exponential think time (mean seconds).
-    ClosedThink(f64),
-    /// Open Poisson arrivals at an absolute rate (txns/second).
-    OpenRate(f64),
     /// Open Poisson arrivals at `load` × the setup's measured MPL-less
     /// capacity. The capacity run shares the scenario's seed, so
     /// resolution stays deterministic and paired.
@@ -63,8 +54,6 @@ impl ArrivalSpec {
     fn resolve(self, driver: &Driver) -> ArrivalProcess {
         match self {
             ArrivalSpec::Saturated => driver.saturated(),
-            ArrivalSpec::ClosedThink(mean) => ArrivalProcess::closed(driver.setup().clients, mean),
-            ArrivalSpec::OpenRate(rate) => ArrivalProcess::open(rate),
             ArrivalSpec::OpenLoad(load) => {
                 ArrivalProcess::open(load * driver.reference().throughput)
             }
@@ -91,23 +80,17 @@ pub enum ExecSpec {
         loss: f64,
     },
     /// A live controller session (§4.3). `start = None` uses the
-    /// queueing-model jump-start; `Some(m)` cold-starts at `m`.
+    /// queueing-model jump-start; `Some(m)` cold-starts at `m`. With
+    /// `chaos`, a robustness session: the workload is perturbed at
+    /// `chaos.onset` by the spec's fault and traffic-shape injectors, and
+    /// the outcome measures reaction time and overshoot.
     Controller {
         /// DBA targets for the session.
         targets: Targets,
         /// Optional explicit starting MPL.
         start: Option<u32>,
-    },
-    /// A chaos robustness session: a controller session whose workload is
-    /// perturbed at `chaos.onset` by the spec's fault and traffic-shape
-    /// injectors, measuring reaction time and overshoot.
-    Chaos {
-        /// The fault / traffic-shape layer and session length.
-        chaos: ChaosSpec,
-        /// DBA targets for the session.
-        targets: Targets,
-        /// Optional explicit starting MPL.
-        start: Option<u32>,
+        /// The fault / traffic-shape layer and session length, if any.
+        chaos: Option<ChaosSpec>,
     },
 }
 
@@ -195,28 +178,18 @@ impl Scenario {
             ExecSpec::PriorityAtLoss { loss } => {
                 ScenarioOutcome::Priority(driver.priority_experiment(*loss))
             }
-            ExecSpec::Controller { targets, start } => match obs {
-                Some(obs) => {
-                    let (out, series) = driver.run_controller_with_series(*targets, *start);
-                    obs.add_controller_series(self.cell_label(seed), series);
-                    ScenarioOutcome::Controller(out)
-                }
-                None => {
-                    ScenarioOutcome::Controller(driver.run_controller_with_start(*targets, *start))
-                }
-            },
-            ExecSpec::Chaos {
-                chaos,
+            ExecSpec::Controller {
                 targets,
                 start,
-            } => match obs {
-                Some(obs) => {
-                    let (out, series) = driver.run_chaos_with_series(chaos, *targets, *start);
+                chaos,
+            } => {
+                let mut series = obs.map(|_| ControllerSeries::with_capacity(64));
+                let out = driver.session(*targets, *start, chaos.as_ref(), series.as_mut());
+                if let (Some(obs), Some(series)) = (obs, series) {
                     obs.add_controller_series(self.cell_label(seed), series);
-                    ScenarioOutcome::Chaos(out)
                 }
-                None => ScenarioOutcome::Chaos(driver.run_chaos(chaos, *targets, *start)),
-            },
+                ScenarioOutcome::Controller(out)
+            }
         };
         let cost = UnitCost {
             ref_secs: driver.reference_compute_secs(),
@@ -260,10 +233,8 @@ pub enum ScenarioOutcome {
     Run(RunResult),
     /// A Fig.-11-style priority experiment.
     Priority(PriorityOutcome),
-    /// A controller session.
+    /// A controller session, with or without chaos.
     Controller(ControllerOutcome),
-    /// A chaos robustness session.
-    Chaos(ChaosOutcome),
 }
 
 impl ScenarioOutcome {
@@ -271,14 +242,6 @@ impl ScenarioOutcome {
     pub fn as_run(&self) -> Option<&RunResult> {
         match self {
             ScenarioOutcome::Run(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The chaos outcome, if this is a chaos robustness session.
-    pub fn as_chaos(&self) -> Option<&ChaosOutcome> {
-        match self {
-            ScenarioOutcome::Chaos(c) => Some(c),
             _ => None,
         }
     }
@@ -329,17 +292,11 @@ impl ScenarioOutcome {
                 ("reference_tput", c.reference_tput),
                 ("reference_rt", c.reference_rt),
                 ("converged", if c.converged { 1.0 } else { 0.0 }),
-            ],
-            ScenarioOutcome::Chaos(c) => vec![
-                ("final_mpl", f64::from(c.final_mpl)),
+                ("discarded_windows", f64::from(c.discarded_windows)),
                 ("peak_mpl", f64::from(c.peak_mpl)),
                 ("overshoot", f64::from(c.overshoot)),
                 ("reaction_windows", f64::from(c.reaction_windows)),
                 ("post_onset_windows", f64::from(c.post_onset_windows)),
-                ("iterations", f64::from(c.iterations)),
-                ("discarded_windows", f64::from(c.discarded_windows)),
-                ("reference_tput", c.reference_tput),
-                ("converged", if c.converged { 1.0 } else { 0.0 }),
             ],
         }
     }
@@ -366,43 +323,23 @@ mod tests {
     }
 
     #[test]
-    fn at_loss_mpl_matches_find_mpl_for_loss() {
-        let rc = RunConfig::quick();
-        let sc = Scenario {
-            row: "x".into(),
-            col: String::new(),
-            setup: setup(1),
-            exec: ExecSpec::Run {
-                mpl: MplSpec::AtLoss(0.20),
-                policy: PolicyKind::Fifo,
-                arrivals: ArrivalSpec::Saturated,
-            },
-            rc: rc.clone(),
-        };
-        let out = sc.run(rc.seed);
-        let want = Driver::new(setup(1))
-            .with_config(rc)
-            .find_mpl_for_loss(0.20)
-            .0;
-        assert_eq!(out.as_run().unwrap().mpl, want);
-    }
-
-    #[test]
     fn chaos_scenario_reports_reaction_metrics() {
         let rc = RunConfig::quick();
         let sc = Scenario {
             row: "chaos".into(),
             col: String::new(),
             setup: setup(1),
-            exec: ExecSpec::Chaos {
-                chaos: ChaosSpec::quiet(2.0, 1_500),
+            exec: ExecSpec::Controller {
                 targets: Targets::twenty_percent(),
                 start: None,
+                chaos: Some(ChaosSpec::quiet(2.0, 1_500)),
             },
             rc: rc.clone(),
         };
         let out = sc.run(rc.seed);
-        let chaos = out.as_chaos().expect("chaos outcome");
+        let ScenarioOutcome::Controller(chaos) = &out else {
+            panic!("a chaos session is a controller outcome");
+        };
         assert!(chaos.post_onset_windows > 0);
         for key in [
             "reaction_windows",

@@ -632,6 +632,7 @@ mod tests {
             exec: ExecSpec::Controller {
                 targets: Targets::twenty_percent(),
                 start: None,
+                chaos: None,
             },
             rc: RunConfig::quick(),
         });

@@ -10,7 +10,7 @@
 //! outcomes are identical iff their encodings are equal.
 
 use crate::controller::IterationRecord;
-use crate::driver::{ChaosOutcome, ControllerOutcome, PriorityOutcome, RunResult};
+use crate::driver::{ControllerOutcome, PriorityOutcome, RunResult};
 use crate::fault::TaskError;
 use crate::scenario::ScenarioOutcome;
 use std::fmt;
@@ -166,7 +166,7 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
                     .join(";")
             };
             format!(
-                "C {} {} {} {} {} {} {} {}",
+                "C {} {} {} {} {} {} {} {} {} {} {} {}",
                 c.final_mpl,
                 c.iterations,
                 c.jumpstart_mpl,
@@ -174,21 +174,13 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
                 fh(c.reference_rt),
                 u8::from(c.converged),
                 c.discarded_windows,
+                c.peak_mpl,
+                c.overshoot,
+                c.reaction_windows,
+                c.post_onset_windows,
                 trace,
             )
         }
-        ScenarioOutcome::Chaos(c) => format!(
-            "X {} {} {} {} {} {} {} {} {}",
-            c.final_mpl,
-            c.peak_mpl,
-            c.overshoot,
-            c.reaction_windows,
-            c.post_onset_windows,
-            u8::from(c.converged),
-            c.iterations,
-            c.discarded_windows,
-            fh(c.reference_tput),
-        ),
     }
 }
 
@@ -291,6 +283,10 @@ pub fn decode_outcome(line: &str) -> Result<ScenarioOutcome, String> {
             let reference_rt = t.f64()?;
             let converged = t.bool()?;
             let discarded_windows = t.int()?;
+            let peak_mpl = t.int()?;
+            let overshoot = t.int()?;
+            let reaction_windows = t.int()?;
+            let post_onset_windows = t.int()?;
             let trace_tok = t.next()?;
             let trace = if trace_tok == "-" {
                 Vec::new()
@@ -324,20 +320,13 @@ pub fn decode_outcome(line: &str) -> Result<ScenarioOutcome, String> {
                 reference_rt,
                 converged,
                 discarded_windows,
+                peak_mpl,
+                overshoot,
+                reaction_windows,
+                post_onset_windows,
                 trace,
             }))
         }
-        "X" => Ok(ScenarioOutcome::Chaos(ChaosOutcome {
-            final_mpl: t.int()?,
-            peak_mpl: t.int()?,
-            overshoot: t.int()?,
-            reaction_windows: t.int()?,
-            post_onset_windows: t.int()?,
-            converged: t.bool()?,
-            iterations: t.int()?,
-            discarded_windows: t.int()?,
-            reference_tput: t.f64()?,
-        })),
         other => Err(format!("unknown outcome kind `{other}`")),
     }
 }
@@ -404,30 +393,49 @@ fn unesc(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RunConfig;
+    use crate::controller::Targets;
+    use crate::driver::{Driver, RunConfig};
     use crate::scenario::Scenario;
-    use xsched_workload::setup;
+    use xsched_workload::{setup, ChaosSpec};
+
+    fn round_trips(out: &ScenarioOutcome) {
+        let line = encode_outcome(out);
+        assert!(line.starts_with("C "), "{line}");
+        let back = decode_outcome(&line).unwrap();
+        assert_eq!(encode_outcome(&back), line);
+        assert_eq!(format!("{back:?}"), format!("{out:?}"));
+    }
+
+    #[test]
+    fn plain_session_outcome_round_trips_through_the_codec() {
+        let d = Driver::new(setup(1)).with_config(RunConfig::quick());
+        let plain = d.session(Targets::twenty_percent(), None, None, None);
+        assert!(!plain.trace.is_empty());
+        round_trips(&ScenarioOutcome::Controller(plain));
+    }
 
     #[test]
     fn chaos_outcome_round_trips_through_the_codec() {
-        let out = ScenarioOutcome::Chaos(ChaosOutcome {
+        let d = Driver::new(setup(1)).with_config(RunConfig::quick());
+        let spec = ChaosSpec::quiet(2.0, 1_500);
+        let chaos = d.session(Targets::twenty_percent(), None, Some(&spec), None);
+        assert!(chaos.post_onset_windows > 0);
+        round_trips(&ScenarioOutcome::Controller(chaos));
+        // Every chaos field nonzero and distinct, so a swapped pair shows.
+        round_trips(&ScenarioOutcome::Controller(ControllerOutcome {
             final_mpl: 7,
+            iterations: 45,
+            jumpstart_mpl: 9,
+            reference_tput: 1234.5678,
+            reference_rt: 0.25,
+            converged: true,
+            discarded_windows: 6,
             peak_mpl: 19,
             overshoot: 12,
             reaction_windows: 23,
             post_onset_windows: 31,
-            converged: true,
-            iterations: 45,
-            discarded_windows: 6,
-            reference_tput: 1234.5678,
-        });
-        let line = encode_outcome(&out);
-        assert!(line.starts_with("X "), "{line}");
-        let back = decode_outcome(&line).unwrap();
-        assert_eq!(encode_outcome(&back), line);
-        let chaos = back.as_chaos().expect("chaos outcome");
-        assert_eq!(chaos.peak_mpl, 19);
-        assert_eq!(chaos.reference_tput.to_bits(), 1234.5678f64.to_bits());
+            trace: Vec::new(),
+        }));
     }
 
     #[test]

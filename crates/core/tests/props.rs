@@ -16,7 +16,8 @@ use xsched_core::{
 use xsched_workload::setup;
 
 /// Build a small random plan from raw draws. Arrival shapes cover the
-/// cache-relevant OpenLoad resolution as well as plain closed systems.
+/// cache-relevant OpenLoad resolution as well as the saturated closed
+/// system.
 fn plan_from(setups: &[u8], mpls: &[u8], arrivals: &[u8], reps: u8, seed_base: u64) -> SweepPlan {
     let rc = RunConfig {
         warmup_txns: 10,
@@ -30,10 +31,9 @@ fn plan_from(setups: &[u8], mpls: &[u8], arrivals: &[u8], reps: u8, seed_base: u
         .enumerate()
         .map(|(i, ((&s, &m), &a))| {
             let setup_id = [1u32, 2, 5][usize::from(s) % 3];
-            let arrivals = match a % 3 {
+            let arrivals = match a % 2 {
                 0 => ArrivalSpec::Saturated,
-                1 => ArrivalSpec::OpenLoad(0.5 + 0.1 * f64::from(a % 4)),
-                _ => ArrivalSpec::ClosedThink(0.05),
+                _ => ArrivalSpec::OpenLoad(0.5 + 0.1 * f64::from(a % 4)),
             };
             Scenario {
                 row: format!("row {i}"),

@@ -150,14 +150,6 @@ pub struct DbmsConfig {
     /// Extra CPU time consumed per buffer-pool *hit* page access, seconds
     /// (a memory hit still costs cycles).
     pub hit_cpu_time: f64,
-    /// Mean of the exponential backoff before an aborted transaction is
-    /// restarted, seconds.
-    pub restart_backoff: f64,
-    /// Upper bound on restarts per transaction before it is force-completed
-    /// without its locks (guards against livelock). The guard is reached in
-    /// the paper's operating range: it fires once in `figures --quick
-    /// fig12`, whose output therefore includes one lock-free transaction.
-    pub max_restarts: u32,
     /// Deadlock resolution strategy.
     pub deadlock: DeadlockStrategy,
     /// Group commit: while the log disk is busy, arriving commit records
@@ -178,8 +170,6 @@ impl Default for DbmsConfig {
             lock_policy: LockPriorityPolicy::None,
             cpu_policy: CpuPolicy::Fair,
             hit_cpu_time: 20e-6,
-            restart_backoff: 0.010,
-            max_restarts: 50,
             deadlock: DeadlockStrategy::Detection,
             group_commit: false,
             writeback_fraction: 0.0,
@@ -198,8 +188,6 @@ impl DbmsConfig {
             lock_policy,
             cpu_policy,
             hit_cpu_time,
-            restart_backoff,
-            max_restarts,
             deadlock,
             group_commit,
             writeback_fraction,
@@ -218,8 +206,6 @@ impl DbmsConfig {
             CpuPolicy::PrioritizeHigh => 1,
         });
         fp.write_f64(hit_cpu_time);
-        fp.write_f64(restart_backoff);
-        fp.write_u32(max_restarts);
         match deadlock {
             DeadlockStrategy::Detection => fp.write_u64(0),
             DeadlockStrategy::Timeout { timeout } => {
@@ -234,37 +220,6 @@ impl DbmsConfig {
     /// Builder-style setter for the isolation level.
     pub fn with_isolation(mut self, iso: IsolationLevel) -> Self {
         self.isolation = iso;
-        self
-    }
-
-    /// Builder-style setter for the lock priority policy.
-    pub fn with_lock_policy(mut self, p: LockPriorityPolicy) -> Self {
-        self.lock_policy = p;
-        self
-    }
-
-    /// Builder-style setter for the CPU policy.
-    pub fn with_cpu_policy(mut self, p: CpuPolicy) -> Self {
-        self.cpu_policy = p;
-        self
-    }
-
-    /// Builder-style setter for the deadlock strategy.
-    pub fn with_deadlock(mut self, d: DeadlockStrategy) -> Self {
-        self.deadlock = d;
-        self
-    }
-
-    /// Builder-style setter for group commit.
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
-    /// Builder-style setter for asynchronous dirty-page write-back.
-    pub fn with_writeback_fraction(mut self, f: f64) -> Self {
-        assert!((0.0..=1.0).contains(&f));
-        self.writeback_fraction = f;
         self
     }
 }
@@ -291,12 +246,7 @@ mod tests {
             .with_data_disks(4)
             .with_bufferpool_pages(123);
         assert_eq!((hw.cpus, hw.data_disks, hw.bufferpool_pages), (2, 4, 123));
-        let db = DbmsConfig::default()
-            .with_isolation(IsolationLevel::UncommittedRead)
-            .with_lock_policy(LockPriorityPolicy::PreemptOnWait)
-            .with_cpu_policy(CpuPolicy::PrioritizeHigh);
+        let db = DbmsConfig::default().with_isolation(IsolationLevel::UncommittedRead);
         assert_eq!(db.isolation, IsolationLevel::UncommittedRead);
-        assert_eq!(db.lock_policy, LockPriorityPolicy::PreemptOnWait);
-        assert_eq!(db.cpu_policy, CpuPolicy::PrioritizeHigh);
     }
 }

@@ -34,6 +34,16 @@ use std::collections::VecDeque;
 use xsched_obs::{NoopTrace, TraceEvent, TraceSink};
 use xsched_sim::{EventQueue, FxHashMap, SimRng, SimTime};
 
+/// Mean of the exponential backoff before an aborted transaction is
+/// restarted, seconds.
+const RESTART_BACKOFF: f64 = 0.010;
+
+/// Upper bound on restarts per transaction before it is force-completed
+/// without its locks (guards against livelock). The guard is reached in
+/// the paper's operating range: it fires once in `figures --quick fig12`,
+/// whose output therefore includes one lock-free transaction.
+const MAX_RESTARTS: u32 = 50;
+
 /// What a call to [`DbmsSim::step`] processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -181,12 +191,6 @@ pub struct DbmsSim<T: TraceSink = NoopTrace> {
     events: EventQueue<u32>,
     /// Pending event payloads, addressed by the handles in `events`.
     arena: EventArena,
-    /// The same-timestamp run currently being dispatched (handles), and
-    /// the cursor of the next one to process. [`EventQueue::pop_run_into`]
-    /// refills the buffer; dispatching from it preserves exact
-    /// `(time, seq)` order (see `pop_run_into`'s ordering contract).
-    batch: Vec<u32>,
-    batch_cursor: usize,
     cpu: CpuBank,
     disks: Vec<Disk>,
     log: Disk,
@@ -260,8 +264,6 @@ pub struct CapacityStats {
     pub log_current: usize,
     /// Event-payload arena capacity (slots live + free).
     pub event_arena: usize,
-    /// Same-timestamp dispatch-batch buffer capacity.
-    pub event_batch: usize,
 }
 
 impl DbmsSim {
@@ -280,6 +282,11 @@ impl<T: TraceSink> DbmsSim<T> {
     /// (pinned by the `tracing_is_observational` test and the core
     /// crate's invariance property).
     pub fn with_trace(hw: HardwareConfig, cfg: DbmsConfig, seed: u64, trace: T) -> DbmsSim<T> {
+        assert!(
+            (0.0..=1.0).contains(&cfg.writeback_fraction),
+            "writeback_fraction {} outside [0, 1]",
+            cfg.writeback_fraction
+        );
         let cpu = CpuBank::new(hw.cpus, cfg.cpu_policy);
         let disks = (0..hw.data_disks).map(|_| Disk::new()).collect();
         let pool = BufferPool::new(hw.bufferpool_pages);
@@ -295,8 +302,6 @@ impl<T: TraceSink> DbmsSim<T> {
             // must not re-grow the heap mid-measurement.
             events: EventQueue::with_capacity(1024),
             arena: EventArena::with_capacity(1024),
-            batch: Vec::new(),
-            batch_cursor: 0,
             cpu,
             disks,
             log: Disk::new(),
@@ -435,34 +440,28 @@ impl<T: TraceSink> DbmsSim<T> {
         self.events.schedule_in(delay, h);
     }
 
-    /// Refill the dispatch batch with the next same-timestamp run.
-    /// Returns `false` when the simulator is truly idle.
-    fn refill_batch(&mut self) -> bool {
-        self.batch_cursor = 0;
-        if self.events.pop_run_into(&mut self.batch).is_some() {
-            return true;
-        }
-        // Every transaction inside is running, backing off, stalled, or
-        // blocked behind one that is — and each of those has a pending
-        // event (deadlock detection breaks every cycle as it closes; a
-        // lock timeout is itself an event). An empty queue with work
-        // still inside is therefore a simulator bug: report it.
-        let n = self.states.len();
-        assert!(
-            self.states.is_empty(),
-            "DbmsSim stalled: {n} transactions in flight with no pending events"
-        );
-        false
-    }
-
-    /// Dispatch one event payload. Returns the external token when the
-    /// event was a driver timer (dispatch then stops *without* pumping:
-    /// the driver reacts first).
-    #[inline]
-    fn dispatch(&mut self, ev: Ev) -> Option<u64> {
+    /// Process one event. Returns [`StepOutcome::Idle`] when no events
+    /// remain (the driver then either schedules more arrivals or stops).
+    /// A driver timer comes back as [`StepOutcome::External`] without a
+    /// pump: the driver reacts first.
+    pub fn step(&mut self) -> StepOutcome {
+        let Some((_, h)) = self.events.pop() else {
+            // Every transaction inside is running, backing off, stalled,
+            // or blocked behind one that is — and each of those has a
+            // pending event (deadlock detection breaks every cycle as it
+            // closes; a lock timeout is itself an event). An empty queue
+            // with work still inside is therefore a simulator bug: report
+            // it.
+            let n = self.states.len();
+            assert!(
+                self.states.is_empty(),
+                "DbmsSim stalled: {n} transactions in flight with no pending events"
+            );
+            return StepOutcome::Idle;
+        };
         self.events_processed += 1;
-        match ev {
-            Ev::External { token } => return Some(token),
+        match self.arena.take(h) {
+            Ev::External { token } => return StepOutcome::External(token),
             Ev::CpuDone { epoch, txn } => self.on_cpu_done(epoch, txn),
             Ev::DiskDone { disk } => self.on_disk_done(disk),
             Ev::LogDone => self.on_log_done(),
@@ -472,28 +471,7 @@ impl<T: TraceSink> DbmsSim<T> {
             Ev::ChaosAbort => self.on_chaos_abort(),
         }
         self.pump();
-        None
-    }
-
-    /// Process one event. Returns [`StepOutcome::Idle`] when no events
-    /// remain (the driver then either schedules more arrivals or stops).
-    ///
-    /// Dispatch is batched under the hood: the queue drains whole
-    /// same-timestamp runs into a reusable buffer and `step` consumes the
-    /// buffer one event per call. The observable sequence of outcomes —
-    /// and every simulation result — is bit-identical to popping events
-    /// one at a time.
-    pub fn step(&mut self) -> StepOutcome {
-        if self.batch_cursor >= self.batch.len() && !self.refill_batch() {
-            return StepOutcome::Idle;
-        }
-        let h = self.batch[self.batch_cursor];
-        self.batch_cursor += 1;
-        let ev = self.arena.take(h);
-        match self.dispatch(ev) {
-            Some(token) => StepOutcome::External(token),
-            None => StepOutcome::Advanced,
-        }
+        StepOutcome::Advanced
     }
 
     /// Take all completions recorded since the last call.
@@ -528,7 +506,6 @@ impl<T: TraceSink> DbmsSim<T> {
             log_batch: self.log_batch.capacity(),
             log_current: self.log_current.capacity(),
             event_arena: self.arena.slots.capacity(),
-            event_batch: self.batch.capacity(),
         }
     }
 
@@ -1008,7 +985,7 @@ impl<T: TraceSink> DbmsSim<T> {
         self.resume_grants(&grants, now);
         grants.clear();
         self.grant_scratch = grants;
-        let backoff = self.rng.exp(self.cfg.restart_backoff);
+        let backoff = self.rng.exp(RESTART_BACKOFF);
         let st = self.states.get_mut(r).unwrap();
         st.restarts += 1;
         st.step = 0;
@@ -1017,7 +994,7 @@ impl<T: TraceSink> DbmsSim<T> {
         st.delay_done = false;
         st.stalled = false;
         st.pending_cpu_extra = 0.0;
-        if st.restarts > self.cfg.max_restarts {
+        if st.restarts > MAX_RESTARTS {
             // Livelock guard: give up on 2PL for this transaction and let
             // it run lock-free. Rare, but reached in the paper's range
             // (once in `figures --quick fig12`).
@@ -1302,7 +1279,10 @@ mod tests {
                 cpu: 0.001,
             }],
         };
-        let cfg = DbmsConfig::default().with_lock_policy(LockPriorityPolicy::PreemptOnWait);
+        let cfg = DbmsConfig {
+            lock_policy: LockPriorityPolicy::PreemptOnWait,
+            ..Default::default()
+        };
         let hw = HardwareConfig::default().with_cpus(2);
         let mut s = sim(hw, cfg);
         s.submit(l2, 0.0); // grabs item 2 first
@@ -1374,7 +1354,10 @@ mod tests {
             priority: prio,
             steps: vec![Step::compute(0.050)],
         };
-        let cfg = DbmsConfig::default().with_cpu_policy(CpuPolicy::PrioritizeHigh);
+        let cfg = DbmsConfig {
+            cpu_policy: CpuPolicy::PrioritizeHigh,
+            ..Default::default()
+        };
         let mut s = DbmsSim::new(HardwareConfig::default(), cfg, 7);
         // 8 low-priority hogs plus one high-priority txn, all at t=0.
         for _ in 0..8 {
@@ -1401,7 +1384,10 @@ mod tests {
         // Many tiny transactions commit in a burst: with group commit the
         // log performs far fewer forces and throughput is higher.
         let run = |group: bool| -> (f64, u64) {
-            let cfg = DbmsConfig::default().with_group_commit(group);
+            let cfg = DbmsConfig {
+                group_commit: group,
+                ..Default::default()
+            };
             let hw = HardwareConfig {
                 log_write_time: 0.005,
                 step_delay: 0.0,
@@ -1447,7 +1433,10 @@ mod tests {
         };
         let mut t2 = t1.clone();
         t2.steps.swap(0, 1);
-        let cfg = DbmsConfig::default().with_deadlock(DeadlockStrategy::Timeout { timeout: 0.05 });
+        let cfg = DbmsConfig {
+            deadlock: DeadlockStrategy::Timeout { timeout: 0.05 },
+            ..Default::default()
+        };
         let hw = HardwareConfig::default().with_cpus(2);
         let mut s = DbmsSim::new(hw, cfg, 42);
         s.submit(t1, 0.0);
@@ -1472,7 +1461,10 @@ mod tests {
                 cpu: 0.010,
             }],
         };
-        let cfg = DbmsConfig::default().with_deadlock(DeadlockStrategy::Timeout { timeout: 10.0 });
+        let cfg = DbmsConfig {
+            deadlock: DeadlockStrategy::Timeout { timeout: 10.0 },
+            ..Default::default()
+        };
         let mut s = DbmsSim::new(HardwareConfig::default(), cfg, 42);
         s.submit(writer.clone(), 0.0);
         s.submit(writer, 0.0); // waits ~13 ms, well under the timeout
@@ -1493,7 +1485,10 @@ mod tests {
             }],
         };
         let run = |frac: f64| -> (f64, u64, f64) {
-            let cfg = DbmsConfig::default().with_writeback_fraction(frac);
+            let cfg = DbmsConfig {
+                writeback_fraction: frac,
+                ..Default::default()
+            };
             let mut s = DbmsSim::new(HardwareConfig::default(), cfg, 3);
             for _ in 0..20 {
                 s.submit(body.clone(), 0.0);
@@ -1562,7 +1557,10 @@ mod tests {
             priority: Priority::High,
             steps: vec![step((i, LockMode::Exclusive), 0.001)],
         };
-        let cfg = DbmsConfig::default().with_lock_policy(LockPriorityPolicy::PreemptOnWait);
+        let cfg = DbmsConfig {
+            lock_policy: LockPriorityPolicy::PreemptOnWait,
+            ..Default::default()
+        };
         let hw = HardwareConfig::default().with_cpus(4);
         let mut s = DbmsSim::new(hw, cfg, 5);
         s.submit(c, 0.0);
@@ -2022,9 +2020,11 @@ mod tests {
             } else {
                 IsolationLevel::RepeatableRead
             };
-            let cfg = DbmsConfig::default()
-                .with_lock_policy(policy)
-                .with_isolation(isolation);
+            let cfg = DbmsConfig {
+                lock_policy: policy,
+                isolation,
+                ..Default::default()
+            };
             let mut s = DbmsSim::new(HardwareConfig::default().with_cpus(2), cfg, seed);
             let mut rng = SimRng::derive(seed, "wl");
             for _ in 0..n {

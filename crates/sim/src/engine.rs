@@ -144,35 +144,6 @@ impl<E> EventQueue<E> {
         Some((s.time, s.event))
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|s| s.time)
-    }
-
-    /// Pop the maximal run of same-timestamp events into `out` (cleared
-    /// first), in exactly the order repeated [`EventQueue::pop`] calls
-    /// would produce, and advance the clock to the run's timestamp.
-    /// Returns that timestamp, or `None` when the queue is empty.
-    ///
-    /// This is the batch-dispatch primitive: discrete-event models with
-    /// quantized or tied timestamps drain whole runs into a reusable
-    /// buffer and dispatch them through one tight loop instead of paying
-    /// the pop/match round-trip per event. It is exactly order-preserving
-    /// even when dispatch schedules *new* events at the same timestamp:
-    /// `seq` is monotonic, so every event already in `out` sorts before
-    /// anything scheduled after the drain — the next `pop_run_into` call
-    /// picks the newcomers up in their correct global position.
-    pub fn pop_run_into(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        let (t, first) = self.pop()?;
-        out.push(first);
-        while self.peek_time() == Some(t) {
-            let (_, e) = self.pop().expect("peeked event must pop");
-            out.push(e);
-        }
-        Some(t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -355,56 +326,6 @@ mod tests {
         for w in popped.windows(2) {
             assert!(w[0].0 <= w[1].0, "time order violated");
         }
-    }
-
-    /// `pop_run_into` must reproduce the exact single-pop sequence:
-    /// same events, same order, same clock — just grouped by timestamp.
-    #[test]
-    fn batched_pop_matches_single_pop_order() {
-        let build = || {
-            let mut q = EventQueue::new();
-            let mut rng = crate::SimRng::derive(3, "runs");
-            for i in 0..10_000u64 {
-                // ~8 events per distinct nanosecond: runs everywhere.
-                q.schedule(SimTime::from_nanos(rng.index_u64(10_000 / 8)), i);
-            }
-            q
-        };
-        let mut single = build();
-        let mut reference = Vec::new();
-        while let Some((t, e)) = single.pop() {
-            reference.push((t, e));
-        }
-        let mut batched = build();
-        let mut run = Vec::new();
-        let mut drained = Vec::new();
-        while let Some(t) = batched.pop_run_into(&mut run) {
-            assert!(!run.is_empty(), "a run holds at least the popped event");
-            assert_eq!(batched.now(), t, "clock advances to the run's time");
-            drained.extend(run.iter().map(|&e| (t, e)));
-        }
-        assert_eq!(drained, reference);
-        assert_eq!(batched.pop_run_into(&mut run), None);
-        assert!(run.is_empty(), "an empty queue leaves the buffer cleared");
-    }
-
-    /// Events scheduled *during* a run's dispatch (at the same timestamp)
-    /// come out of the next batch, after everything already drained —
-    /// matching the `(time, seq)` order single-pop interleaving gives.
-    #[test]
-    fn batched_pop_orders_same_time_reschedules_after_the_run() {
-        let t = SimTime::from_nanos(50);
-        let mut q = EventQueue::new();
-        q.schedule(t, 0u64);
-        q.schedule(t, 1);
-        let mut run = Vec::new();
-        assert_eq!(q.pop_run_into(&mut run), Some(t));
-        assert_eq!(run, vec![0, 1]);
-        // Dispatch of the run schedules two more events at the same time.
-        q.schedule(t, 2);
-        q.schedule(t, 3);
-        assert_eq!(q.pop_run_into(&mut run), Some(t));
-        assert_eq!(run, vec![2, 3], "newcomers drain in their seq order");
     }
 
     #[cfg(not(debug_assertions))]

@@ -1,8 +1,8 @@
 //! Watch the feedback controller work, window by window (§4.3).
 //!
-//! Drives an [`MplController`] directly against the simulated DBMS so the
-//! per-window trace (MPL, throughput, response time, verdict) is visible,
-//! then contrasts convergence with and without the queueing-theoretic
+//! Runs controller sessions through `Driver::session` and prints each
+//! one's per-window trace (MPL, throughput, response time, verdict), then
+//! contrasts convergence with and without the queueing-theoretic
 //! jump-start.
 //!
 //! ```text
@@ -21,8 +21,8 @@ fn main() {
 
     for id in [1u32, 5, 11] {
         let driver = Driver::new(setup(id)).with_config(rc.clone());
-        let warm = driver.run_controller_with_start(Targets::five_percent(), None);
-        let cold = driver.run_controller_with_start(Targets::five_percent(), Some(1));
+        let warm = driver.session(Targets::five_percent(), None, None, None);
+        let cold = driver.session(Targets::five_percent(), Some(1), None, None);
         println!("setup {id:2} ({}):", driver.setup().workload.name);
         println!(
             "  queueing jump-start at MPL {:>3} -> converged at MPL {:>3} in {} windows",

@@ -106,8 +106,8 @@ fn controller_converges_within_paper_bound() {
 #[test]
 fn jumpstart_beats_cold_start() {
     let d = Driver::new(setup(5)).with_config(quick());
-    let warm = d.run_controller_with_start(Targets::five_percent(), None);
-    let cold = d.run_controller_with_start(Targets::five_percent(), Some(1));
+    let warm = d.session(Targets::five_percent(), None, None, None);
+    let cold = d.session(Targets::five_percent(), Some(1), None, None);
     assert!(warm.converged && cold.converged);
     assert!(
         warm.iterations <= cold.iterations,
