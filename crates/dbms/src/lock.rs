@@ -242,14 +242,6 @@ impl LockManager {
         RequestOutcome::Blocked
     }
 
-    /// Release every lock held by `txn` (commit path) and promote waiters.
-    /// Convenience wrapper over [`LockManager::release_all_into`].
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.release_all_into(txn, &mut grants);
-        grants
-    }
-
     /// Release every lock held by `txn` (commit path), appending promoted
     /// waiters to `grants` — the allocation-free form the simulator's hot
     /// loop uses with a per-sim scratch buffer.
@@ -259,38 +251,12 @@ impl LockManager {
             "committing txn {txn:?} cannot be waiting"
         );
         let before = grants.len();
-        let mut items = self.held.remove(&txn).unwrap_or_default();
-        for item in items.drain(..) {
-            if let Some(state) = self.table.get_mut(&item) {
-                state.holders.retain(|(t, _)| *t != txn);
-                Self::promote(
-                    &mut self.waiting,
-                    &mut self.held,
-                    &mut self.items_pool,
-                    state,
-                    item,
-                    grants,
-                );
-                if state.holders.is_empty() && state.queue.is_empty() {
-                    self.recycle(item);
-                }
-            }
-        }
-        self.items_pool.push(items);
+        self.release_held(txn, grants);
         self.grants += (grants.len() - before) as u64;
     }
 
     /// Abort path: remove `txn` from any wait queue and release all its
-    /// locks. Returns the waiters that became grantable. Convenience
-    /// wrapper over [`LockManager::abort_into`].
-    pub fn abort(&mut self, txn: TxnId) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.abort_into(txn, &mut grants);
-        grants
-    }
-
-    /// Abort path, appending newly grantable waiters to `grants` (the
-    /// scratch-buffer form).
+    /// locks, appending the waiters that became grantable to `grants`.
     pub fn abort_into(&mut self, txn: TxnId, grants: &mut Vec<Grant>) {
         let before = grants.len();
         if let Some(item) = self.waiting.remove(&txn) {
@@ -307,6 +273,13 @@ impl LockManager {
                 );
             }
         }
+        self.release_held(txn, grants);
+        self.grants += (grants.len() - before) as u64;
+    }
+
+    /// Drop `txn` from the holders of every item it holds, promoting
+    /// waiters into `grants` and recycling the states left empty.
+    fn release_held(&mut self, txn: TxnId, grants: &mut Vec<Grant>) {
         let mut items = self.held.remove(&txn).unwrap_or_default();
         for item in items.drain(..) {
             if let Some(state) = self.table.get_mut(&item) {
@@ -325,7 +298,6 @@ impl LockManager {
             }
         }
         self.items_pool.push(items);
-        self.grants += (grants.len() - before) as u64;
     }
 
     /// Drop the (empty) lock state for `item`, keeping its buffers for
@@ -484,22 +456,12 @@ impl LockManager {
         victim
     }
 
-    /// POW: low-priority holders of `item` that are themselves blocked at
-    /// some other lock queue — the victims a blocked high-priority request
-    /// is entitled to preempt. `priority_of` resolves a holder's class
-    /// (the simulator answers from its transaction slab).
-    pub fn pow_victims(
-        &self,
-        item: ItemId,
-        priority_of: impl Fn(TxnId) -> Option<Priority>,
-    ) -> Vec<TxnId> {
-        let mut out = Vec::new();
-        self.pow_victims_into(item, &mut out, priority_of);
-        out
-    }
-
-    /// [`LockManager::pow_victims`], appending into a caller-owned scratch
-    /// buffer (holders appear in grant order, which is deterministic).
+    /// POW: append to `out` the low-priority holders of `item` that are
+    /// themselves blocked at some other lock queue — the victims a blocked
+    /// high-priority request is entitled to preempt. `priority_of`
+    /// resolves a holder's class (the simulator answers from its
+    /// transaction slab). Holders appear in grant order, which is
+    /// deterministic.
     pub fn pow_victims_into(
         &self,
         item: ItemId,
@@ -663,7 +625,8 @@ mod tests {
         );
         assert_eq!(lm.waiting_count(), 2);
         lm.check_invariants();
-        let grants = lm.release_all(t(1));
+        let mut grants = Vec::new();
+        lm.release_all_into(t(1), &mut grants);
         // FIFO: t2 (shared) is granted; t3 (exclusive) still waits.
         assert_eq!(
             grants,
@@ -672,7 +635,8 @@ mod tests {
                 item: i(1)
             }]
         );
-        let grants = lm.release_all(t(2));
+        let mut grants = Vec::new();
+        lm.release_all_into(t(2), &mut grants);
         assert_eq!(
             grants,
             vec![Grant {
@@ -689,7 +653,8 @@ mod tests {
         let _ = lm.request(t(1), LO, i(1), LockMode::Exclusive);
         let _ = lm.request(t(2), LO, i(1), LockMode::Shared);
         let _ = lm.request(t(3), LO, i(1), LockMode::Shared);
-        let grants = lm.release_all(t(1));
+        let mut grants = Vec::new();
+        lm.release_all_into(t(1), &mut grants);
         assert_eq!(grants.len(), 2, "both shared waiters granted together");
     }
 
@@ -737,7 +702,8 @@ mod tests {
             lm.request(t(1), LO, i(1), LockMode::Exclusive),
             RequestOutcome::Blocked
         );
-        let grants = lm.release_all(t(2));
+        let mut grants = Vec::new();
+        lm.release_all_into(t(2), &mut grants);
         assert_eq!(
             grants,
             vec![Grant {
@@ -768,7 +734,8 @@ mod tests {
         );
         let victim = lm.find_deadlock_victim(t(2)).expect("cycle exists");
         assert_eq!(victim, t(2), "youngest (largest id) in cycle");
-        let grants = lm.abort(victim);
+        let mut grants = Vec::new();
+        lm.abort_into(victim, &mut grants);
         // Aborting t2 releases i2 → t1 gets it.
         assert_eq!(
             grants,
@@ -817,7 +784,8 @@ mod tests {
         let _ = lm.request(t(1), LO, i(1), LockMode::Exclusive);
         let _ = lm.request(t(2), LO, i(1), LockMode::Exclusive);
         let _ = lm.request(t(3), HI, i(1), LockMode::Exclusive);
-        let grants = lm.release_all(t(1));
+        let mut grants = Vec::new();
+        lm.release_all_into(t(1), &mut grants);
         assert_eq!(
             grants,
             vec![Grant {
@@ -863,10 +831,15 @@ mod tests {
             lm.request(t(3), HI, i(1), LockMode::Exclusive),
             RequestOutcome::Blocked
         );
-        assert_eq!(lm.pow_victims(i(1), prio_of), vec![t(1)]);
+        let mut victims = Vec::new();
+        lm.pow_victims_into(i(1), &mut victims, prio_of);
+        assert_eq!(victims, vec![t(1)]);
         // t2 holds i2 but is running (not waiting) → not a victim.
-        assert!(lm.pow_victims(i(2), prio_of).is_empty());
-        let grants = lm.abort(t(1));
+        victims.clear();
+        lm.pow_victims_into(i(2), &mut victims, prio_of);
+        assert!(victims.is_empty());
+        let mut grants = Vec::new();
+        lm.abort_into(t(1), &mut grants);
         assert_eq!(
             grants,
             vec![Grant {
@@ -883,7 +856,8 @@ mod tests {
         let _ = lm.request(t(1), LO, i(1), LockMode::Shared);
         let _ = lm.request(t(2), LO, i(1), LockMode::Exclusive); // waits
         let _ = lm.request(t(3), LO, i(1), LockMode::Shared); // waits behind X
-        let grants = lm.abort(t(2));
+        let mut grants = Vec::new();
+        lm.abort_into(t(2), &mut grants);
         assert_eq!(
             grants,
             vec![Grant {
@@ -901,7 +875,7 @@ mod tests {
         let _ = lm.request(t(2), LO, i(1), LockMode::Exclusive);
         assert_eq!(lm.grant_count(), 1);
         assert_eq!(lm.block_count(), 1);
-        let _ = lm.release_all(t(1));
+        lm.release_all_into(t(1), &mut Vec::new());
         assert_eq!(lm.grant_count(), 2);
     }
 
@@ -967,12 +941,12 @@ mod tests {
                     17 | 18 => {
                         let running = live.iter().position(|&(t, _)| lm.waiting_for(t).is_none());
                         if let Some(pos) = running {
-                            let _ = lm.release_all(live.swap_remove(pos).0);
+                            lm.release_all_into(live.swap_remove(pos).0, &mut Vec::new());
                         }
                     }
                     _ => {
                         if !live.is_empty() {
-                            let _ = lm.abort(live.swap_remove(pick).0);
+                            lm.abort_into(live.swap_remove(pick).0, &mut Vec::new());
                         }
                     }
                 }

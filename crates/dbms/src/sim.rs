@@ -96,6 +96,8 @@ struct TxnState {
     block_seq: u64,
 }
 
+/// A pending event, held by value in the simulator's [`EventQueue`].
+///
 /// Events carry the dense [`SlotRef`] where the handler only needs the
 /// transaction's state (dispatch is then a bounds check plus a generation
 /// compare — no hashing). `CpuDone` keeps the [`TxnId`] because the CPU
@@ -129,53 +131,6 @@ enum Ev {
     ChaosAbort,
 }
 
-/// Slab of pending event payloads, addressed by `u32` handles.
-///
-/// The event heap stores only `(time, seq, handle)` — 24 bytes per entry
-/// instead of the 40 a `Scheduled<Ev>` costs with the enum inline — so a
-/// `sift_down` touches nearly twice as many entries per cache line. The
-/// payloads live here, written once at schedule time and read once at
-/// dispatch; the free list recycles slots LIFO, so the arena's footprint
-/// is bounded by the maximum number of *concurrently pending* events and
-/// the hot slots stay hot.
-#[derive(Debug, Default)]
-struct EventArena {
-    slots: Vec<Ev>,
-    free: Vec<u32>,
-}
-
-impl EventArena {
-    fn with_capacity(cap: usize) -> EventArena {
-        EventArena {
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Park a payload, returning its handle.
-    #[inline]
-    fn insert(&mut self, ev: Ev) -> u32 {
-        match self.free.pop() {
-            Some(h) => {
-                self.slots[h as usize] = ev;
-                h
-            }
-            None => {
-                let h = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
-                self.slots.push(ev);
-                h
-            }
-        }
-    }
-
-    /// Read a payload back and retire its handle.
-    #[inline]
-    fn take(&mut self, h: u32) -> Ev {
-        self.free.push(h);
-        self.slots[h as usize]
-    }
-}
-
 /// The simulated DBMS.
 ///
 /// Generic over a [`TraceSink`] observing the transaction life cycle
@@ -187,10 +142,8 @@ impl EventArena {
 pub struct DbmsSim<T: TraceSink = NoopTrace> {
     hw: HardwareConfig,
     cfg: DbmsConfig,
-    /// Future-event list over arena handles; payloads live in `arena`.
-    events: EventQueue<u32>,
-    /// Pending event payloads, addressed by the handles in `events`.
-    arena: EventArena,
+    /// Future-event list.
+    events: EventQueue<Ev>,
     cpu: CpuBank,
     disks: Vec<Disk>,
     log: Disk,
@@ -262,8 +215,6 @@ pub struct CapacityStats {
     pub log_batch: usize,
     /// In-flight force buffer capacity.
     pub log_current: usize,
-    /// Event-payload arena capacity (slots live + free).
-    pub event_arena: usize,
 }
 
 impl DbmsSim {
@@ -301,7 +252,6 @@ impl<T: TraceSink> DbmsSim<T> {
             // Pre-sized: long runs keep thousands of events in flight and
             // must not re-grow the heap mid-measurement.
             events: EventQueue::with_capacity(1024),
-            arena: EventArena::with_capacity(1024),
             cpu,
             disks,
             log: Disk::new(),
@@ -346,8 +296,8 @@ impl<T: TraceSink> DbmsSim<T> {
         };
         if spec.abort_rate > 0.0 {
             let t = onset + ch.abort_rng.exp(1.0 / spec.abort_rate);
-            let h = self.arena.insert(Ev::ChaosAbort);
-            self.events.schedule(SimTime::from_secs_f64(t), h);
+            self.events
+                .schedule(SimTime::from_secs_f64(t), Ev::ChaosAbort);
         }
         self.chaos = Some(ch);
         self
@@ -429,15 +379,7 @@ impl<T: TraceSink> DbmsSim<T> {
         } else {
             time
         };
-        let h = self.arena.insert(Ev::External { token });
-        self.events.schedule(time, h);
-    }
-
-    /// Park `ev` in the arena and schedule its handle `delay` seconds out.
-    #[inline]
-    fn enqueue_in(&mut self, delay: f64, ev: Ev) {
-        let h = self.arena.insert(ev);
-        self.events.schedule_in(delay, h);
+        self.events.schedule(time, Ev::External { token });
     }
 
     /// Process one event. Returns [`StepOutcome::Idle`] when no events
@@ -445,7 +387,7 @@ impl<T: TraceSink> DbmsSim<T> {
     /// A driver timer comes back as [`StepOutcome::External`] without a
     /// pump: the driver reacts first.
     pub fn step(&mut self) -> StepOutcome {
-        let Some((_, h)) = self.events.pop() else {
+        let Some((_, ev)) = self.events.pop() else {
             // Every transaction inside is running, backing off, stalled,
             // or blocked behind one that is — and each of those has a
             // pending event (deadlock detection breaks every cycle as it
@@ -460,7 +402,7 @@ impl<T: TraceSink> DbmsSim<T> {
             return StepOutcome::Idle;
         };
         self.events_processed += 1;
-        match self.arena.take(h) {
+        match ev {
             Ev::External { token } => return StepOutcome::External(token),
             Ev::CpuDone { epoch, txn } => self.on_cpu_done(epoch, txn),
             Ev::DiskDone { disk } => self.on_disk_done(disk),
@@ -505,7 +447,6 @@ impl<T: TraceSink> DbmsSim<T> {
             victim_scratch: self.victim_scratch.capacity(),
             log_batch: self.log_batch.capacity(),
             log_current: self.log_current.capacity(),
-            event_arena: self.arena.slots.capacity(),
         }
     }
 
@@ -574,7 +515,7 @@ impl<T: TraceSink> DbmsSim<T> {
         let now = self.now();
         let (done, next) = self.disks[disk].complete(now);
         if let Some((_, delay)) = next {
-            self.enqueue_in(delay, Ev::DiskDone { disk });
+            self.events.schedule_in(delay, Ev::DiskDone { disk });
         }
         if done.txn == Self::WRITEBACK {
             return; // background flush; nobody is waiting
@@ -614,7 +555,7 @@ impl<T: TraceSink> DbmsSim<T> {
                     )
                     .expect("log just became idle");
                 std::mem::swap(&mut self.log_batch, &mut self.log_current);
-                self.enqueue_in(delay, Ev::LogDone);
+                self.events.schedule_in(delay, Ev::LogDone);
             }
             for &txn in hardened.iter() {
                 self.commit(txn);
@@ -632,7 +573,7 @@ impl<T: TraceSink> DbmsSim<T> {
         } else {
             let (done, next) = self.log.complete(now);
             if let Some((_, delay)) = next {
-                self.enqueue_in(delay, Ev::LogDone);
+                self.events.schedule_in(delay, Ev::LogDone);
             }
             self.commit(done.txn);
         }
@@ -678,7 +619,7 @@ impl<T: TraceSink> DbmsSim<T> {
             let ch = self.chaos.as_mut().expect("storm tick without chaos");
             ch.abort_rng.exp(1.0 / ch.spec.abort_rate)
         };
-        self.enqueue_in(delay, Ev::ChaosAbort);
+        self.events.schedule_in(delay, Ev::ChaosAbort);
         let victim = self
             .states
             .iter()
@@ -777,12 +718,12 @@ impl<T: TraceSink> DbmsSim<T> {
                             .expect("idle log must start immediately");
                         debug_assert!(self.log_current.is_empty());
                         self.log_current.push(txn);
-                        self.enqueue_in(delay, Ev::LogDone);
+                        self.events.schedule_in(delay, Ev::LogDone);
                     }
                 } else {
                     let service = self.rng.exp(self.hw.log_write_time);
                     if let Some(delay) = self.log.submit(now, IoRequest { txn, service }) {
-                        self.enqueue_in(delay, Ev::LogDone);
+                        self.events.schedule_in(delay, Ev::LogDone);
                     }
                 }
                 return;
@@ -790,7 +731,7 @@ impl<T: TraceSink> DbmsSim<T> {
             if !st.delay_done && self.hw.step_delay > 0.0 {
                 st.phase = Phase::InStepDelay;
                 let d = self.rng.exp(self.hw.step_delay);
-                self.enqueue_in(d, Ev::DelayDone { txn: r });
+                self.events.schedule_in(d, Ev::DelayDone { txn: r });
                 return;
             }
             st.delay_done = true;
@@ -830,7 +771,7 @@ impl<T: TraceSink> DbmsSim<T> {
                     if let Some(secs) = Self::stall_draw(&mut self.chaos, now) {
                         let st = self.states.get_mut(r).unwrap();
                         st.phase = Phase::InStepDelay;
-                        self.enqueue_in(secs, Ev::DelayDone { txn: r });
+                        self.events.schedule_in(secs, Ev::DelayDone { txn: r });
                         self.trace.record(TraceEvent::ChaosStall {
                             txn: txn.0,
                             t: now,
@@ -854,7 +795,7 @@ impl<T: TraceSink> DbmsSim<T> {
                     let factor = Self::chaos_disk_factor(&mut self.chaos, &mut self.trace, now);
                     let service = self.rng.exp(self.hw.disk_read_time) * factor;
                     if let Some(delay) = self.disks[disk].submit(now, IoRequest { txn, service }) {
-                        self.enqueue_in(delay, Ev::DiskDone { disk });
+                        self.events.schedule_in(delay, Ev::DiskDone { disk });
                     }
                     self.trace.record(TraceEvent::DiskIo {
                         disk: disk as u32,
@@ -890,7 +831,7 @@ impl<T: TraceSink> DbmsSim<T> {
         let now = self.now();
         if let Some((dt, txn)) = self.cpu.next_completion(now) {
             let epoch = self.cpu.epoch();
-            self.enqueue_in(dt, Ev::CpuDone { epoch, txn });
+            self.events.schedule_in(dt, Ev::CpuDone { epoch, txn });
         }
     }
 
@@ -920,7 +861,7 @@ impl<T: TraceSink> DbmsSim<T> {
                 }
             }
             DeadlockStrategy::Timeout { timeout } => {
-                self.enqueue_in(
+                self.events.schedule_in(
                     timeout,
                     Ev::LockTimeout {
                         txn: r,
@@ -1004,7 +945,7 @@ impl<T: TraceSink> DbmsSim<T> {
             return;
         }
         st.phase = Phase::BackingOff;
-        self.enqueue_in(backoff, Ev::Restart { txn: r });
+        self.events.schedule_in(backoff, Ev::Restart { txn: r });
     }
 
     fn resume_grants(&mut self, grants: &[Grant], now: f64) {
@@ -1051,7 +992,7 @@ impl<T: TraceSink> DbmsSim<T> {
                         service,
                     };
                     if let Some(delay) = self.disks[disk].submit(now, req) {
-                        self.enqueue_in(delay, Ev::DiskDone { disk });
+                        self.events.schedule_in(delay, Ev::DiskDone { disk });
                     }
                     self.metrics.writebacks += 1;
                     self.trace.record(TraceEvent::DiskIo {

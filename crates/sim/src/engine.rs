@@ -1,20 +1,12 @@
 //! Deterministic future-event list.
 //!
-//! The queue is a 4-ary implicit min-heap keyed on `(time, seq)` where
-//! `seq` is a monotonically increasing insertion counter. Ties in
-//! simulated time are therefore broken by insertion order, which makes
-//! every run fully deterministic for a given RNG seed — a property the
-//! integration tests rely on. Because `(time, seq)` is a *strict* total
-//! order (seq is unique), the pop sequence is the same for any correct
-//! heap arity; switching from the standard binary heap changed no
-//! observable behavior, only cache traffic.
-//!
-//! Why 4-ary: the event loop is pop-heavy (every pop sifts down the full
-//! depth), and a branching factor of 4 halves the tree depth while the
-//! four children of node `i` — slots `4i+1..4i+4` — share one or two
-//! cache lines, so the wider child scan costs less than the extra levels
-//! it removes. Insertions sift *up* through parent links `(i-1)/4` and
-//! get strictly cheaper with the shallower tree.
+//! The queue is the standard library's binary heap keyed on
+//! `(time, seq)`, where `seq` is a monotonically increasing insertion
+//! counter. Ties in simulated time are therefore broken by insertion
+//! order, which makes every run fully deterministic for a given RNG seed
+//! — a property the integration tests rely on. Because `(time, seq)` is
+//! a *strict* total order (seq is unique), any correct heap pops the same
+//! sequence: the pop order is the order of sorting by `(time, seq)`.
 //!
 //! Cancellation is handled with *generation tokens* rather than heap
 //! surgery: callers that need to invalidate a previously scheduled event
@@ -23,9 +15,8 @@
 //! `xsched_dbms::cpu` for the idiom.
 
 use crate::time::SimTime;
-
-/// Branching factor of the implicit heap.
-const ARITY: usize = 4;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 struct Scheduled<E> {
     time: SimTime,
@@ -33,11 +24,25 @@ struct Scheduled<E> {
     event: E,
 }
 
-impl<E> Scheduled<E> {
-    /// Strict earliest-first ordering key: `(time, insertion order)`.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    /// Reversed on `(time, seq)`: the max-heap's greatest entry is the
+    /// earliest event, ties going to the first scheduled.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -54,8 +59,7 @@ impl<E> Scheduled<E> {
 /// assert_eq!(t, SimTime::from_secs_f64(1.0));
 /// ```
 pub struct EventQueue<E> {
-    /// Implicit 4-ary min-heap on `(time, seq)`.
-    heap: Vec<Scheduled<E>>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -70,7 +74,7 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -81,7 +85,7 @@ impl<E> EventQueue<E> {
     /// re-growing mid-run.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
+            heap: BinaryHeap::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -117,7 +121,6 @@ impl<E> EventQueue<E> {
             event,
         });
         self.seq += 1;
-        self.sift_up(self.heap.len() - 1);
     }
 
     /// Schedule `event` `delay_secs` seconds from now.
@@ -131,14 +134,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.pop()?;
-        let s = if self.heap.is_empty() {
-            last
-        } else {
-            let root = std::mem::replace(&mut self.heap[0], last);
-            self.sift_down(0);
-            root
-        };
+        let s = self.heap.pop()?;
         debug_assert!(s.time >= self.now);
         self.now = s.time;
         Some((s.time, s.event))
@@ -152,52 +148,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drop all pending events without touching the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Restore the heap property upward from `i` (after a push).
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Restore the heap property downward from `i` (after a pop).
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        loop {
-            let first_child = ARITY * i + 1;
-            if first_child >= len {
-                return;
-            }
-            // Smallest of the (up to) four children; (time, seq) is a
-            // strict total order, so the minimum is unique.
-            let mut min = first_child;
-            let mut min_key = self.heap[min].key();
-            for c in first_child + 1..(first_child + ARITY).min(len) {
-                let k = self.heap[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key < self.heap[i].key() {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                return;
-            }
-        }
     }
 }
 
@@ -246,13 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
+        assert!(q.is_empty());
         q.schedule(SimTime::from_nanos(1), ());
         q.schedule(SimTime::from_nanos(2), ());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }
@@ -296,9 +248,9 @@ mod tests {
         assert!(cap1 >= N as usize, "pre-sized heap must not shrink");
     }
 
-    /// Interleaved schedule/pop drains in strict `(time, seq)` order —
-    /// exercises sift-down across every child-count shape of the 4-ary
-    /// tree (0–4 children, partial last node).
+    /// Interleaved schedule/pop drains in strict `(time, seq)` order,
+    /// including ties scheduled while earlier events at the same time
+    /// are being popped. The payload is the insertion index, i.e. `seq`.
     #[test]
     fn interleaved_operations_pop_in_total_order() {
         let mut q = EventQueue::new();
@@ -324,7 +276,7 @@ mod tests {
         }
         assert_eq!(popped.len() as u64, scheduled);
         for w in popped.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order violated");
+            assert!(w[0] < w[1], "(time, seq) order violated: {w:?}");
         }
     }
 

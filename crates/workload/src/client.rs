@@ -36,14 +36,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Closed system with exponential think time.
-    pub fn closed(clients: u32, mean_think: f64) -> ArrivalProcess {
-        ArrivalProcess::Closed {
-            clients,
-            think: Dist::exp(mean_think),
-        }
-    }
-
     /// Open Poisson arrivals.
     pub fn open(rate: f64) -> ArrivalProcess {
         assert!(rate > 0.0);
@@ -90,7 +82,10 @@ mod tests {
 
     #[test]
     fn closed_think_time_mean() {
-        let a = ArrivalProcess::closed(10, 0.5);
+        let a = ArrivalProcess::Closed {
+            clients: 10,
+            think: Dist::exp(0.5),
+        };
         let mut rng = SimRng::seed_from_u64(3);
         let n = 100_000;
         let m: f64 = (0..n).map(|_| a.next_delay(&mut rng)).sum::<f64>() / n as f64;

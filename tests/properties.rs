@@ -99,14 +99,14 @@ proptest! {
                 2 => {
                     if let Some(pos) = live.iter().position(|t| lm.waiting_for(*t).is_none()) {
                         let t = live.swap_remove(pos);
-                        let _ = lm.release_all(t);
+                        lm.release_all_into(t, &mut Vec::new());
                     }
                 }
                 // abort any txn
                 _ => {
                     if !live.is_empty() {
                         let t = live.swap_remove((t_sel as usize) % live.len());
-                        let _ = lm.abort(t);
+                        lm.abort_into(t, &mut Vec::new());
                     }
                 }
             }
