@@ -10,7 +10,10 @@
 //!
 //! With more than one replication seed every table cell prints
 //! `mean ±95% CI half-width` over the replications; sweeps always fan out
-//! across the worker pool (`--threads`, default one per core).
+//! across the worker pool (`--threads`, default one per core). Every cell
+//! is pure in `(scenario, seed)`, so a cell that panics is a bug that
+//! comes back on every run: it fails the run with `sweep task N failed:
+//! panicked: …`, after every earlier cell of its sweep has finished.
 //!
 //! Sweeps can additionally be split **across processes or hosts**, by
 //! coordination (work-stealing with lease-based fault recovery): one
@@ -101,7 +104,6 @@ fn main() {
         timings: timings_sink.clone(),
         obs: obs.clone(),
         progress: args.progress,
-        keep_going: args.keep_going,
     };
     let rc = if args.quick { quick_rc() } else { full_rc() };
     // Controller sessions and MPL searches run many inner sims per

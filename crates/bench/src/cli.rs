@@ -3,15 +3,17 @@
 //! A small hand-rolled parser (the build environment has no crates.io
 //! access, so `clap` cannot be vendored) covering exactly the surface the
 //! binary needs: `--quick`, `--seeds`, `--replications`, `--threads`,
-//! `--metrics`, `--progress`, `--keep-going`, `--serve`, `--worker`,
-//! `--lease`, `--list`, `--help`, and positional experiment names, each
-//! checked against [`EXPERIMENTS`] before anything runs. One sweep is
-//! split across processes or hosts one way: a `--serve` coordinator and
-//! its `--worker`s. A killed run is simply run again: every cell is
-//! pure in `(scenario, seed)` and the whole quick study takes well under
-//! a minute. No cell can hang (a stalled simulator or a non-converging
-//! solve panics, and every run loop ends at a completion budget), so
-//! there is no per-task deadline either. Parsing is pure and
+//! `--metrics`, `--progress`, `--serve`, `--worker`, `--lease`,
+//! `--list`, `--help`, and positional experiment names, each checked
+//! against [`EXPERIMENTS`] before anything runs. One sweep is split
+//! across processes or hosts one way: a `--serve` coordinator and its
+//! `--worker`s. Every cell is pure in `(scenario, seed)`, so there is no
+//! failure policy to choose: a cell that panics fails the run with
+//! `sweep task N failed: panicked: …` and would fail the same way again,
+//! and a killed run is simply run again — the whole quick study takes
+//! well under a minute. No cell can hang (a stalled simulator or a
+//! non-converging solve panics, and every run loop ends at a completion
+//! budget), so there is no per-task deadline either. Parsing is pure and
 //! errors are **typed** ([`ArgError`]) so the binary can render a clean
 //! one-liner and the unit tests can assert on the exact failure, not a
 //! string.
@@ -102,9 +104,6 @@ pub struct FiguresArgs {
     pub metrics_out: Option<String>,
     /// Print a per-task progress ticker to stderr while sweeps run.
     pub progress: bool,
-    /// Degrade failed sweep tasks to marked `FAILED` cells and keep
-    /// sweeping instead of aborting on the first failure.
-    pub keep_going: bool,
     /// Serve every sweep as a task-queue coordinator on this TCP address
     /// (`host:port`): workers claim task leases, this process records
     /// their outcomes and prints the tables.
@@ -150,11 +149,6 @@ OPTIONS:
                              queue/latency time series
         --progress           print a per-task completion ticker to stderr
                              while sweeps run (stdout stays table-only)
-        --keep-going         degrade failed (panicked) sweep tasks to
-                             marked FAILED cells and keep sweeping;
-                             failed cells render as FAILED in the tables;
-                             without it the first failed task aborts the
-                             run
         --serve ADDR         coordinate every sweep over TCP at ADDR
                              (host:port): hand out task leases to
                              --worker clients, record their outcomes in
@@ -174,7 +168,10 @@ OPTIONS:
                              Prints no tables. If the coordinator is
                              unreachable from the start, degrades to a
                              plain local run. Must be launched with the
-                             same experiment flags as the coordinator
+                             same experiment flags as the coordinator.
+                             A leased cell that panics ends the worker
+                             with `sweep task N failed`; its lease then
+                             expires
         --lease SECS         coordinator lease duration [default: 10]:
                              a worker silent for SECS loses its task to
                              reassignment (requires --serve)
@@ -250,7 +247,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<FiguresArgs, ArgError> {
             }
             "--metrics" => out.metrics_out = Some(value_for(arg)?),
             "--progress" => out.progress = true,
-            "--keep-going" => out.keep_going = true,
             "--serve" => out.serve = Some(value_for(arg)?),
             "--worker" => out.worker = Some(value_for(arg)?),
             "--lease" => {
@@ -386,8 +382,9 @@ mod tests {
 
     /// Shard balancing, cost calibration, timing dumps, explicit
     /// defaults, task retries, fault injection, checkpoint/resume,
-    /// sub-run splitting, the per-task watchdog and static sharding are
-    /// not options: each is a typed unknown-option error.
+    /// sub-run splitting, the per-task watchdog, static sharding and
+    /// degrading failed cells are not options: each is a typed
+    /// unknown-option error.
     #[test]
     fn removed_flags_are_unknown_options() {
         for args in [
@@ -406,6 +403,7 @@ mod tests {
             vec!["--task-timeout", "5"],
             vec!["--shard", "1/2"],
             vec!["--merge", "s.txt"],
+            vec!["--keep-going"],
         ] {
             assert_eq!(
                 parse_args(&args).unwrap_err(),
@@ -430,26 +428,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fault_tolerance_flags_parse() {
-        let a = parse_args(&["--keep-going", "fig2"]).unwrap();
-        assert!(a.keep_going);
-        assert_eq!(a.experiments, ["fig2"]);
-        // Default: off.
-        assert!(!parse_args::<&str>(&[]).unwrap().keep_going);
-    }
-
-    /// `--keep-going` conflicts with no execution mode, and it does not
-    /// mask the typed conflicts between the modes themselves.
+    /// The two execution roles of a coordinated sweep cannot be
+    /// combined, and the conflict is typed.
     #[test]
     fn fault_tolerance_conflicts_are_typed() {
-        for mode in [vec!["--serve", "a:1"], vec!["--worker", "a:1"]] {
-            let mut args = vec!["--keep-going"];
-            args.extend(&mode);
-            assert!(parse_args(&args).unwrap().keep_going, "{args:?}");
-        }
         assert_eq!(
-            parse_args(&["--keep-going", "--serve", "a:1", "--worker", "b:1"]).unwrap_err(),
+            parse_args(&["--serve", "a:1", "--worker", "b:1"]).unwrap_err(),
             ArgError::Conflict(
                 "--serve and --worker are mutually exclusive (one process is one side)"
             )
@@ -517,14 +501,13 @@ mod tests {
     /// in USAGE, and USAGE's OPTIONS section names no other `--flag`.
     #[test]
     fn usage_lists_exactly_the_parsed_options() {
-        let options: [&[&str]; 12] = [
+        let options: [&[&str]; 11] = [
             &["--quick"],
             &["--seeds", "7,8"],
             &["--replications", "2"],
             &["--threads", "2"],
             &["--metrics", "m.json"],
             &["--progress"],
-            &["--keep-going"],
             &["--serve", "a:1"],
             &["--worker", "a:1"],
             &["--lease", "5", "--serve", "a:1"],

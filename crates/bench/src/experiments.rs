@@ -157,19 +157,13 @@ pub struct SweepOpts {
     pub obs: Option<Arc<SweepObs>>,
     /// Print a per-task completion ticker to stderr while sweeps run.
     pub progress: bool,
-    /// Degrade failed tasks to marked failed cells and keep sweeping.
-    /// Off (the default) fails fast. Every task runs once, panic-isolated,
-    /// either way.
-    pub keep_going: bool,
 }
 
 impl SweepOpts {
     /// Execute `scenarios` under these options.
     pub fn run(&self, scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
         let plan = SweepPlan::new(scenarios).with_seeds(self.seeds.clone());
-        let mut executor = SweepExecutor::parallel(self.threads)
-            .with_progress(self.progress)
-            .with_keep_going(self.keep_going);
+        let mut executor = SweepExecutor::parallel(self.threads).with_progress(self.progress);
         if let Some(obs) = &self.obs {
             executor = executor.with_obs(Arc::clone(obs));
         }
@@ -231,7 +225,6 @@ impl SweepOpts {
                             .map(|scenario| ScenarioResult {
                                 scenario: scenario.clone(),
                                 outcomes: Vec::new(),
-                                failures: Vec::new(),
                                 reps: Default::default(),
                             })
                             .collect()
@@ -1131,30 +1124,13 @@ mod tests {
 
     /// The quick Fig. 2 sweep with every cell failing for real (a
     /// high-priority fraction of 2.0 trips the workload generator's
-    /// assert): keep-going renders `FAILED` in every cell and counts one
-    /// failure per task; the default fail-fast policy aborts with the
-    /// typed message of the first task.
+    /// assert) aborts with the message of the first task.
     #[test]
-    fn fig2_failed_cells_render_failed_or_abort_by_policy() {
+    fn fig2_failed_cell_aborts_the_report() {
         let rc = RunConfig {
             high_fraction: 2.0,
             ..quick_rc()
         };
-        let obs = Arc::new(SweepObs::new());
-        let keep_going = SweepOpts {
-            obs: Some(Arc::clone(&obs)),
-            keep_going: true,
-            ..Default::default()
-        };
-        let report = fig2_report(&rc, &keep_going);
-        let rows: Vec<&str> = report.lines().skip(3).collect();
-        assert_eq!(rows.len(), FIG2_LABELS.len(), "{report}");
-        for row in rows {
-            assert_eq!(row.matches("FAILED").count(), MPL_GRID.len(), "{report}");
-        }
-        let tasks = (FIG2_LABELS.len() * MPL_GRID.len()) as u64;
-        assert_eq!(obs.registry().counter("sweep.task_failures"), tasks);
-
         let result = std::panic::catch_unwind(|| fig2_report(&rc, &SweepOpts::default()));
         let msg = *result
             .expect_err("fail-fast aborts")

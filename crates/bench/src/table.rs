@@ -54,25 +54,16 @@ impl Col {
 
 /// Render one aggregated cell: the replication mean, with `±half-width`
 /// appended when ≥ 2 replications make the Student-t interval finite.
-///
-/// Failure semantics (keep-going sweeps): a cell whose every replication
-/// failed renders `FAILED`; a cell where some replications failed renders
-/// the surviving mean with a trailing `!` — marked, never silently
-/// averaged away.
 fn cell(r: Option<&ScenarioResult>, metric: &str, fmt: Fmt) -> String {
     let Some(r) = r else {
         return "-".to_string();
     };
-    if !r.failures.is_empty() && r.outcomes.is_empty() {
-        return "FAILED".to_string();
-    }
-    let mark = if r.failures.is_empty() { "" } else { "!" };
     match r.reps.get(metric) {
         None => "-".to_string(),
-        Some(w) if w.count() < 2 => format!("{}{mark}", fmt(w.mean())),
+        Some(w) if w.count() < 2 => fmt(w.mean()),
         Some(w) => {
             let ci = w.confidence_interval(0.95);
-            format!("{} ±{}{mark}", fmt(ci.mean), fmt(ci.half_width))
+            format!("{} ±{}", fmt(ci.mean), fmt(ci.half_width))
         }
     }
 }
@@ -115,7 +106,7 @@ pub fn pivot_table(stub: &str, results: &[ScenarioResult], cols: &[Col]) -> Stri
 mod tests {
     use super::*;
     use crate::fmt::f1;
-    use xsched_core::{RunConfig, Scenario, SweepExecutor, SweepPlan, TaskError};
+    use xsched_core::{RunConfig, Scenario, SweepExecutor, SweepPlan};
     use xsched_workload::setup;
 
     fn tiny_results(seeds: usize) -> Vec<ScenarioResult> {
@@ -166,60 +157,5 @@ mod tests {
             &[Col::new("MPL 99", "throughput", "MPL 99", f1)],
         );
         assert!(t.lines().nth(2).unwrap().trim().ends_with('-'));
-    }
-
-    #[test]
-    fn fully_failed_cells_render_failed() {
-        // A high-priority fraction of 2.0 fails every replication of the
-        // MPL 1 cell; the MPL 5 cell beside it is fine.
-        let rc = RunConfig {
-            warmup_txns: 30,
-            measured_txns: 150,
-            ..Default::default()
-        };
-        let mut broken = Scenario::tput("curve", setup(1), 1, rc.clone());
-        broken.rc.high_fraction = 2.0;
-        let scenarios = vec![broken, Scenario::tput("curve", setup(1), 5, rc)];
-        let results = SweepExecutor::serial()
-            .with_keep_going(true)
-            .run(&SweepPlan::new(scenarios).replicated(2, 42));
-        let t = pivot_table(
-            "curve",
-            &results,
-            &[
-                Col::new("MPL 1", "throughput", "MPL 1", f1),
-                Col::new("MPL 5", "throughput", "MPL 5", f1),
-            ],
-        );
-        let row = t.lines().nth(2).unwrap();
-        assert!(
-            row.contains("FAILED"),
-            "an all-failures cell must render FAILED, not average nothing:\n{t}"
-        );
-        assert_eq!(row.matches("FAILED").count(), 1, "only MPL 1 failed:\n{t}");
-        assert!(!row.contains('!'), "MPL 5 has no failed replication:\n{t}");
-    }
-
-    #[test]
-    fn partially_failed_cells_are_marked() {
-        let mut results = tiny_results(2);
-        results[0].failures.push(TaskError("boom".into()));
-        let t = pivot_table(
-            "curve",
-            &results,
-            &[
-                Col::new("MPL 1", "throughput", "MPL 1", f1),
-                Col::new("MPL 5", "throughput", "MPL 5", f1),
-            ],
-        );
-        let row = t.lines().nth(2).unwrap();
-        assert!(
-            row.contains('!'),
-            "a cell with surviving and failed replications must carry `!`:\n{t}"
-        );
-        assert!(
-            !t.contains("FAILED"),
-            "survivors still render a value:\n{t}"
-        );
     }
 }

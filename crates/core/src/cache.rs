@@ -103,13 +103,15 @@ impl MeasurementCache {
     /// measures, concurrent callers for the same key block and then share
     /// the result, and callers for *different* keys proceed in parallel.
     ///
-    /// Poisoning: `measure` runs inside sweep tasks that may panic under
-    /// panic isolation, which poisons the slot lock the measure ran
-    /// under. That is recoverable, not fatal — the slot value is only
-    /// written *after* `measure` returns, so a poisoned slot still holds
-    /// `None` (or a fully-written earlier result) and the next caller
-    /// simply measures again instead of cascading the panic to every
-    /// task sharing the key.
+    /// Poisoning: a sweep task that panics inside `measure` poisons the
+    /// slot lock the measure ran under. The panic aborts the sweep, but
+    /// only once the in-order consumer reaches that task; until then a
+    /// worker already waiting on the same key must not turn the poison
+    /// into a second, different panic. So the poison is recovered, not
+    /// cascaded — the slot value is only written *after* `measure`
+    /// returns, so a poisoned slot still holds `None` (or a fully-written
+    /// earlier result) and the next caller simply measures again, and
+    /// the sweep fails with the lowest failed task's own message.
     pub fn get_or_measure(
         &self,
         key: MeasurementKey,

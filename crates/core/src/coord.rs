@@ -15,7 +15,10 @@
 //!    [`CoordConfig::lease_secs`]; the executing worker extends the lease
 //!    with heartbeats. A worker that dies (SIGKILL, network partition)
 //!    stops heartbeating, the lease expires lazily on the next request,
-//!    and the task returns to the pending queue for reassignment.
+//!    and the task returns to the pending queue for reassignment. A
+//!    worker whose task panics dies the same way: the heartbeat stops
+//!    with the task, and the worker exits with the executor's
+//!    `sweep task N failed` panic, recording nothing.
 //! 2. **Keep-first outcomes.** Expiry can double-assign a task — the
 //!    original worker may have been slow, not dead. Tasks are pure in
 //!    `(scenario, seed)`, the coordinator keeps the **first** recorded
@@ -45,10 +48,11 @@
 //! drop/duplicate/delay/truncate layer, under which a coordinated sweep
 //! must still converge byte-identical.
 
-use crate::fault::{relock, TaskOutcome};
+use crate::fault::relock;
 use crate::observe::SweepObs;
+use crate::scenario::ScenarioOutcome;
 use crate::sweep::{assemble, ScenarioResult, SweepExecutor, SweepPlan};
-use crate::wire::{decode_failure, decode_outcome, encode_failure, encode_outcome, DecodeError};
+use crate::wire::{decode_outcome, encode_outcome, DecodeError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,10 +106,9 @@ pub enum Request {
         /// Global task index being executed.
         task: usize,
     },
-    /// Report a completed task:
-    /// `record <worker> <epoch> <task> ok <outcome>` or
-    /// `record <worker> <epoch> <task> failed <failure>`, with the
-    /// payload in the bit-exact [`wire`](crate::wire) codec.
+    /// Report a completed task: `record <worker> <epoch> <task> <outcome>`,
+    /// with the outcome in the bit-exact [`wire`](crate::wire) codec. A
+    /// task that panics is never recorded: its worker aborts instead.
     Record {
         /// Worker name.
         worker: String,
@@ -113,8 +116,8 @@ pub enum Request {
         epoch: u64,
         /// Global task index.
         task: usize,
-        /// The task's outcome (success or typed failure).
-        outcome: TaskOutcome,
+        /// The task's outcome.
+        outcome: ScenarioOutcome,
     },
     /// Orderly departure; releases the worker's leases:
     /// `bye <worker> <epoch>`.
@@ -167,24 +170,6 @@ fn fh(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// Encode a [`TaskOutcome`] as the payload tail of a `record` frame.
-fn encode_task_outcome(outcome: &TaskOutcome) -> String {
-    match outcome {
-        TaskOutcome::Ok(o) => format!("ok {}", encode_outcome(o)),
-        TaskOutcome::Failed(f) => format!("failed {}", encode_failure(f)),
-    }
-}
-
-fn decode_task_outcome(s: &str) -> Result<TaskOutcome, String> {
-    if let Some(rest) = s.strip_prefix("ok ") {
-        decode_outcome(rest).map(TaskOutcome::Ok)
-    } else if let Some(rest) = s.strip_prefix("failed ") {
-        decode_failure(rest).map(TaskOutcome::Failed)
-    } else {
-        Err(format!("unknown outcome payload `{s}`"))
-    }
-}
-
 /// A worker name must be one non-empty whitespace-free token so the
 /// line-based grammar stays unambiguous.
 fn check_worker(name: &str) -> Result<String, String> {
@@ -218,10 +203,7 @@ impl Request {
                 epoch,
                 task,
                 outcome,
-            } => format!(
-                "record {worker} {epoch} {task} {}",
-                encode_task_outcome(outcome)
-            ),
+            } => format!("record {worker} {epoch} {task} {}", encode_outcome(outcome)),
             Request::Bye { worker, epoch } => format!("bye {worker} {epoch}"),
         }
     }
@@ -281,7 +263,7 @@ impl Request {
                 let worker = check_worker(part("worker")?).map_err(&fail)?;
                 let epoch = u64_of("epoch", part("epoch")?)?;
                 let task = usize_of("task", part("task")?)?;
-                let outcome = decode_task_outcome(part("outcome")?).map_err(&fail)?;
+                let outcome = decode_outcome(part("outcome")?).map_err(&fail)?;
                 Ok(Request::Record {
                     worker,
                     epoch,
@@ -413,7 +395,7 @@ pub struct Coordinator {
     lease_secs: f64,
     pending: VecDeque<usize>,
     leases: BTreeMap<usize, LeaseState>,
-    outcomes: BTreeMap<usize, TaskOutcome>,
+    outcomes: BTreeMap<usize, ScenarioOutcome>,
     /// Tasks whose lease expired at least once — the next grant of one
     /// of these is a *reassignment*.
     expired_once: BTreeSet<usize>,
@@ -487,15 +469,7 @@ impl Coordinator {
         if let Some(t) = (0..self.task_count).find(|t| !self.outcomes.contains_key(t)) {
             panic!("coordinated sweep is incomplete: task {t} has no recorded outcome");
         }
-        let mut entries = Vec::with_capacity(self.task_count);
-        let mut failures = Vec::new();
-        for (t, outcome) in self.outcomes {
-            match outcome {
-                TaskOutcome::Ok(o) => entries.push((t, o)),
-                TaskOutcome::Failed(f) => failures.push((t, f)),
-            }
-        }
-        assemble(plan, entries, failures)
+        assemble(plan, self.outcomes.into_iter().collect())
     }
 
     fn counter(&self, name: &str) {
@@ -893,8 +867,13 @@ pub struct WorkerSummary {
 /// so a coordinated sweep's outcomes are bit-identical to a direct one
 /// whatever the claim interleaving.
 ///
-/// `executor` carries the worker's thread, keep-going, cache, obs and
-/// timings configuration; every executed lease lands in its timings sink.
+/// `executor` carries the worker's thread, cache, obs and timings
+/// configuration; every executed lease lands in its timings sink.
+///
+/// A leased task that panics aborts the worker with the executor's
+/// `sweep task N failed: panicked: …` panic: it records nothing and stops
+/// heartbeating, so the lease expires and the coordinator may hand the
+/// task to another worker.
 ///
 /// If the coordinator goes away, every request is retried up to
 /// [`WorkerConfig::max_retries`] times with exponential backoff and a
@@ -1054,6 +1033,9 @@ pub fn run_worker(
 /// interval from a side thread so a long cell outlives its lease.
 /// Heartbeat responses are advisory — a lost lease does not stop the
 /// computation, because a late result can still win the keep-first race.
+/// The heartbeat stops however the task ends, by returning or by
+/// panicking, so a failed task re-raises here instead of hanging the
+/// worker on a heartbeat that outlives it.
 fn execute_task(
     plan: &SweepPlan,
     epoch: u64,
@@ -1062,7 +1044,7 @@ fn execute_task(
     config: &WorkerConfig,
     task: usize,
     lease_secs: f64,
-) -> TaskOutcome {
+) -> ScenarioOutcome {
     let run = || executor.run_task(plan, task);
     if !config.heartbeat || lease_secs <= 0.0 {
         return run();
@@ -1089,17 +1071,24 @@ fn execute_task(
                 }
             }
         });
-        let outcome = run();
-        stop.store(true, Ordering::Relaxed);
-        outcome
+        let _stop = StopOnDrop(&stop);
+        run()
     })
+}
+
+/// Raises its flag when dropped — on return and on unwinding alike.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::RunConfig;
-    use crate::fault::TaskError;
     use crate::scenario::Scenario;
     use crate::wire::encode_outcome;
     use std::sync::atomic::AtomicU64;
@@ -1274,7 +1263,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_the_codec() {
-        let outcome = TaskOutcome::Ok(tiny_plan().scenarios[0].run(7));
+        let outcome = tiny_plan().scenarios[0].run(7);
         let reqs = [
             Request::Hello {
                 worker: "w0".into(),
@@ -1340,13 +1329,14 @@ mod tests {
             "heartbeat w0 0",
             "record w0 0",
             "record w0 0 3",
-            "record w0 0 3 ok",
-            "record w0 0 3 ok R not-bits",
-            "record w0 0 notanumber ok R",
+            "record w0 0 3 R",
+            "record w0 0 3 R not-bits",
+            "record w0 0 notanumber R",
             "frobnicate the wire",
             "hello  0 5 4",
             "lease-but-a-request",
-            "record w0 0 3 maybe X",
+            "record w0 0 3 X",
+            "record w0 0 3 ok R",
         ] {
             let err = Request::decode(junk).unwrap_err();
             assert!(!err.msg.is_empty(), "`{junk}` must carry a message");
@@ -1384,7 +1374,7 @@ mod tests {
         // Queue drained but leases outstanding: wait, not done.
         assert_eq!(coord.handle(&claim("w0"), 0.2), Response::Wait);
         for &t in &got {
-            let outcome = TaskOutcome::Ok(plan.scenarios[plan.tasks()[t].0].run(plan.tasks()[t].1));
+            let outcome = plan.scenarios[plan.tasks()[t].0].run(plan.tasks()[t].1);
             let rec = Request::Record {
                 worker: "w0".into(),
                 epoch: 0,
@@ -1445,9 +1435,12 @@ mod tests {
         let plan = tiny_plan();
         let mut coord = Coordinator::new(0, &plan, CoordConfig { lease_secs: 1.0 });
         let (si, seed) = plan.tasks()[0];
-        let real = TaskOutcome::Ok(plan.scenarios[si].run(seed));
-        let fake = TaskOutcome::Failed(TaskError("late loser".into()));
-        let rec = |outcome: TaskOutcome| Request::Record {
+        let real = plan.scenarios[si].run(seed);
+        // A late double-assigned loser with a different real outcome:
+        // another seed's run of the same cell.
+        let late = plan.scenarios[si].run(seed + 1);
+        assert_ne!(encode_outcome(&late), encode_outcome(&real));
+        let rec = |outcome: ScenarioOutcome| Request::Record {
             worker: "w0".into(),
             epoch: 0,
             task: 0,
@@ -1456,13 +1449,9 @@ mod tests {
         assert_eq!(coord.handle(&rec(real.clone()), 0.0), Response::Ok);
         // The duplicate (different payload — a late double-assigned
         // loser) is acknowledged but discarded.
-        assert_eq!(coord.handle(&rec(fake), 0.1), Response::Ok);
+        assert_eq!(coord.handle(&rec(late), 0.1), Response::Ok);
         assert_eq!(coord.remaining(), plan.task_count() - 1);
-        let TaskOutcome::Ok(kept) = real else {
-            unreachable!()
-        };
-        let recorded = coord.outcomes[&0].as_ok().expect("the first record won");
-        assert_eq!(encode_outcome(recorded), encode_outcome(&kept));
+        assert_eq!(encode_outcome(&coord.outcomes[&0]), encode_outcome(&real));
     }
 
     /// Assembling before every task has an outcome is a bug in the
@@ -1476,7 +1465,7 @@ mod tests {
             worker: "w0".into(),
             epoch: 0,
             task: 0,
-            outcome: TaskOutcome::Ok(plan.scenarios[si].run(seed)),
+            outcome: plan.scenarios[si].run(seed),
         };
         assert_eq!(coord.handle(&record, 0.0), Response::Ok);
         let err =
@@ -1507,7 +1496,7 @@ mod tests {
             worker: "w0".into(),
             epoch: 1,
             task: 0,
-            outcome: TaskOutcome::Ok(plan.scenarios[0].run(42)),
+            outcome: plan.scenarios[0].run(42),
         };
         assert_eq!(coord.handle(&rec, 0.0), Response::Ok);
         assert_eq!(coord.remaining(), plan.task_count());
@@ -1712,6 +1701,41 @@ mod tests {
             Err(WorkerError::Unreachable(e)) => assert!(e.contains("refused"), "{e}"),
             other => panic!("expected Unreachable, got {other:?}"),
         }
+    }
+
+    /// A worker whose leased cell panics aborts with the executor's
+    /// message instead of hanging: the heartbeat thread stops when the
+    /// task unwinds, so the scope around it can join, and the task stays
+    /// unrecorded. Run on a helper thread so a regression fails the test
+    /// instead of hanging it.
+    #[test]
+    fn worker_whose_leased_cell_panics_aborts_instead_of_hanging() {
+        let mut plan = tiny_plan();
+        plan.scenarios[0].rc.high_fraction = 2.0;
+        let tasks = plan.task_count();
+        let coord = Arc::new(Mutex::new(Coordinator::new(
+            0,
+            &plan,
+            CoordConfig::default(),
+        )));
+        let transport = LocalTransport::new(Arc::clone(&coord));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let executor = SweepExecutor::serial();
+                run_worker(&plan, 0, &executor, &transport, &WorkerConfig::new("w0")).is_ok()
+            }));
+            let _ = tx.send(result.map_err(|e| e.downcast::<String>().map(|m| *m)));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the worker returns within 60 s");
+        let msg = result
+            .expect_err("the failed cell aborts the worker")
+            .expect("the panic carries a message");
+        assert!(msg.contains("sweep task 0 failed: panicked: "), "{msg}");
+        assert!(msg.contains("(0.0..=1.0).contains(&f)"), "{msg}");
+        assert_eq!(relock(&coord).remaining(), tasks, "nothing was recorded");
     }
 
     /// A worker and a coordinator talking over real sockets: once over a

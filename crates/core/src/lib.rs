@@ -27,27 +27,28 @@
 //!   run configuration), pure in `(scenario, seed)`;
 //! * [`sweep`] — [`SweepPlan`] (scenarios × replication seeds) and the
 //!   [`SweepExecutor`]: one execution core that claims tasks in task
-//!   order across worker threads, runs each once, panic-isolated, and
-//!   hands finished cells in task order to a sink — batch assembly and
-//!   the coordinator worker's per-lease call are each just a sink, and
-//!   the same in-order step records per-cell timings. Bit-identical to
-//!   serial execution, feeding Student-t confidence intervals from
-//!   replications;
+//!   order across worker threads, runs each once under `catch_unwind`,
+//!   and hands finished cells in task order to a sink — batch assembly
+//!   and the coordinator worker's per-lease call are each just a sink,
+//!   and the same in-order step records per-cell timings. A panicking
+//!   cell aborts the sweep once every earlier cell is delivered.
+//!   Bit-identical to serial execution, feeding Student-t confidence
+//!   intervals from replications;
 //! * [`cache`] — the plan-level [`MeasurementCache`] memoizing capacity
 //!   (reference) runs so open-load grids measure each `(setup, seed)`
 //!   capacity exactly once;
 //! * [`wire`] — the bit-exact text codec a coordinator worker's
-//!   `record` frames carry outcomes and failures in, also the canonical
+//!   `record` frames carry outcomes in, also the canonical
 //!   key for bitwise outcome comparison in tests;
 //! * [`observe`] — [`SweepObs`], the shared observability sink (metrics
 //!   registry, controller telemetry series, per-cell [`CellTiming`]s)
 //!   behind `figures --metrics`; strictly observational, never changes a
 //!   result byte;
-//! * [`fault`] — the sweep's failure handling: typed
-//!   [`TaskError`]/[`TaskOutcome`] (a failure is the message of a caught
-//!   panic; fail fast or keep going is one executor switch); every task
-//!   runs once, since a pure task that failed would fail the same way
-//!   again, and no task can hang, so none runs under a watchdog;
+//! * [`fault`] — the sweep's one failure rule: a panicking cell fails the
+//!   run with `sweep task N failed: panicked: …`, since a pure task that
+//!   failed would fail the same way again; [`relock`] keeps the caught
+//!   panic from poisoning shared bookkeeping until it is re-raised, and
+//!   no task can hang, so none runs under a watchdog;
 //! * [`coord`] — the cross-host work-stealing layer: a [`Coordinator`]
 //!   handing out task leases over a line-based wire protocol, worker
 //!   clients with heartbeats and deterministic reconnect backoff, and
@@ -76,7 +77,7 @@ pub use coord::{
     Response, TcpTransport, Transport, WorkerConfig, WorkerError, WorkerSummary,
 };
 pub use driver::{ControllerOutcome, Driver, PolicyKind, PriorityOutcome, RunConfig, RunResult};
-pub use fault::{relock, TaskError, TaskOutcome};
+pub use fault::relock;
 pub use gate::MplGate;
 pub use observe::{CellTiming, SweepObs};
 pub use policy::{Fifo, PriorityFifo, QueuePolicy, QueuedTxn, Sjf};

@@ -19,7 +19,7 @@
 //! [`CellTiming`]s are recorded (see [`SweepExecutor::with_timings`]).
 
 use crate::cache::MeasurementCache;
-use crate::fault::{classify_panic, relock, TaskError, TaskOutcome};
+use crate::fault::{classify_panic, relock};
 use crate::observe::{CellTiming, SweepObs};
 use crate::scenario::{Scenario, ScenarioOutcome, UnitCost};
 use std::collections::BTreeMap;
@@ -125,13 +125,9 @@ impl SweepPlan {
 pub struct ScenarioResult {
     /// The scenario that produced these outcomes.
     pub scenario: Scenario,
-    /// One outcome per *successful* plan seed, in seed order. Without
-    /// fault tolerance engaged this is every seed.
+    /// One outcome per plan seed, in seed order.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Failures of replications that failed under keep-going mode, in
-    /// seed order. Empty on fail-fast runs (those abort instead).
-    pub failures: Vec<TaskError>,
-    /// Per-metric aggregates over the successful replications.
+    /// Per-metric aggregates over the replications.
     pub reps: Replications,
 }
 
@@ -160,7 +156,6 @@ pub struct SweepExecutor {
     cache: Option<Arc<MeasurementCache>>,
     obs: Option<Arc<SweepObs>>,
     progress: bool,
-    keep_going: bool,
     timings: Option<Arc<Mutex<Vec<CellTiming>>>>,
 }
 
@@ -172,7 +167,6 @@ impl SweepExecutor {
             cache: None,
             obs: None,
             progress: false,
-            keep_going: false,
             timings: None,
         }
     }
@@ -215,15 +209,6 @@ impl SweepExecutor {
         self
     }
 
-    /// Degrade failed tasks to marked [`TaskOutcome::Failed`] cells and
-    /// keep sweeping. Off (the default) = fail fast: the first failed
-    /// task aborts the sweep with a typed panic. Every task runs once,
-    /// panic-isolated, either way.
-    pub fn with_keep_going(mut self, keep_going: bool) -> SweepExecutor {
-        self.keep_going = keep_going;
-        self
-    }
-
     /// Append every executed cell's [`CellTiming`]s to `sink`, in task
     /// order, from every entry point (a coordinator worker's leases
     /// included). Observational only: result bytes never change.
@@ -240,29 +225,23 @@ impl SweepExecutor {
     pub fn run(&self, plan: &SweepPlan) -> Vec<ScenarioResult> {
         let tasks: Vec<usize> = (0..plan.task_count()).collect();
         let mut entries = Vec::with_capacity(tasks.len());
-        let mut failures = Vec::new();
-        self.execute(plan, &tasks, |t, cell| match cell.outcome {
-            TaskOutcome::Ok(outcome) => entries.push((t, outcome)),
-            TaskOutcome::Failed(failure) => failures.push((t, failure)),
-        });
-        assemble(plan, entries, failures)
+        self.execute(plan, &tasks, |t, outcome| entries.push((t, outcome)));
+        assemble(plan, entries)
     }
 
     /// Execute the single task `task` of `plan` — the coordinator
     /// worker's per-lease call. Same core, same guarded path and same
     /// telemetry as a direct run, so a coordinated sweep's outcomes
-    /// are bit-identical to a direct one. Under fail-fast a failed task
-    /// re-raises here; under keep-going it comes back as
-    /// [`TaskOutcome::Failed`].
-    pub(crate) fn run_task(&self, plan: &SweepPlan, task: usize) -> TaskOutcome {
+    /// are bit-identical to a direct one. A failed task re-raises here.
+    pub(crate) fn run_task(&self, plan: &SweepPlan, task: usize) -> ScenarioOutcome {
         let mut outcome = None;
-        self.execute(plan, &[task], |_, cell| outcome = Some(cell.outcome));
+        self.execute(plan, &[task], |_, o| outcome = Some(o));
         outcome.expect("the execution core delivers every task it is given")
     }
 
     /// The execution core behind both entry points. Runs the global task
-    /// indices `mine` (in order) and hands each finished cell to `sink`
-    /// on the calling thread, strictly in the order of `mine`.
+    /// indices `mine` (in order) and hands each finished cell's outcome to
+    /// `sink` on the calling thread, strictly in the order of `mine`.
     ///
     /// Tasks are claimed in task order from one atomic counter by
     /// `threads` workers: the calling thread plus `threads − 1` scoped
@@ -270,10 +249,16 @@ impl SweepExecutor {
     /// function of `(scenario, seed)`, so worker scheduling cannot change
     /// a result byte.
     ///
-    /// A fail-fast failure stops further claims and re-raises as a typed
-    /// `sweep task {t} failed: …` panic on the calling thread once the
-    /// cursor reaches it; every earlier cell is still delivered first.
-    fn execute(&self, plan: &SweepPlan, mine: &[usize], mut sink: impl FnMut(usize, Cell)) {
+    /// A failure stops further claims and re-raises as a
+    /// `sweep task {t} failed: panicked: …` panic on the calling thread
+    /// once the cursor reaches it; every earlier cell is still delivered
+    /// first.
+    fn execute(
+        &self,
+        plan: &SweepPlan,
+        mine: &[usize],
+        mut sink: impl FnMut(usize, ScenarioOutcome),
+    ) {
         let tasks = plan.tasks();
         let cache = self.cache.clone().unwrap_or_else(MeasurementCache::shared);
         let obs = self.obs.as_deref();
@@ -302,13 +287,11 @@ impl SweepExecutor {
             .map_err(classify_panic);
             let secs = started.elapsed().as_secs_f64();
             let (outcome, cost) = match result {
-                Ok((outcome, cost)) => (TaskOutcome::Ok(outcome), cost),
-                Err(error) => {
-                    // Fail fast: stop claiming once a task fails.
-                    if !self.keep_going {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    (TaskOutcome::Failed(error), UnitCost::default())
+                Ok((outcome, cost)) => (Ok(outcome), cost),
+                Err(msg) => {
+                    // Stop claiming once a task fails.
+                    abort.store(true, Ordering::Relaxed);
+                    (Err(msg), UnitCost::default())
                 }
             };
             let cell = Cell {
@@ -355,15 +338,12 @@ impl SweepExecutor {
                         return;
                     }
                 };
-                if let (false, Some(error)) = (self.keep_going, cell.outcome.as_failed()) {
-                    abort.store(true, Ordering::Relaxed);
-                    panic!("sweep task {t} failed: {error}");
-                }
+                let outcome = match cell.outcome {
+                    Ok(outcome) => outcome,
+                    Err(msg) => panic!("sweep task {t} failed: panicked: {msg}"),
+                };
                 if let Some(obs) = obs {
                     let r = obs.registry();
-                    if cell.outcome.as_failed().is_some() {
-                        r.counter_add("sweep.task_failures", 1);
-                    }
                     // Telemetry counts cells, credited to the worker that
                     // ran the cell, so the counters sum to the task count.
                     r.counter_add("sweep.tasks_done", 1);
@@ -394,7 +374,7 @@ impl SweepExecutor {
                     ));
                 }
                 actual_secs += cell.secs;
-                sink(t, cell);
+                sink(t, outcome);
             }
         });
 
@@ -408,9 +388,10 @@ impl SweepExecutor {
     }
 }
 
-/// One finished cell, as the execution core hands it to a sink.
+/// One finished cell, parked until the in-order consumer reaches it:
+/// the outcome, or the message of the panic the run raised.
 struct Cell {
-    outcome: TaskOutcome,
+    outcome: Result<ScenarioOutcome, String>,
     /// Wall-clock seconds of the cell's run.
     secs: f64,
     cost: UnitCost,
@@ -440,29 +421,23 @@ impl Drop for WorkerExit<'_> {
 
 /// Aggregate task-indexed outcomes into per-scenario results.
 ///
-/// Entries and failures must be unique per index and are consumed in
-/// task order so replication order always matches seed order.
+/// Entries must be unique per index and are consumed in task order so
+/// replication order always matches seed order.
 pub(crate) fn assemble(
     plan: &SweepPlan,
     mut entries: Vec<(usize, ScenarioOutcome)>,
-    mut failed: Vec<(usize, TaskError)>,
 ) -> Vec<ScenarioResult> {
     let tasks = plan.tasks();
     entries.sort_by_key(|(t, _)| *t);
-    failed.sort_by_key(|(t, _)| *t);
     let mut outcomes: Vec<Vec<ScenarioOutcome>> =
         plan.scenarios.iter().map(|_| Vec::new()).collect();
-    let mut failures: Vec<Vec<TaskError>> = plan.scenarios.iter().map(|_| Vec::new()).collect();
     for (t, outcome) in entries {
         outcomes[tasks[t].0].push(outcome);
     }
-    for (t, failure) in failed {
-        failures[tasks[t].0].push(failure);
-    }
     plan.scenarios
         .iter()
-        .zip(outcomes.into_iter().zip(failures))
-        .map(|(scenario, (outcomes, failures))| {
+        .zip(outcomes)
+        .map(|(scenario, outcomes)| {
             let mut reps = Replications::new();
             for o in &outcomes {
                 for (k, v) in o.metrics() {
@@ -472,7 +447,6 @@ pub(crate) fn assemble(
             ScenarioResult {
                 scenario: scenario.clone(),
                 outcomes,
-                failures,
                 reps,
             }
         })
@@ -498,14 +472,6 @@ mod tests {
             .map(|&m| Scenario::tput("s1", setup(1), m, rc.clone()))
             .collect();
         SweepPlan::new(scenarios).replicated(3, 42)
-    }
-
-    /// Every outcome of a result set, encoded, in task order.
-    fn encoded(results: &[ScenarioResult]) -> Vec<String> {
-        results
-            .iter()
-            .flat_map(|r| r.outcomes.iter().map(encode_outcome))
-            .collect()
     }
 
     /// The determinism regression test: parallel execution must be
@@ -711,63 +677,8 @@ mod tests {
         plan
     }
 
-    /// The panic a `high_fraction = 2.0` cell fails with.
-    fn bad_fraction() -> TaskError {
-        TaskError("assertion failed: (0.0..=1.0).contains(&f)".into())
-    }
-
-    /// A plan whose every task fails must not abort a keep-going sweep:
-    /// every cell degrades to a marked failure, and the failures survive
-    /// the assemble path.
-    #[test]
-    fn keep_going_sweep_survives_total_failure() {
-        let mut plan = quick_plan();
-        for s in &mut plan.scenarios {
-            s.rc.high_fraction = 2.0;
-        }
-        let exec = SweepExecutor::parallel(4).with_keep_going(true);
-        let obs = Arc::new(SweepObs::new());
-        let results = exec.with_obs(Arc::clone(&obs)).run(&plan);
-        let total: usize = results.iter().map(|r| r.failures.len()).sum();
-        assert_eq!(total, plan.task_count());
-        assert!(results.iter().all(|r| r.outcomes.is_empty()));
-        for r in &results {
-            assert!(r.failures.iter().all(|e| *e == bad_fraction()));
-        }
-        let reg = obs.registry();
-        assert_eq!(reg.counter("sweep.task_failures"), plan.task_count() as u64);
-    }
-
-    /// The cells beside a failing one are bit-identical to the same cells
-    /// of a fault-free run, and the failures themselves land in the same
-    /// scenarios at every thread count.
-    #[test]
-    fn surviving_cells_beside_failed_cells_match_the_fault_free_run_bitwise() {
-        let baseline = SweepExecutor::serial().run(&quick_plan());
-        let plan = mixed_plan();
-        // Every scenario's encoded outcomes and failures, in seed order.
-        let cells = |exec: SweepExecutor| -> Vec<(Vec<String>, Vec<TaskError>)> {
-            exec.with_keep_going(true)
-                .run(&plan)
-                .iter()
-                .map(|r| (encoded(std::slice::from_ref(r)), r.failures.clone()))
-                .collect()
-        };
-        let serial = cells(SweepExecutor::serial());
-        for (si, (outcomes, failures)) in serial.iter().enumerate() {
-            if si == 1 {
-                assert!(outcomes.is_empty());
-                assert_eq!(failures, &[bad_fraction(), bad_fraction(), bad_fraction()]);
-            } else {
-                assert!(failures.is_empty(), "scenario {si}");
-                assert_eq!(outcomes, &encoded(&baseline[si..=si]), "scenario {si}");
-            }
-        }
-        assert_eq!(serial, cells(SweepExecutor::parallel(4)));
-    }
-
-    /// Fail-fast (the default) still aborts: a failing cell without
-    /// keep-going panics out of the sweep instead of degrading.
+    /// A failing cell panics out of the sweep with the lowest failed
+    /// task's index.
     #[test]
     fn fail_fast_policy_aborts_the_sweep_on_task_failure() {
         let plan = mixed_plan();
@@ -784,11 +695,10 @@ mod tests {
         }
     }
 
-    /// A sweep whose first cell panics under the default fail-fast policy
-    /// must re-raise the typed failure on the calling thread, not leave
-    /// the in-order consumer waiting for a cell that never lands. Run on
-    /// a helper thread so a regression fails the test instead of hanging
-    /// it.
+    /// A sweep whose first cell panics must re-raise the failure on the
+    /// calling thread, not leave the in-order consumer waiting for a cell
+    /// that never lands. Run on a helper thread so a regression fails the
+    /// test instead of hanging it.
     #[test]
     fn fail_fast_reraises_a_failed_first_cell_instead_of_hanging() {
         let rc = RunConfig {

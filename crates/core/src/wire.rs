@@ -1,17 +1,17 @@
 //! The coordinator's wire codec for task results.
 //!
 //! A worker reports each finished task in one `record` frame (see
-//! [`crate::coord::Request::Record`]); the frame's payload is either
-//! [`encode_outcome`] or [`encode_failure`]. Both are single-line,
-//! whitespace-separated text that round-trips every field exactly
-//! (floats travel as their IEEE bit patterns), so a coordinated sweep
-//! assembles tables byte-identical to a direct run. [`encode_outcome`] is
-//! also the canonical key for bitwise outcome comparison in tests: two
-//! outcomes are identical iff their encodings are equal.
+//! [`crate::coord::Request::Record`]); the frame's payload is
+//! [`encode_outcome`]: single-line, whitespace-separated text that
+//! round-trips every field exactly (floats travel as their IEEE bit
+//! patterns), so a coordinated sweep assembles tables byte-identical to a
+//! direct run. A cell that panics is never recorded: the worker's run
+//! aborts instead. [`encode_outcome`] is also the canonical key for
+//! bitwise outcome comparison in tests: two outcomes are identical iff
+//! their encodings are equal.
 
 use crate::controller::IterationRecord;
 use crate::driver::{ControllerOutcome, PriorityOutcome, RunResult};
-use crate::fault::TaskError;
 use crate::scenario::ScenarioOutcome;
 use std::fmt;
 use xsched_dbms::DbmsMetrics;
@@ -331,65 +331,6 @@ pub fn decode_outcome(line: &str) -> Result<ScenarioOutcome, String> {
     }
 }
 
-/// Encode a [`TaskError`] as wire tokens: `panic <message>`. The panic
-/// message is percent-escaped into a single token so arbitrary text
-/// (spaces, newlines, non-ASCII) survives the line-based format.
-pub fn encode_failure(e: &TaskError) -> String {
-    format!("panic {}", esc(&e.0))
-}
-
-/// Decode the tokens produced by [`encode_failure`].
-pub fn decode_failure(s: &str) -> Result<TaskError, String> {
-    let mut t = Tokens(s.split_whitespace());
-    let kind = t.next()?.to_string();
-    let detail = t.next()?.to_string();
-    match kind.as_str() {
-        "panic" => Ok(TaskError(unesc(&detail)?)),
-        other => Err(format!("unknown failure kind `{other}`")),
-    }
-}
-
-/// Percent-escape arbitrary text into one whitespace-free token. The
-/// empty string encodes as a lone `%` (never produced otherwise, since a
-/// real escape is always `%` + two hex digits).
-fn esc(s: &str) -> String {
-    if s.is_empty() {
-        return "%".to_string();
-    }
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-' | b':' | b'/') {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02x}"));
-        }
-    }
-    out
-}
-
-/// Invert [`esc`].
-fn unesc(s: &str) -> Result<String, String> {
-    if s == "%" {
-        return Ok(String::new());
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s
-                .get(i + 1..i + 3)
-                .ok_or_else(|| format!("truncated escape in `{s}`"))?;
-            out.push(u8::from_str_radix(hex, 16).map_err(|e| format!("bad escape `%{hex}`: {e}"))?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|e| format!("escaped text is not UTF-8: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,24 +386,6 @@ mod tests {
         let line = format!("hello {}", "é".repeat(60));
         let err = DecodeError::at(1, &line, "bad frame");
         assert_eq!(err.context, format!("hello {}...", "é".repeat(43)));
-    }
-
-    #[test]
-    fn failures_round_trip_through_the_codec() {
-        let cases = [
-            TaskError("index out of bounds: the len is 3".to_string()),
-            TaskError(String::new()),
-            TaskError("smörgåsbord\n% weird %%".to_string()),
-            TaskError("attempt to divide by zero".to_string()),
-        ];
-        for f in &cases {
-            let spec = encode_failure(f);
-            assert!(
-                spec.split_whitespace().count() == 2,
-                "failure must encode as exactly two tokens: `{spec}`"
-            );
-            assert_eq!(&decode_failure(&spec).unwrap(), f, "{spec}");
-        }
     }
 
     #[test]

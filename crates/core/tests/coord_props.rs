@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use xsched_core::DecodeError;
 use xsched_core::{
     serve_line, CoordConfig, Coordinator, Request, Response, RunConfig, Scenario, ScenarioOutcome,
-    SweepPlan, TaskError, TaskOutcome,
+    SweepPlan,
 };
 use xsched_workload::setup;
 
@@ -53,25 +53,8 @@ fn worker_from(draws: &[u8]) -> String {
     }
 }
 
-/// Map raw draws onto a task outcome: real simulated successes and typed
-/// failures with arbitrary printable detail text (exercising escaping).
-fn outcome_from(kind: u8, pick: u64, detail_draws: &[u8]) -> TaskOutcome {
-    let detail: String = detail_draws
-        .iter()
-        .filter_map(|&b| {
-            // Printable ASCII plus the escapes the codec must handle.
-            let c = (b % 0x60) + 0x20;
-            char::from_u32(u32::from(c))
-        })
-        .collect();
-    match kind % 4 {
-        0 | 1 => TaskOutcome::Ok(real_outcome(pick)),
-        _ => TaskOutcome::Failed(TaskError(detail)),
-    }
-}
-
 /// Map raw draws onto a request frame, covering every variant.
-fn request_from(kind: u8, worker_draws: &[u8], a: u64, b: u64, detail_draws: &[u8]) -> Request {
+fn request_from(kind: u8, worker_draws: &[u8], a: u64, b: u64) -> Request {
     let worker = worker_from(worker_draws);
     let epoch = a >> 32;
     match kind % 5 {
@@ -91,7 +74,7 @@ fn request_from(kind: u8, worker_draws: &[u8], a: u64, b: u64, detail_draws: &[u
             worker,
             epoch,
             task: (b % 10_000) as usize,
-            outcome: outcome_from(kind.wrapping_add(a as u8), b, detail_draws),
+            outcome: real_outcome(b),
         },
         _ => Request::Bye { worker, epoch },
     }
@@ -189,9 +172,8 @@ proptest! {
         worker in collection::vec(0u8..255, 1..24),
         a in any::<u64>(),
         b in any::<u64>(),
-        detail in collection::vec(0u8..255, 0..40),
     ) {
-        let req = request_from(kind, &worker, a, b, &detail);
+        let req = request_from(kind, &worker, a, b);
         let line = req.encode();
         let back = Request::decode(&line).expect("encoded frame must decode");
         prop_assert_eq!(back.encode(), line);
@@ -222,7 +204,7 @@ proptest! {
         b in any::<u64>(),
         cut in 0usize..240,
     ) {
-        let line = request_from(kind, &worker, a, b, b"detail text").encode();
+        let line = request_from(kind, &worker, a, b).encode();
         let cut_line = truncate_at(&line, cut);
         match Request::decode(cut_line) {
             Ok(shorter) => drop(shorter.encode()),
@@ -273,7 +255,7 @@ proptest! {
         pos in any::<u64>(),
         byte in 0x20u8..0x7f,
     ) {
-        let mut line = request_from(kind, &worker, a, b, b"x y z").encode().into_bytes();
+        let mut line = request_from(kind, &worker, a, b).encode().into_bytes();
         let pos = (pos % line.len() as u64) as usize;
         line[pos] = byte;
         let corrupted = String::from_utf8(line).expect("ascii stays ascii");
