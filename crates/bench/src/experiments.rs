@@ -872,8 +872,11 @@ fn internal_vs_external(
     // Resolve each loss budget's MPL once (deterministic in (setup, rc))
     // rather than per replication: repeating the search per seed would
     // cost ~10 extra simulations per cell and could average runs resolved
-    // to different MPLs into one row.
-    let tuner = xsched_core::Driver::new(setup(id)).with_config(rc.clone());
+    // to different MPLs into one row. The three searches share one
+    // reference run through the cache.
+    let tuner = xsched_core::Driver::new(setup(id))
+        .with_config(rc.clone())
+        .with_cache(xsched_core::MeasurementCache::shared());
     scenarios.extend(
         [("ext95", 0.05), ("ext80", 0.20), ("ext100", 0.01)].map(|(label, loss)| Scenario {
             row: label.to_string(),

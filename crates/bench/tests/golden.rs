@@ -1,10 +1,10 @@
 //! Golden determinism tests for the `figures` pivot tables.
 //!
-//! fig2, fig3 and fig12 (simulation-backed, `--quick` scale) and fig7
-//! (analytic) are rendered to strings and compared byte-for-byte against
-//! checked-in snapshots. Anything that moves these tables — simulator
-//! behaviour, CI/table formatting, column layout — now fails loudly and
-//! must be a deliberate snapshot update:
+//! fig2, fig3, fig12 and ablation_dbms (simulation-backed, `--quick`
+//! scale) and fig7 (analytic) are rendered to strings and compared
+//! byte-for-byte against checked-in snapshots. Anything that moves these
+//! tables — simulator behaviour, CI/table formatting, column layout — now
+//! fails loudly and must be a deliberate snapshot update:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p xsched-bench --test golden
@@ -14,8 +14,8 @@
 //! commit must print the same bytes on every host and thread count.
 
 use xsched_bench::{
-    chaos_report, chaos_specs, controller_report, fig12_report, fig2_report, fig3_report,
-    fig7_report, quick_rc, quick_rc_heavy, SweepOpts,
+    chaos_report, chaos_specs, controller_report, dbms_ablation_report, fig12_report, fig2_report,
+    fig3_report, fig7_report, quick_rc, quick_rc_heavy, SweepOpts,
 };
 use xsched_core::{Driver, Targets};
 
@@ -91,6 +91,22 @@ fn fig12_quick_table_matches_golden_snapshot() {
         ..Default::default()
     };
     assert_eq!(report, fig12_report(&quick_rc_heavy(), &serial));
+}
+
+/// The DBMS-substrate ablation in `--quick` mode is the one golden that
+/// arms lock timeouts, group commits and dirty-page write-backs: it pins
+/// stale-timer handling, batched log forces and the ownerless write-back
+/// I/O path.
+#[test]
+fn ablation_dbms_quick_table_matches_golden_snapshot() {
+    let opts = SweepOpts {
+        threads: 0,
+        ..Default::default()
+    };
+    check(
+        "ablation_dbms_quick.txt",
+        &dbms_ablation_report(&quick_rc_heavy(), &opts),
+    );
 }
 
 /// fig7 is analytic (MVA): the snapshot pins number formatting and the

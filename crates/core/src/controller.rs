@@ -122,6 +122,8 @@ pub struct MplController {
     up_streak: u32,
     converged: bool,
     discarded: u32,
+    /// Throughput of the last closed window, discarded or not.
+    last_throughput: f64,
     trace: Vec<IterationRecord>,
 }
 
@@ -157,6 +159,7 @@ impl MplController {
             up_streak: 0,
             converged: false,
             discarded: 0,
+            last_throughput: 0.0,
             // Pre-sized past the paper's <10-iteration bound so sessions
             // (and their telemetry) never grow this buffer mid-run.
             trace: Vec::with_capacity(32),
@@ -208,6 +211,13 @@ impl MplController {
         self.discarded
     }
 
+    /// Throughput, txns/second, of the window the last decision closed
+    /// (a discarded window included): completions over the span from the
+    /// previous close, or from the first completion for the first window.
+    pub fn window_throughput(&self) -> f64 {
+        self.last_throughput
+    }
+
     /// The current search bracket `(highest_infeasible, best_feasible)`.
     pub fn bracket(&self) -> (u32, Option<u32>) {
         (self.highest_infeasible, self.best_feasible)
@@ -241,6 +251,7 @@ impl MplController {
         // Window closes.
         let span = (now - self.window.start).max(1e-9);
         let tput = n as f64 / span;
+        self.last_throughput = tput;
         let rt = self.window.rt.mean();
         // The next window spans from *this* close instant, not from its
         // own first completion — otherwise idle time (a stall, an arrival
@@ -521,6 +532,10 @@ mod tests {
         let mpl_before = c.mpl();
         let (_, d) = feed_window(&mut c, e + 10.0, 120, 100.0, 1.0);
         assert_eq!(d, Some(Decision::Discarded));
+        // The discarded window's throughput is still reported, over the
+        // span from the previous close.
+        let tput = c.window_throughput();
+        assert!((tput - 120.0 / 11.2).abs() < 1e-9, "throughput {tput}");
         assert_eq!(c.mpl(), mpl_before);
         assert_eq!(c.discarded_windows(), 1);
     }

@@ -620,35 +620,6 @@ impl Driver {
         mut series: Option<&mut ControllerSeries>,
         trace: T,
     ) -> (RunResult, Option<MplController>, T, ChaosWindowStats) {
-        // Closes one controller observation window into a telemetry tick
-        // and resets the window accumulators. The next window is anchored
-        // at *this* close instant (mirroring the controller's own window
-        // spans), so idle time after a reaction counts against the next
-        // window's throughput instead of silently vanishing.
-        fn close_tick(
-            series: &mut ControllerSeries,
-            win_hist: &mut LogHistogram,
-            win_count: &mut u64,
-            win_start: &mut f64,
-            now: f64,
-            mpl: u32,
-            queue_len: u64,
-        ) {
-            let span = (now - *win_start).max(1e-9);
-            series.push(ControllerTick {
-                t: now,
-                mpl,
-                queue_len,
-                throughput: *win_count as f64 / span,
-                rt_p50: win_hist.quantile(0.50),
-                rt_p95: win_hist.quantile(0.95),
-                rt_p99: win_hist.quantile(0.99),
-            });
-            *win_hist = LogHistogram::new();
-            *win_count = 0;
-            *win_start = now;
-        }
-
         let rc = &self.rc;
         let setup = &self.setup;
         let mut sim = DbmsSim::with_trace(setup.hw.clone(), setup.cfg.clone(), rc.seed, trace);
@@ -679,7 +650,7 @@ impl Driver {
                     if let Some(sh) = shaper.as_mut() {
                         d /= sh.divisor(0.0, sim.trace_mut());
                     }
-                    sim.schedule_external(SimTime::from_secs_f64(d), 0);
+                    sim.schedule_external(SimTime::from_secs_f64(d));
                 }
             }
             ArrivalProcess::Open { .. } => {
@@ -687,7 +658,7 @@ impl Driver {
                 if let Some(sh) = shaper.as_mut() {
                     d /= sh.divisor(0.0, sim.trace_mut());
                 }
-                sim.schedule_external(SimTime::from_secs_f64(d), 0);
+                sim.schedule_external(SimTime::from_secs_f64(d));
             }
         }
 
@@ -713,12 +684,10 @@ impl Driver {
         let mut lock_wait = Welford::new();
         let mut samples = SampleSet::new();
         let mut rt_hist = LogHistogram::new();
-        // Per-observation-window accumulators for the controller
-        // telemetry series (only touched when `series` is attached).
+        // Response times of the controller's current observation window,
+        // for the telemetry series (only touched when `series` is
+        // attached).
         let mut win_hist = LogHistogram::new();
-        let mut win_count: u64 = 0;
-        let mut win_start = 0.0f64;
-        let mut win_started = false;
         let mut chaos_stats = ChaosWindowStats::default();
         let mut aborts_at_meas_start = 0u64;
         // Ping-pong buffer for completions: `drain_completions_into` swaps
@@ -729,7 +698,7 @@ impl Driver {
         'outer: loop {
             match sim.step() {
                 StepOutcome::Idle => break,
-                StepOutcome::External(_) => {
+                StepOutcome::External => {
                     let body = gen.next();
                     let now = sim.now();
                     sched.enqueue(QueuedTxn { body, arrival: now });
@@ -741,7 +710,7 @@ impl Driver {
                         if let Some(sh) = shaper.as_mut() {
                             d /= sh.divisor(sim.now(), sim.trace_mut());
                         }
-                        sim.schedule_external(SimTime::from_secs_f64(sim.now() + d), 0);
+                        sim.schedule_external(SimTime::from_secs_f64(sim.now() + d));
                     }
                 }
                 StepOutcome::Advanced => {
@@ -757,7 +726,7 @@ impl Driver {
                             if let Some(sh) = shaper.as_mut() {
                                 d /= sh.divisor(sim.now(), sim.trace_mut());
                             }
-                            sim.schedule_external(SimTime::from_secs_f64(sim.now() + d), 0);
+                            sim.schedule_external(SimTime::from_secs_f64(sim.now() + d));
                         }
                         if !measuring
                             && completed >= rc.warmup_txns
@@ -781,15 +750,6 @@ impl Driver {
                             meas_end_t = c.completed;
                             if let Some(ctl) = controller.as_mut() {
                                 ctl.observe(c.completed, rt);
-                                // The very first window starts at the
-                                // first observed completion (like the
-                                // controller's); every later one at the
-                                // previous decision's close.
-                                if !win_started {
-                                    win_started = true;
-                                    win_start = c.completed;
-                                }
-                                win_count += 1;
                                 if series.is_some() {
                                     win_hist.record(rt);
                                 }
@@ -804,26 +764,23 @@ impl Driver {
                                             // event is visible in the trace
                                             // instead of masquerading as
                                             // "still collecting".
-                                            let span = (c.completed - win_start).max(1e-9);
                                             sim.trace_mut().record(TraceEvent::ControllerDiscard {
                                                 t: c.completed,
-                                                throughput: win_count as f64 / span,
+                                                throughput: ctl.window_throughput(),
                                             });
                                         }
                                     }
                                     if let Some(s) = series.as_deref_mut() {
-                                        close_tick(
-                                            s,
-                                            &mut win_hist,
-                                            &mut win_count,
-                                            &mut win_start,
-                                            c.completed,
-                                            sched.mpl(),
-                                            sched.queue_len() as u64,
-                                        );
-                                    } else {
-                                        win_count = 0;
-                                        win_start = c.completed;
+                                        s.push(ControllerTick {
+                                            t: c.completed,
+                                            mpl: sched.mpl(),
+                                            queue_len: sched.queue_len() as u64,
+                                            throughput: ctl.window_throughput(),
+                                            rt_p50: win_hist.quantile(0.50),
+                                            rt_p95: win_hist.quantile(0.95),
+                                            rt_p99: win_hist.quantile(0.99),
+                                        });
+                                        win_hist = LogHistogram::new();
                                     }
                                     if let Some(ch) = chaos {
                                         if c.completed >= ch.onset {

@@ -32,7 +32,6 @@ pub mod fault;
 pub mod lock;
 pub mod metrics;
 pub mod sim;
-pub mod slab;
 pub mod txn;
 
 pub use config::{
@@ -42,4 +41,4 @@ pub use fault::{FaultSpec, SpikeSpec, StallSpec, Toggler};
 pub use metrics::{Completion, DbmsMetrics};
 pub use sim::{CapacityStats, DbmsSim, StepOutcome};
 pub use txn::{ItemId, LockMode, PageId, Priority, Step, TxnBody, TxnId};
-pub use xsched_obs::{CountingSink, NoopTrace, RingRecorder, TraceEvent, TraceSink};
+pub use xsched_obs::{CountingSink, NoopTrace, TraceEvent, TraceSink};

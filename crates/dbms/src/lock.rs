@@ -460,7 +460,7 @@ impl LockManager {
     /// themselves blocked at some other lock queue — the victims a blocked
     /// high-priority request is entitled to preempt. `priority_of`
     /// resolves a holder's class (the simulator answers from its
-    /// transaction slab). Holders appear in grant order, which is
+    /// transaction state table). Holders appear in grant order, which is
     /// deterministic.
     pub fn pow_victims_into(
         &self,
@@ -533,31 +533,30 @@ impl LockManager {
     /// [`DeadlockStrategy::Detection`]: crate::config::DeadlockStrategy::Detection
     #[cfg(test)]
     pub(crate) fn check_acyclic(&self) {
-        const NEW: u8 = 0;
         const ON_WALK: u8 = 1;
         const DONE: u8 = 2;
-        // Colours indexed by transaction id: test ids are small and dense.
-        let ids = self.waiting.keys().chain(self.held.keys());
-        let mut colour = vec![NEW; ids.map(|t| t.0 as usize + 1).max().unwrap_or(0)];
+        // Colours keyed by transaction id, since a simulator's ids are
+        // sparse; an absent id is not yet reached.
+        let mut colour: FxHashMap<TxnId, u8> = FxHashMap::default();
         let mut stack = Vec::new();
         for &root in self.waiting.keys() {
-            if colour[root.0 as usize] != NEW {
+            if colour.contains_key(&root) {
                 continue;
             }
-            colour[root.0 as usize] = ON_WALK;
+            colour.insert(root, ON_WALK);
             stack.push((root, self.blockers(root)));
             while let Some((node, edges)) = stack.last_mut() {
                 if let Some(b) = edges.next() {
-                    match colour[b.0 as usize] {
-                        ON_WALK => panic!("waits-for cycle through {b:?} and {node:?}"),
-                        DONE => {}
-                        _ => {
-                            colour[b.0 as usize] = ON_WALK;
+                    match colour.get(&b) {
+                        Some(&ON_WALK) => panic!("waits-for cycle through {b:?} and {node:?}"),
+                        Some(_) => {}
+                        None => {
+                            colour.insert(b, ON_WALK);
                             stack.push((b, self.blockers(b)));
                         }
                     }
                 } else {
-                    colour[node.0 as usize] = DONE;
+                    colour.insert(*node, DONE);
                     stack.pop();
                 }
             }

@@ -6,8 +6,11 @@
 //! forces one log write and releases all locks (strict 2PL).
 
 /// Identifier of an admitted transaction instance, unique per simulation
-/// and monotone in admission order (used as the age for deadlock
-/// victim selection: larger id = younger).
+/// and the simulator's only handle on it. The simulator puts the
+/// admission ordinal in the high bits and the transaction's state slot
+/// in the low 20, so ids order by admission: the age for deadlock victim
+/// selection (larger id = younger). Every other component treats the
+/// value as opaque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 

@@ -41,11 +41,9 @@ fn chaos_fingerprint(spec: Option<FaultSpec>, seed: u64) -> (Vec<u64>, CountingS
         guard += 1;
         assert!(guard < 10_000_000, "chaos run failed to finish");
     }
-    let done = sim
-        .drain_completions()
-        .iter()
-        .map(|c| c.completed.to_bits())
-        .collect();
+    let mut done = Vec::new();
+    sim.drain_completions_into(&mut done);
+    let done = done.iter().map(|c| c.completed.to_bits()).collect();
     (done, sim.into_trace())
 }
 
@@ -151,7 +149,9 @@ proptest! {
         }
         let mut seen = vec![false; cpu_bursts.len()];
         while sim.step() != StepOutcome::Idle {}
-        for c in sim.drain_completions() {
+        let mut done = Vec::new();
+        sim.drain_completions_into(&mut done);
+        for c in done {
             let idx = c.txn_type as usize;
             prop_assert!(!seen[idx], "duplicate completion for {idx}");
             seen[idx] = true;

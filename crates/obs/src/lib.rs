@@ -17,8 +17,7 @@
 //! * [`TraceSink`] — the zero-cost simulation trace abstraction. The
 //!   simulator is generic over its sink; the default [`NoopTrace`]
 //!   monomorphizes to nothing, so tracing costs exactly zero when
-//!   disabled. [`CountingSink`] and the fixed-capacity, never-growing
-//!   [`RingRecorder`] are the allocation-free working sinks.
+//!   disabled. [`CountingSink`] is the allocation-free working sink.
 //! * [`ControllerSeries`] — per-reaction MPL-setpoint / queue-length /
 //!   latency-percentile telemetry of the adaptive controller, with a
 //!   bit-stable text encoding for golden snapshots.
@@ -35,4 +34,4 @@ pub mod trace;
 pub use hist::LogHistogram;
 pub use registry::MetricsRegistry;
 pub use series::{ControllerSeries, ControllerTick, CONTROLLER_SERIES_SCHEMA};
-pub use trace::{CountingSink, NoopTrace, RingRecorder, TraceEvent, TraceSink};
+pub use trace::{CountingSink, NoopTrace, TraceEvent, TraceSink};

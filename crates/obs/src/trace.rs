@@ -6,13 +6,12 @@
 //! `#[inline(always)]` body — monomorphization erases the calls
 //! entirely, so the default inner loop compiles to the same code as one
 //! with no trace calls at all (the benchmark's interleaved untraced
-//! `wall_s` bound is what would catch it if it stopped). The
-//! working sinks are allocation-free after construction: a
-//! [`CountingSink`] of per-kind totals and a fixed-capacity
-//! [`RingRecorder`] that overwrites its oldest entry when full.
+//! `wall_s` bound is what would catch it if it stopped). The working
+//! sink, [`CountingSink`], keeps per-kind totals and never allocates.
 
 /// One typed simulator event. Times are simulation seconds;
-/// transaction ids are the simulator's monotone `TxnId` values.
+/// transaction ids are the simulator's `TxnId` values (ordered by
+/// admission).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A transaction entered the DBMS (admission past the MPL gate).
@@ -195,77 +194,6 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Fixed-capacity ring buffer of the most recent events. The buffer is
-/// fully allocated up front and never grows, so attaching it to a
-/// steady-state simulation keeps the loop allocation-free.
-#[derive(Debug, Clone)]
-pub struct RingRecorder {
-    buf: Vec<TraceEvent>,
-    next: usize,
-    recorded: u64,
-}
-
-impl RingRecorder {
-    /// A recorder holding the most recent `capacity` events
-    /// (`capacity` is raised to 1 if 0 is passed).
-    pub fn new(capacity: usize) -> RingRecorder {
-        RingRecorder {
-            buf: Vec::with_capacity(capacity.max(1)),
-            next: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Events currently retained (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events ever recorded minus events retained — how many were
-    /// overwritten by newer ones.
-    pub fn dropped(&self) -> u64 {
-        self.recorded - self.len() as u64
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let split = if self.buf.len() < self.buf.capacity() {
-            0
-        } else {
-            self.next
-        };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
-    }
-}
-
-impl TraceSink for RingRecorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.buf.capacity() {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.buf.len();
-        }
-        self.recorded += 1;
-    }
-}
-
 /// Forwarding impl so a sink can be borrowed into a sim.
 impl<T: TraceSink + ?Sized> TraceSink for &mut T {
     #[inline]
@@ -277,10 +205,6 @@ impl<T: TraceSink + ?Sized> TraceSink for &mut T {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: f64) -> TraceEvent {
-        TraceEvent::Commit { txn: t as u64, t }
-    }
 
     #[test]
     fn counting_sink_counts_by_kind() {
@@ -297,37 +221,5 @@ mod tests {
         assert_eq!(TraceEvent::kind_name(7), "commit");
         assert_eq!(TraceEvent::KINDS, 13);
         assert_eq!(TraceEvent::kind_name(12), "controller_discard");
-    }
-
-    #[test]
-    fn ring_recorder_overwrites_oldest_without_growing() {
-        let mut r = RingRecorder::new(4);
-        let cap = r.capacity();
-        for i in 0..10 {
-            r.record(ev(i as f64));
-        }
-        assert_eq!(r.capacity(), cap, "ring must never grow");
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.recorded(), 10);
-        assert_eq!(r.dropped(), 6);
-        let kept: Vec<f64> = r
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Commit { t, .. } => *t,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![6.0, 7.0, 8.0, 9.0], "oldest-first, newest kept");
-    }
-
-    #[test]
-    fn ring_recorder_partial_fill_iterates_in_order() {
-        let mut r = RingRecorder::new(8);
-        for i in 0..3 {
-            r.record(ev(i as f64));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.iter().count(), 3);
     }
 }

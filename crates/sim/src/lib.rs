@@ -29,5 +29,5 @@ pub use dist::Dist;
 pub use engine::EventQueue;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, StableFp};
 pub use rng::SimRng;
-pub use stats::{BatchMeans, ConfidenceInterval, Replications, SampleSet, TimeWeighted, Welford};
+pub use stats::{BatchMeans, ConfidenceInterval, Replications, SampleSet, Welford};
 pub use time::SimTime;

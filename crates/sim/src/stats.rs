@@ -389,51 +389,6 @@ impl SampleSet {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. resource
-/// utilization or queue length over simulated time.
-#[derive(Debug, Clone, Default)]
-pub struct TimeWeighted {
-    last_t: f64,
-    last_v: f64,
-    area: f64,
-    span: f64,
-    started: bool,
-}
-
-impl TimeWeighted {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that the signal changed to `value` at time `t` (seconds).
-    pub fn update(&mut self, t: f64, value: f64) {
-        if self.started {
-            let dt = (t - self.last_t).max(0.0);
-            self.area += self.last_v * dt;
-            self.span += dt;
-        }
-        self.last_t = t;
-        self.last_v = value;
-        self.started = true;
-    }
-
-    /// Close the window at time `t` and return the time average so far.
-    pub fn finish(&mut self, t: f64) -> f64 {
-        self.update(t, self.last_v);
-        self.average()
-    }
-
-    /// Time average over the observed span (0 if the span is empty).
-    pub fn average(&self) -> f64 {
-        if self.span == 0.0 {
-            0.0
-        } else {
-            self.area / self.span
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,20 +603,5 @@ mod tests {
             s.push(x);
         }
         assert_eq!(s.c2(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.update(0.0, 1.0); // value 1 on [0, 2)
-        tw.update(2.0, 3.0); // value 3 on [2, 4)
-        let avg = tw.finish(4.0);
-        assert!((avg - 2.0).abs() < 1e-12, "avg {avg}");
-    }
-
-    #[test]
-    fn time_weighted_empty_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.average(), 0.0);
     }
 }

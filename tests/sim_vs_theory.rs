@@ -29,21 +29,23 @@ fn open_sim_mean_rt(
     let mut sim = DbmsSim::new(hw, cfg, 7);
     let mut rng = SimRng::derive(7, "arrivals");
     let mut body_rng = SimRng::derive(7, "bodies");
-    sim.schedule_external(SimTime::from_secs_f64(rng.exp(1.0 / lambda)), 0);
+    sim.schedule_external(SimTime::from_secs_f64(rng.exp(1.0 / lambda)));
     let mut rt = Welford::new();
     let warmup = n / 4;
     let mut done = 0u64;
+    let mut completions = Vec::new();
     loop {
         match sim.step() {
             StepOutcome::Idle => break,
-            StepOutcome::External(_) => {
+            StepOutcome::External => {
                 let body = mk(&mut body_rng);
                 sim.submit(body, sim.now());
                 let next = sim.now() + rng.exp(1.0 / lambda);
-                sim.schedule_external(SimTime::from_secs_f64(next), 0);
+                sim.schedule_external(SimTime::from_secs_f64(next));
             }
             StepOutcome::Advanced => {
-                for c in sim.drain_completions() {
+                sim.drain_completions_into(&mut completions);
+                for c in completions.drain(..) {
                     done += 1;
                     if done > warmup {
                         rt.push(c.response_time());
